@@ -16,7 +16,7 @@ import os
 from dataclasses import dataclass
 
 from .errors import CacheInvalidError
-from .point_count import METHODS, Curve, PointCountRecord
+from .point_count import METHODS, Curve, PointCountRecord, good_odd_primes
 
 MAGIC = "curvecount-cache"
 VERSION = "v1"
@@ -84,6 +84,8 @@ def _parse_record(line: str) -> PointCountRecord:
         raise CacheInvalidError(f"unknown method {method!r}")
     if a_p != p - n_p:
         raise CacheInvalidError(f"inconsistent record {line!r}")
+    if a_p * a_p >= 4 * p:
+        raise CacheInvalidError(f"record breaks the Hasse bound {line!r}")
     return PointCountRecord(p, n_p, a_p, method)
 
 
@@ -112,9 +114,9 @@ def read_cache(path: str, curve: Curve) -> tuple[CacheHeader, list[PointCountRec
             f"cache is for curve ({header.a}, {header.b}), wanted ({curve.a}, {curve.b})"
         )
     records = [_parse_record(line) for line in lines[1:] if line]
-    for previous, current in zip(records, records[1:]):
-        if current.p <= previous.p:
-            raise CacheInvalidError(f"records out of order at p = {current.p}")
-    if records and not header.pmin <= records[0].p <= records[-1].p <= header.pmax:
-        raise CacheInvalidError("records outside the header's prime range")
+    expected = [p for p in good_odd_primes(curve, header.pmax) if p >= header.pmin]
+    if [r.p for r in records] != expected:
+        raise CacheInvalidError(
+            f"records are not one per good odd prime in [{header.pmin}, {header.pmax}], ascending"
+        )
     return header, records

@@ -14,12 +14,13 @@ import json
 import os
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from decimal import Decimal
 from fractions import Fraction
+from functools import partial
 
 from .cache import read_cache, resolve_cache_path, write_cache
 from .errors import CacheInvalidError
-from .lseries import euler_factor_exact, partial_L, ratio_partial
+from .lseries import partial_L, partial_L_exact, prime_split, ratio_partial
 from .modmath import is_prime, prime_profile, sieve_primes
 from .point_count import (
     MINUS,
@@ -35,12 +36,13 @@ from .point_count import (
 )
 from .rational_points import collision_search, find_points_for_d, lemma11_applicable, lemma11_exhaustive
 from .residue_lemmas import count_lemma2, lemma4_check, lemma5_hit, lemma6_check, lemma8_fraction
-
-VERIFIABLE_LEMMAS = (1, 2, 3, 4, 5, 6, 7)
+from .sweep import map_chunks
 
 
 def _fraction_str(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}"
+    # str(Decimal(n)) is exact and, unlike str(n), not capped by the
+    # int-to-str digit limit (4300 by default) that exact products outgrow.
+    return f"{Decimal(q.numerator)}/{Decimal(q.denominator)}"
 
 
 def _emit(records: list[dict], fmt: str) -> None:
@@ -74,128 +76,116 @@ def _fail(message: str) -> int:
     return 2
 
 
-def _resolve_workers(requested: int | None) -> int:
-    return requested if requested else (os.cpu_count() or 1)
-
-
-def _chunks(seq: list, n: int) -> list[list]:
-    size = -(-len(seq) // n) if seq else 1
-    return [seq[i : i + size] for i in range(0, len(seq), size)]
-
-
-def _parallel_records(curve: Curve, primes: list[int], workers: int, cross_validate: bool):
-    """Fan records_for_primes out over contiguous prime chunks.
-
-    Chunks are merged in submission order, so the result is ascending
-    in p and identical for every worker count.
-    """
-    if workers <= 1 or len(primes) < 2 * workers:
-        return records_for_primes(curve, primes, cross_validate)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(records_for_primes, curve, chunk, cross_validate)
-            for chunk in _chunks(primes, workers)
-        ]
-        merged = []
-        for future in futures:
-            merged.extend(future.result())
-    return merged
+def _workers(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 # ---------------------------------------------------------------- lemma-verify
+#
+# One check per lemma, called once per prime: (items checked, mismatch
+# details).  Per-prime state (the lemma 1 sample of a values) is seeded
+# from (seed, p) alone, never from chunk position, so any partition of
+# the primes yields the same findings.
 
 
-def _verify_chunk(lemma: int, primes: list[int], d_max: int, samples: int, seed: int):
-    """(checked, mismatch records) for one prime chunk of one lemma sweep.
+def _check_lemma1(p: int, d_max: int, samples: int, seed: int):
+    rng = random.Random((seed << 32) | p)
+    values = sorted(rng.sample(range(1, p), min(samples, p - 1)))
+    bad = []
+    for a in values:
+        n_p = count_affine_points(Curve(a, 0), p)
+        if n_p != p:
+            bad.append({"a": a, "n_p": n_p, "expected": p})
+    return len(values), bad
 
-    Per-prime state (the lemma 1 sample of a values) is seeded from
-    (seed, p) alone, never from chunk position, so any partition of the
-    primes yields the same findings.
-    """
-    checked = 0
-    mismatches = []
-    for p in primes:
-        if lemma == 1:
-            rng = random.Random((seed << 32) | p)
-            for a in sorted(rng.sample(range(1, p), min(samples, p - 1))):
-                n_p = count_affine_points(Curve(a, 0), p)
-                checked += 1
-                if n_p != p:
-                    mismatches.append({"lemma": 1, "p": p, "a": a, "n_p": n_p, "expected": p})
-        elif lemma == 2:
-            count = count_lemma2(p)
+
+def _check_lemma2(p: int, d_max: int, samples: int, seed: int):
+    count = count_lemma2(p)
+    return 1, [] if count == (p - 5) // 4 else [{"count": count, "expected": (p - 5) // 4}]
+
+
+def _check_lemma3(p: int, d_max: int, samples: int, seed: int):
+    checked, bad = 0, []
+    for d in range(1, d_max + 1):
+        if d % p == 0:
+            continue
+        for sign in (MINUS, PLUS):
+            spec = TwistSpec(d, sign)
+            claimed = np_lemma3(spec, p).n_p
+            brute = count_affine_points(spec.curve(), p)
             checked += 1
-            if count != (p - 5) // 4:
-                mismatches.append({"lemma": 2, "p": p, "count": count, "expected": (p - 5) // 4})
-        elif lemma == 3:
-            for d in range(1, d_max + 1):
-                if d % p == 0:
-                    continue
-                for sign in (MINUS, PLUS):
-                    spec = TwistSpec(d, sign)
-                    claimed = np_lemma3(spec, p).n_p
-                    brute = count_affine_points(spec.curve(), p)
-                    checked += 1
-                    if claimed != brute:
-                        mismatches.append(
-                            {"lemma": 3, "p": p, "d": d, "sign": sign, "claimed": claimed, "brute": brute}
-                        )
-        elif lemma == 4:
-            for y in range(1, p):
-                lhs, rhs = lemma4_check(p, y)
-                checked += 1
-                if lhs != rhs:
-                    mismatches.append({"lemma": 4, "p": p, "y": y, "lhs": lhs, "rhs": rhs})
-        elif lemma == 5:
-            checked += 1
-            if lemma5_hit(p):
-                mismatches.append({"lemma": 5, "p": p})
-        elif lemma == 6:
-            n1, n2, ok = lemma6_check(p)
-            checked += 1
-            if not ok:
-                mismatches.append({"lemma": 6, "p": p, "n1": n1, "n2": n2, "expected_sum": (p - 5) // 4})
-        else:
-            for d in range(1, d_max + 1):
-                if d % p == 0:
-                    continue
-                ap_minus, ap_plus, total = lemma7_check(d, p)
-                checked += 1
-                if total != 0:
-                    mismatches.append(
-                        {"lemma": 7, "p": p, "d": d, "ap_minus": ap_minus, "ap_plus": ap_plus, "sum": total}
-                    )
-    return checked, mismatches
+            if claimed != brute:
+                bad.append({"d": d, "sign": sign, "claimed": claimed, "brute": brute})
+    return checked, bad
 
 
-_LEMMA_CLASSES = {
-    1: lambda p: p % 4 == 3,
-    2: lambda p: p % 4 == 1,
-    3: lambda p: p % 4 == 1,
-    4: lambda p: p % 4 == 1,
-    5: lambda p: True,
-    6: lambda p: p % 8 == 5,
-    7: lambda p: p % 8 == 5,
+def _check_lemma4(p: int, d_max: int, samples: int, seed: int):
+    bad = []
+    for y in range(1, p):
+        lhs, rhs = lemma4_check(p, y)
+        if lhs != rhs:
+            bad.append({"y": y, "lhs": lhs, "rhs": rhs})
+    return p - 1, bad
+
+
+def _check_lemma5(p: int, d_max: int, samples: int, seed: int):
+    return 1, [{}] if lemma5_hit(p) else []
+
+
+def _check_lemma6(p: int, d_max: int, samples: int, seed: int):
+    n1, n2, ok = lemma6_check(p)
+    return 1, [] if ok else [{"n1": n1, "n2": n2, "expected_sum": (p - 5) // 4}]
+
+
+def _check_lemma7(p: int, d_max: int, samples: int, seed: int):
+    checked, bad = 0, []
+    for d in range(1, d_max + 1):
+        if d % p == 0:
+            continue
+        ap_minus, ap_plus, total = lemma7_check(d, p)
+        checked += 1
+        if total != 0:
+            bad.append({"d": d, "ap_minus": ap_minus, "ap_plus": ap_plus, "sum": total})
+    return checked, bad
+
+
+# lemma -> ((modulus, residue) selecting the odd primes it covers, check)
+LEMMAS = {
+    1: ((4, 3), _check_lemma1),
+    2: ((4, 1), _check_lemma2),
+    3: ((4, 1), _check_lemma3),
+    4: ((4, 1), _check_lemma4),
+    5: ((2, 1), _check_lemma5),
+    6: ((8, 5), _check_lemma6),
+    7: ((8, 5), _check_lemma7),
 }
 
 
+def _verify_chunk(lemma: int, d_max: int, samples: int, seed: int, primes: list[int]):
+    """(checked, mismatch records) for one prime chunk of one lemma sweep."""
+    check = LEMMAS[lemma][1]
+    checked, mismatches = 0, []
+    for p in primes:
+        count, bad = check(p, d_max, samples, seed)
+        checked += count
+        mismatches.extend({"lemma": lemma, "p": p, **detail} for detail in bad)
+    return checked, mismatches
+
+
 def _run_verify(args) -> int:
-    if args.lemma not in VERIFIABLE_LEMMAS:
-        return _fail(f"--lemma must be one of {VERIFIABLE_LEMMAS}, got {args.lemma}")
+    if args.lemma not in LEMMAS:
+        return _fail(f"--lemma must be one of {tuple(LEMMAS)}, got {args.lemma}")
     if args.limit < 3:
         return _fail(f"--limit must be >= 3, got {args.limit}")
     if args.d_max < 1 or args.samples < 1:
         return _fail("--d-max and --samples must be >= 1")
-    workers = _resolve_workers(args.workers)
-    in_class = _LEMMA_CLASSES[args.lemma]
-    primes = [p for p in sieve_primes(args.limit) if p != 2 and in_class(p)]
-    tasks = [(args.lemma, chunk, args.d_max, args.samples, args.seed) for chunk in _chunks(primes, workers)]
-    if workers <= 1 or len(primes) < 2 * workers:
-        results = [_verify_chunk(*task) for task in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_verify_chunk, *task) for task in tasks]
-            results = [future.result() for future in futures]
+    (modulus, residue), _ = LEMMAS[args.lemma]
+    primes = [p for p in sieve_primes(args.limit) if p % modulus == residue]
+    chunk = partial(_verify_chunk, args.lemma, args.d_max, args.samples, args.seed)
+    results = map_chunks(chunk, primes, args.workers)
     checked = sum(r[0] for r in results)
     mismatches = [record for r in results for record in r[1]]
     summary = {"lemma": args.lemma, "limit": args.limit, "checked": checked, "mismatches": len(mismatches)}
@@ -239,7 +229,6 @@ def _run_ap_table(args) -> int:
         return _fail(f"curve {curve} is singular")
     if args.limit < 0:
         return _fail(f"--limit must be >= 0, got {args.limit}")
-    workers = _resolve_workers(args.workers)
     primes = good_odd_primes(curve, args.limit)
     cache_path = resolve_cache_path(args.cache) if args.cache else None
     cached, pmax_seen = [], 0
@@ -249,7 +238,9 @@ def _run_ap_table(args) -> int:
             pmax_seen = header.pmax
         except (FileNotFoundError, CacheInvalidError):
             cached, pmax_seen = [], 0
-    fresh = _parallel_records(curve, [p for p in primes if p > pmax_seen], workers, args.cross_validate)
+    chunk = partial(records_for_primes, curve, cross_validate=args.cross_validate)
+    parts = map_chunks(chunk, [p for p in primes if p > pmax_seen], args.workers)
+    fresh = [r for part in parts for r in part]
     records = [r for r in cached if r.p <= args.limit] + fresh
     if cache_path:
         write_cache(cache_path, curve, max(args.limit, pmax_seen), cached + fresh)
@@ -275,13 +266,11 @@ def _run_lseries(args) -> int:
         return _fail(f"--exact needs an integer s, got {args.s}")
     record = {"a": args.a, "b": args.b, "s": args.s, "prime_bound": args.limit}
     if args.exact:
-        value = Fraction(1)
-        for p in good_odd_primes(curve, args.limit):
-            value *= euler_factor_exact(p, trace_ap(curve, p).a_p, int(args.s))
+        good, skipped = prime_split(curve, args.limit)
         record["s"] = int(args.s)
-        record["value"] = _fraction_str(value)
-        record["factor_count"] = len(good_odd_primes(curve, args.limit))
-        record["skipped_primes"] = [q for q in sieve_primes(args.limit) if curve.discriminant() % q == 0]
+        record["value"] = _fraction_str(partial_L_exact(curve, int(args.s), args.limit))
+        record["factor_count"] = len(good)
+        record["skipped_primes"] = list(skipped)
     else:
         ev = partial_L(curve, args.s, args.limit)
         record["log_value"] = ev.log_value
@@ -345,8 +334,7 @@ def _run_lemma11(args) -> int:
 def _run_collisions(args) -> int:
     if args.bound < 2:
         return _fail(f"--bound must be >= 2, got {args.bound}")
-    workers = _resolve_workers(args.workers)
-    groups = collision_search(args.bound, workers=workers, coprime_only=not args.allow_non_coprime)
+    groups = collision_search(args.bound, workers=args.workers, coprime_only=not args.allow_non_coprime)
     _emit(
         [
             {"v": g.v, "members": [list(m) for m in g.members], "d_values": list(g.d_values), "shared_x": g.shared_x}
@@ -394,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--limit", type=int, required=True)
-    p.add_argument("--workers", type=int)
+    p.add_argument("--workers", type=_workers, default=os.cpu_count() or 1)
     p.add_argument("--cache", help="cache file; relative paths resolve under $CURVECOUNT_CACHE_DIR")
     p.add_argument("--cross-validate", action="store_true", help="recompute and check every record against brute force")
     p.add_argument("--plus-one", action="store_true")
@@ -406,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d-max", type=int, default=20)
     p.add_argument("--samples", type=int, default=20, help="a values sampled per prime (lemma 1)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int)
+    p.add_argument("--workers", type=_workers, default=os.cpu_count() or 1)
     p.set_defaults(handler=_run_verify)
 
     p = sub.add_parser("lseries", parents=[common], help="truncated Euler product at s")
@@ -438,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("collisions", parents=[common], help="pairs sharing V = em(m+e)^2")
     p.add_argument("--bound", type=int, required=True)
-    p.add_argument("--workers", type=int)
+    p.add_argument("--workers", type=_workers, default=os.cpu_count() or 1)
     p.add_argument("--allow-non-coprime", action="store_true")
     p.set_defaults(handler=_run_collisions)
 

@@ -2,7 +2,7 @@
 
 Factors multiply in ascending p.  Floating products accumulate in log
 space; the exact mode keeps Fractions end to end for integer s.  The
-prime 2 never contributes: the discriminant -16(4a^3 - 27b^2) is even
+prime 2 never contributes: the discriminant -16(4a^3 + 27b^2) is even
 for every curve, so 2 is a bad prime throughout.
 """
 
@@ -14,17 +14,23 @@ from fractions import Fraction
 
 from .errors import SingularCurveError, VanishingFactorError
 from .modmath import sieve_primes
-from .point_count import Curve, good_odd_primes, trace_ap
+from .point_count import Curve, trace_ap
 
 
-def discriminant(curve: Curve) -> int:
-    """-16(4a^3 - 27b^2); zero exactly for the singular members."""
-    return curve.discriminant()
+def prime_split(curve: Curve, limit: int) -> tuple[list[int], tuple[int, ...]]:
+    """(good, skipped) among the primes <= limit, from one sieve.
 
-
-def good_primes(curve: Curve, limit: int) -> list[int]:
-    """Odd primes <= limit coprime to the discriminant, ascending."""
-    return good_odd_primes(curve, limit)
+    good are the odd primes not dividing the discriminant, ascending;
+    skipped are the primes dividing it, 2 always among them once limit
+    reaches it.
+    """
+    delta = curve.discriminant()
+    if delta == 0:
+        raise SingularCurveError(f"singular curve {curve}")
+    good, skipped = [], []
+    for q in sieve_primes(limit):
+        (skipped if delta % q == 0 else good).append(q)
+    return good, tuple(skipped)
 
 
 def _factor_denominator(p: int, a_p: int, s: float) -> float:
@@ -83,19 +89,15 @@ def partial_L(curve: Curve, s: float, limit: int) -> EulerEvaluation:
     reproduce bit-identical results no matter how the underlying a_p
     were obtained.  An empty prime range gives the empty product 1.
     """
-    delta = curve.discriminant()
-    if delta == 0:
-        raise SingularCurveError(f"singular curve {curve}")
     if not s > 0:
         raise ValueError(f"s must be positive, got {s}")
-    primes = good_odd_primes(curve, limit)
+    primes, skipped = prime_split(curve, limit)
     log_value = 0.0
     for p in primes:
         denom = _factor_denominator(p, trace_ap(curve, p).a_p, s)
         if denom <= 0.0:
             raise VanishingFactorError(p, f"denominator {denom} at s = {s}")
         log_value -= math.log(denom)
-    skipped = tuple(q for q in sieve_primes(limit) if delta % q == 0)
     return EulerEvaluation(float(s), limit, log_value, math.exp(log_value), len(primes), skipped)
 
 
@@ -105,11 +107,9 @@ def partial_L_exact(curve: Curve, s: int, limit: int) -> Fraction:
     The d = 1 minus twist at s = 1 up to limit 7 comes out to
     (3/4)(5/8)(7/8) = 105/256.
     """
-    if curve.discriminant() == 0:
-        raise SingularCurveError(f"singular curve {curve}")
     _check_exact_s(s)
     value = Fraction(1)
-    for p in good_odd_primes(curve, limit):
+    for p in prime_split(curve, limit)[0]:
         value *= euler_factor_exact(p, trace_ap(curve, p).a_p, s)
     return value
 
@@ -143,7 +143,7 @@ def ratio_partial(top: Curve, bottom: Curve, s: float, limit: int) -> RatioEvalu
     if not s > 0:
         raise ValueError(f"s must be positive, got {s}")
     delta_bottom = bottom.discriminant()
-    primes = tuple(p for p in good_odd_primes(top, limit) if delta_bottom % p != 0)
+    primes = tuple(p for p in prime_split(top, limit)[0] if delta_bottom % p != 0)
     factors = []
     ratio = 1.0
     for p in primes:

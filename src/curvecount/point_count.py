@@ -35,7 +35,7 @@ class Curve:
     b: int
 
     def discriminant(self) -> int:
-        return -16 * (4 * self.a**3 - 27 * self.b**2)
+        return -16 * (4 * self.a**3 + 27 * self.b**2)
 
 
 @dataclass(frozen=True)

@@ -9,14 +9,15 @@ point is either on its curve or the construction is rejected.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import gcd, isqrt
 
 from .errors import TangentUndefinedError
 from .modmath import is_prime, legendre_symbol
 from .point_count import Curve
+from .sweep import map_chunks
 
 
 @dataclass(frozen=True)
@@ -115,21 +116,23 @@ def double_point_rational(curve: Curve, point: RationalPoint) -> RationalPoint:
     return result
 
 
-def _rational_square_root(value: Fraction) -> Fraction | None:
-    """sqrt(value) if the reduced numerator and denominator are both
-    perfect squares, else None.  Integer isqrt only, no floats."""
-    if value < 0:
-        return None
-    num, den = value.numerator, value.denominator
-    rn, rd = isqrt(num), isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None
+def _qualifying_pairs(d: int, bound: int):
+    """(m, e, beta) for coprime m > e >= 1, m <= bound, beta^2 = 4d em/(m^2 - e^2).
 
-
-def _qualifying_beta(d: int, m: int, e: int) -> Fraction | None:
-    """beta with beta^2 = 4d em/(m^2 - e^2), when that is a rational square."""
-    return _rational_square_root(Fraction(4 * d * e * m, m * m - e * e))
+    beta^2 (m^2 - e^2)^2 is the integer t = 4d em(m^2 - e^2), d times the
+    triangle's area up to a square factor (the congruent-number
+    condition).  So beta is rational exactly when t is a perfect square,
+    and then beta = isqrt(t)/(m^2 - e^2).
+    """
+    for m in range(2, bound + 1):
+        for e in range(1, m):
+            if gcd(m, e) != 1:
+                continue
+            leg = m * m - e * e
+            t = 4 * d * e * m * leg
+            root = isqrt(t)
+            if root * root == t:
+                yield m, e, Fraction(root, leg)
 
 
 def find_points_for_d(d: int, bound: int) -> list[RationalPoint]:
@@ -146,18 +149,12 @@ def find_points_for_d(d: int, bound: int) -> list[RationalPoint]:
         raise ValueError(f"bound must be >= 2, got {bound}")
     a = -d * d
     found = {}
-    for m in range(2, bound + 1):
-        for e in range(1, m):
-            if gcd(m, e) != 1:
-                continue
-            beta = _qualifying_beta(d, m, e)
-            if beta is None:
-                continue
-            for x in (Fraction(d * (m + e), m - e), Fraction(-d * (m - e), m + e)):
-                y = beta * x
-                for point in (RationalPoint(x, y), RationalPoint(x, -y)):
-                    assert point.on_curve(a)
-                    found[(point.x, point.y)] = point
+    for m, e, beta in _qualifying_pairs(d, bound):
+        for x in (Fraction(d * (m + e), m - e), Fraction(-d * (m - e), m + e)):
+            y = beta * x
+            for point in (RationalPoint(x, y), RationalPoint(x, -y)):
+                assert point.on_curve(a)
+                found[(point.x, point.y)] = point
     return sorted(
         found.values(),
         key=lambda p: (p.x.numerator, p.x.denominator, p.y.numerator, p.y.denominator),
@@ -184,15 +181,9 @@ def lemma11_exhaustive(d: int, bound: int) -> list[ParamQuadruple]:
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
-    out = []
-    for m in range(2, bound + 1):
-        for e in range(1, m):
-            if gcd(m, e) != 1:
-                continue
-            beta = _qualifying_beta(d, m, e)
-            if beta is not None:
-                out.append(ParamQuadruple(beta.numerator, beta.denominator, m, e))
-    return out
+    return [
+        ParamQuadruple(beta.numerator, beta.denominator, m, e) for m, e, beta in _qualifying_pairs(d, bound)
+    ]
 
 
 @dataclass(frozen=True)
@@ -228,10 +219,10 @@ class CollisionGroup:
             assert y * y == self.v**3 - d * d * self.v
 
 
-def _collision_chunk(bound: int, e_lo: int, e_hi: int, coprime_only: bool) -> dict[int, list[tuple[int, int]]]:
-    """V -> members over the e-stripe [e_lo, e_hi); the unit of worker work."""
+def _collision_chunk(bound: int, coprime_only: bool, es: list[int]) -> dict[int, list[tuple[int, int]]]:
+    """V -> members over the given e values; the unit of worker work."""
     groups: dict[int, list[tuple[int, int]]] = {}
-    for e in range(e_lo, e_hi):
+    for e in es:
         for m in range(e + 1, bound + 1):
             if coprime_only and gcd(e, m) != 1:
                 continue
@@ -249,22 +240,12 @@ def collision_search(bound: int, workers: int = 1, coprime_only: bool = True) ->
     """
     if bound < 2:
         raise ValueError(f"bound must be >= 2, got {bound}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    if workers == 1:
-        groups = _collision_chunk(bound, 1, bound, coprime_only)
-    else:
-        step = -(-(bound - 1) // workers)
-        edges = list(range(1, bound, step)) + [bound]
-        groups = {}
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_collision_chunk, bound, lo, hi, coprime_only)
-                for lo, hi in zip(edges, edges[1:])
-            ]
-            for future in futures:
-                for v, members in future.result().items():
-                    groups.setdefault(v, []).extend(members)
+    groups, *rest = map_chunks(partial(_collision_chunk, bound, coprime_only), range(1, bound), workers)
+    # Fold the other chunks into the first one's dict, freeing each as it
+    # goes: these dicts are the search's memory peak.
+    while rest:
+        for v, members in rest.pop().items():
+            groups.setdefault(v, []).extend(members)
     out = []
     for v in sorted(groups):
         members = sorted(groups[v])

@@ -46,6 +46,16 @@ def count_points_double_loop(a, b, p):
     return count
 
 
+def singular_by_shared_root(a, b):
+    """Whether x^3 + a x + b has a repeated root, with no discriminant formula.
+
+    A repeated root is a common root of the cubic and its derivative
+    3x^2 + a.  It is rational (the root of their gcd, or 0 for a triple
+    root), so, the cubic being monic, an integer of size at most |a|.
+    """
+    return any(r**3 + a * r + b == 0 and 3 * r * r + a == 0 for r in range(-abs(a), abs(a) + 1))
+
+
 def coprime_pairs(bound):
     """All (e, m) with 1 <= e < m <= bound and gcd(e, m) = 1."""
     from math import gcd

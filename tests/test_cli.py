@@ -1,10 +1,13 @@
 import json
 import os
+import sys
+from fractions import Fraction
 
 import pytest
 
 from curvecount import cache, cli
 from curvecount.errors import CacheInvalidError
+from curvecount.lseries import partial_L_exact
 from curvecount.point_count import Curve, ap_table
 
 
@@ -108,6 +111,17 @@ def test_ap_table_tampered_cache_recomputes(tmp_path, capsys):
     assert cache.read_cache(path, Curve(-1, 0))[0].pmax == 60
 
 
+def test_ap_table_incomplete_cache_recomputes(tmp_path, capsys):
+    path = tmp_path / "minus1.cache"
+    args = ["ap-table", "--a", "-1", "--b", "0", "--limit", "60", "--cache", str(path)]
+    _, cold = run(capsys, args)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(line for line in lines if not line.startswith("7,")) + "\n")
+    rc, again = run(capsys, args)
+    assert rc == 0
+    assert again == cold
+
+
 def test_ap_table_worker_invariance(tmp_path, capsys):
     args = ["ap-table", "--a", "1", "--b", "0", "--limit", "300"]
     _, one = run(capsys, args + ["--workers", "1"])
@@ -200,6 +214,23 @@ def test_cache_rejects_bad_records(tmp_path):
             cache.read_cache(path, Curve(-1, 0))
 
 
+def test_cache_rejects_gaps_and_hasse_breaks(tmp_path):
+    path = tmp_path / "e.cache"
+    lines = ["curvecount-cache v1 a=-1 b=0 pmin=3 pmax=50"]
+    lines += [f"{r.p},{r.n_p},{r.a_p},{r.method}" for r in ap_table(Curve(-1, 0), 50)]
+    assert lines[3] == "7,7,0,lemma1"
+    for rows in (
+        lines[:3] + lines[4:],  # p = 7 dropped
+        lines[:-1],  # p = 47 dropped from the end
+        lines[:3] + ["7,1,6,lemma1"] + lines[4:],  # a_7 = 6 >= 2 sqrt(7)
+    ):
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(CacheInvalidError):
+            cache.read_cache(str(path), Curve(-1, 0))
+    path.write_text("\n".join(lines) + "\n")
+    assert len(cache.read_cache(str(path), Curve(-1, 0))[1]) == 14
+
+
 def test_lemma_verify_example(capsys):
     rc, out = run(capsys, ["lemma-verify", "--lemma", "7", "--limit", "2000", "--d-max", "20", "--workers", "2"])
     assert rc == 0
@@ -207,11 +238,13 @@ def test_lemma_verify_example(capsys):
 
 
 def test_lemma_verify_worker_invariance(capsys):
-    args = ["lemma-verify", "--lemma", "3", "--limit", "120", "--d-max", "6"]
-    _, one = run(capsys, args + ["--workers", "1"])
-    _, two = run(capsys, args + ["--workers", "2"])
-    assert one == two
-    assert jsonl(one)[-1]["mismatches"] == 0
+    # limit 120 gives every lemma's prime class at least two primes per worker
+    for lemma in range(1, 8):
+        args = ["lemma-verify", "--lemma", str(lemma), "--limit", "120", "--d-max", "6"]
+        _, one = run(capsys, args + ["--workers", "1"])
+        _, three = run(capsys, args + ["--workers", "3"])
+        assert one == three, lemma
+        assert jsonl(one)[-1]["mismatches"] == 0
 
 
 def test_lemma_verify_sampling_is_seeded(capsys):
@@ -245,6 +278,19 @@ def test_lseries_exact_example(capsys):
         {"a": -1, "b": 0, "s": 1, "prime_bound": 7, "value": "105/256",
          "factor_count": 3, "skipped_primes": [2]}
     ]
+
+
+def test_lseries_exact_past_digit_limit(capsys):
+    rc, out = run(capsys, ["lseries", "--a", "-1", "--b", "0", "--s", "3", "--limit", "3000", "--exact"])
+    assert rc == 0
+    num, den = jsonl(out)[0]["value"].split("/")
+    assert len(num) > 4300
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert Fraction(int(num), int(den)) == partial_L_exact(Curve(-1, 0), 3, 3000)
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def test_lseries_float_mode(capsys):
@@ -309,6 +355,21 @@ def test_collisions_worker_invariance(capsys):
     _, one = run(capsys, ["collisions", "--bound", "40", "--workers", "1"])
     _, four = run(capsys, ["collisions", "--bound", "40", "--workers", "4"])
     assert one == four
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ap-table", "--a", "-1", "--b", "0", "--limit", "60"],
+        ["lemma-verify", "--lemma", "3", "--limit", "60"],
+        ["collisions", "--bound", "30"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_workers_below_one_rejected(capsys, argv):
+    for workers in ("0", "-1"):
+        rc, out = run(capsys, argv + ["--workers", workers])
+        assert rc == 2 and out == ""
 
 
 def test_lemma8_record(capsys):

@@ -5,42 +5,40 @@ import pytest
 
 from curvecount.errors import SingularCurveError, VanishingFactorError
 from curvecount.lseries import (
-    discriminant,
     euler_factor,
     euler_factor_exact,
-    good_primes,
     partial_L,
     partial_L_exact,
     ratio_partial,
 )
-from curvecount.point_count import Curve, trace_ap
+from curvecount.point_count import Curve, good_odd_primes, trace_ap
 
 MINUS_ONE = Curve(-1, 0)
 PLUS_ONE = Curve(1, 0)
 
 
 def test_discriminant_examples():
-    assert discriminant(MINUS_ONE) == 64
-    assert discriminant(Curve(0, 1)) == 432
-    assert discriminant(Curve(-9, 0)) == 46656
-    assert discriminant(Curve(0, 0)) == 0
+    assert MINUS_ONE.discriminant() == 64
+    assert Curve(0, 1).discriminant() == -432
+    assert Curve(-9, 0).discriminant() == 46656
+    assert Curve(0, 0).discriminant() == 0
 
 
 def test_discriminant_always_even():
     for a in range(-6, 7):
         for b in range(-6, 7):
-            assert discriminant(Curve(a, b)) % 2 == 0
+            assert Curve(a, b).discriminant() % 2 == 0
 
 
 def test_good_primes_examples():
-    assert good_primes(MINUS_ONE, 13) == [3, 5, 7, 11, 13]
-    assert good_primes(Curve(-9, 0), 13) == [5, 7, 11, 13]
-    assert good_primes(MINUS_ONE, 2) == []
+    assert good_odd_primes(MINUS_ONE, 13) == [3, 5, 7, 11, 13]
+    assert good_odd_primes(Curve(-9, 0), 13) == [5, 7, 11, 13]
+    assert good_odd_primes(MINUS_ONE, 2) == []
 
 
 def test_good_primes_singular():
     with pytest.raises(SingularCurveError):
-        good_primes(Curve(0, 0), 100)
+        good_odd_primes(Curve(0, 0), 100)
 
 
 def test_euler_factor_examples():
@@ -161,7 +159,7 @@ def test_partial_l_extends_incrementally():
     lo = partial_L(MINUS_ONE, 1.5, 100)
     hi = partial_L(MINUS_ONE, 1.5, 200)
     tail = 0.0
-    for p in good_primes(MINUS_ONE, 200):
+    for p in good_odd_primes(MINUS_ONE, 200):
         if p > 100:
             tail += math.log(euler_factor(p, trace_ap(MINUS_ONE, p).a_p, 1.5))
     assert lo.log_value + tail == pytest.approx(hi.log_value, abs=1e-12)

@@ -22,7 +22,7 @@ from curvecount.point_count import (
     np_lemma3,
     trace_ap,
 )
-from oracles import count_points_double_loop, primes_by_trial_division
+from oracles import count_points_double_loop, primes_by_trial_division, singular_by_shared_root
 
 
 def test_count_affine_examples():
@@ -116,6 +116,16 @@ def test_trace_ap_examples_and_dispatch():
     assert (rec.n_p, rec.a_p, rec.method) == (7, 6, BRUTE)
     # b != 0 has no closed form; auto falls back to brute force.
     assert trace_ap(Curve(0, 1), 7).method == BRUTE
+
+
+def test_discriminant_vanishes_exactly_at_shared_roots():
+    singular = []
+    for a in range(-15, 16):
+        for b in range(-30, 31):
+            assert (Curve(a, b).discriminant() == 0) == singular_by_shared_root(a, b), (a, b)
+            if singular_by_shared_root(a, b):
+                singular.append((a, b))
+    assert singular == [(-12, -16), (-12, 16), (-3, -2), (-3, 2), (0, 0)]
 
 
 def test_trace_ap_bad_reduction():
