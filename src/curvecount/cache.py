@@ -90,11 +90,21 @@ def _parse_record(line: str) -> PointCountRecord:
 
 
 def write_cache(path: str, curve: Curve, pmax: int, records: list[PointCountRecord], pmin: int = 3) -> None:
-    """Serialize header + records; records must be ascending in p."""
+    """Serialize header + records; records must be ascending in p.
+
+    The file is written beside path and then moved over it, so a write
+    that fails midway leaves the previous cache as it was.
+    """
     lines = [CacheHeader(curve.a, curve.b, pmin, pmax).line()]
     lines.extend(_record_line(r) for r in records)
-    with open(path, "w") as handle:
-        handle.write("\n".join(lines) + "\n")
+    temp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(temp, "w") as handle:
+            handle.write("\n".join(lines) + "\n")
+        os.replace(temp, path)
+    finally:
+        if os.path.exists(temp):
+            os.remove(temp)
 
 
 def read_cache(path: str, curve: Curve) -> tuple[CacheHeader, list[PointCountRecord]]:
@@ -114,6 +124,12 @@ def read_cache(path: str, curve: Curve) -> tuple[CacheHeader, list[PointCountRec
             f"cache is for curve ({header.a}, {header.b}), wanted ({curve.a}, {curve.b})"
         )
     records = [_parse_record(line) for line in lines[1:] if line]
+    # Bertrand: some prime q has m < q <= 2m.  Past |discriminant| and pmin
+    # it is a good odd prime in range, and past the last record it is
+    # missing, so such a header is rejected before the sieve below.
+    m = max(records[-1].p if records else 0, abs(curve.discriminant()), header.pmin)
+    if header.pmax >= 2 * m:
+        raise CacheInvalidError(f"pmax={header.pmax} is at least twice {m}: good primes below it have no record")
     expected = [p for p in good_odd_primes(curve, header.pmax) if p >= header.pmin]
     if [r.p for r in records] != expected:
         raise CacheInvalidError(

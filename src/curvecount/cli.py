@@ -83,6 +83,18 @@ def _workers(text: str) -> int:
     return value
 
 
+# A sieve to --limit allocates about limit bytes plus the prime list, so
+# larger limits are refused before anything is computed.
+LIMIT_CEILING = 10**8
+
+
+def _limit(text: str) -> int:
+    value = int(text)
+    if value > LIMIT_CEILING:
+        raise argparse.ArgumentTypeError(f"must be <= {LIMIT_CEILING}, got {value}")
+    return value
+
+
 # ---------------------------------------------------------------- lemma-verify
 #
 # One check per lemma, called once per prime: (items checked, mismatch
@@ -236,8 +248,10 @@ def _run_ap_table(args) -> int:
         try:
             header, cached = read_cache(cache_path, curve)
             pmax_seen = header.pmax
-        except (FileNotFoundError, CacheInvalidError):
-            cached, pmax_seen = [], 0
+        except FileNotFoundError:
+            pass
+        except CacheInvalidError as exc:
+            print(f"curvecount: rebuilding cache {cache_path}: {exc}", file=sys.stderr)
     chunk = partial(records_for_primes, curve, cross_validate=args.cross_validate)
     parts = map_chunks(chunk, [p for p in primes if p > pmax_seen], args.workers)
     fresh = [r for part in parts for r in part]
@@ -381,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ap-table", parents=[common], help="a_p records for all good odd primes <= limit")
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
-    p.add_argument("--limit", type=int, required=True)
+    p.add_argument("--limit", type=_limit, required=True)
     p.add_argument("--workers", type=_workers, default=os.cpu_count() or 1)
     p.add_argument("--cache", help="cache file; relative paths resolve under $CURVECOUNT_CACHE_DIR")
     p.add_argument("--cross-validate", action="store_true", help="recompute and check every record against brute force")
@@ -390,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lemma-verify", parents=[common], help="sweep one closed-form claim against brute force")
     p.add_argument("--lemma", type=int, required=True)
-    p.add_argument("--limit", type=int, required=True)
+    p.add_argument("--limit", type=_limit, required=True)
     p.add_argument("--d-max", type=int, default=20)
     p.add_argument("--samples", type=int, default=20, help="a values sampled per prime (lemma 1)")
     p.add_argument("--seed", type=int, default=0)
@@ -401,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--s", type=float, required=True)
-    p.add_argument("--limit", type=int, required=True)
+    p.add_argument("--limit", type=_limit, required=True)
     p.add_argument("--exact", action="store_true", help="exact rational product (integer s only)")
     p.set_defaults(handler=_run_lseries)
 
@@ -411,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a2", type=int, required=True)
     p.add_argument("--b2", type=int, required=True)
     p.add_argument("--s", type=float, required=True)
-    p.add_argument("--limit", type=int, required=True)
+    p.add_argument("--limit", type=_limit, required=True)
     p.set_defaults(handler=_run_ratio)
 
     p = sub.add_parser("find-points", parents=[common], help="rational points on y^2 = x^3 - d^2 x")
@@ -431,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_run_collisions)
 
     p = sub.add_parser("lemma8", parents=[common], help="split of odd primes by p mod 4")
-    p.add_argument("--limit", type=int, required=True)
+    p.add_argument("--limit", type=_limit, required=True)
     p.set_defaults(handler=_run_lemma8)
 
     return parser

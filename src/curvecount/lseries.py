@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import SingularCurveError, VanishingFactorError
 from .modmath import sieve_primes
-from .point_count import Curve, trace_ap
+from .point_count import Curve, _trace_ap
 
 
 def prime_split(curve: Curve, limit: int) -> tuple[list[int], tuple[int, ...]]:
@@ -94,7 +94,7 @@ def partial_L(curve: Curve, s: float, limit: int) -> EulerEvaluation:
     primes, skipped = prime_split(curve, limit)
     log_value = 0.0
     for p in primes:
-        denom = _factor_denominator(p, trace_ap(curve, p).a_p, s)
+        denom = _factor_denominator(p, _trace_ap(curve, p).a_p, s)
         if denom <= 0.0:
             raise VanishingFactorError(p, f"denominator {denom} at s = {s}")
         log_value -= math.log(denom)
@@ -110,7 +110,7 @@ def partial_L_exact(curve: Curve, s: int, limit: int) -> Fraction:
     _check_exact_s(s)
     value = Fraction(1)
     for p in prime_split(curve, limit)[0]:
-        value *= euler_factor_exact(p, trace_ap(curve, p).a_p, s)
+        value *= euler_factor_exact(p, _trace_ap(curve, p).a_p, s)
     return value
 
 
@@ -147,8 +147,8 @@ def ratio_partial(top: Curve, bottom: Curve, s: float, limit: int) -> RatioEvalu
     factors = []
     ratio = 1.0
     for p in primes:
-        a_top = trace_ap(top, p).a_p
-        a_bottom = trace_ap(bottom, p).a_p
+        a_top = _trace_ap(top, p).a_p
+        a_bottom = _trace_ap(bottom, p).a_p
         if a_top == a_bottom:
             factor = 1.0
         else:

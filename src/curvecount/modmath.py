@@ -1,8 +1,10 @@
 """Modular arithmetic over odd prime fields.
 
-All residues are normalized to {0, ..., p-1}.  Functions that take a
-prime validate it on entry (deterministic Miller-Rabin), so a bad p
-fails loudly instead of producing garbage counts downstream.
+All residues are normalized to {0, ..., p-1}.  Public functions that
+take a prime validate it on entry (deterministic Miller-Rabin), so a bad
+p fails loudly instead of producing garbage counts downstream.  The
+private kernels behind some of them skip that check; sweeps call them
+on primes that came from the sieve.
 """
 
 from __future__ import annotations
@@ -89,6 +91,11 @@ def sqrt_of_minus_one(p: int) -> int:
     require_odd_prime(p)
     if p % 4 != 1:
         raise HypothesisError(f"-1 is a nonresidue mod {p}; need p = 1 (mod 4)")
+    return _sqrt_of_minus_one(p)
+
+
+def _sqrt_of_minus_one(p: int) -> int:
+    """sqrt_of_minus_one without its checks: p must be a prime = 1 (mod 4)."""
     n = 2
     while pow(n, (p - 1) // 2, p) != p - 1:  # first quadratic nonresidue
         n += 1
@@ -124,6 +131,12 @@ def primitive_root(p: int) -> int:
 def quadratic_residues(p: int) -> frozenset[int]:
     """QR_p: the set of nonzero squares mod p."""
     require_odd_prime(p)
+    return _squares(p)
+
+
+@lru_cache(maxsize=8)
+def _squares(p: int) -> frozenset[int]:
+    """quadratic_residues without its check: p must be an odd prime."""
     return frozenset(y * y % p for y in range(1, (p + 1) // 2))
 
 

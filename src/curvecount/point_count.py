@@ -1,10 +1,13 @@
 """Affine point counts for y^2 = x^3 + a x + b over prime fields.
 
 N_p counts affine solutions only; the projective count is one larger.
-Counting is O(p) per prime: the Legendre-character sum over x, with the
-character evaluated by table lookup and t = 0 contributing exactly one
-solution y = 0.  The closed forms for the twist family y^2 = x^3 +- d^2 x
-are claims under test, so `cross_validate` re-derives them by brute force
+Brute force is O(p) per prime: the Legendre-character sum over x, with
+the character evaluated by table lookup and t = 0 contributing exactly
+one solution y = 0.  Every curve y^2 = x^3 + ax is counted in O(log p)
+instead: N_p = p at p = 3 (mod 4) (Lemma 1), and at p = 1 (mod 4) the
+trace comes from p = u^2 + v^2 and one quartic residue symbol (Gauss).
+The paper's closed forms for the twist family y^2 = x^3 +- d^2 x are
+claims under test, so `cross_validate` re-derives traces by brute force
 and any disagreement is surfaced as data, never patched over.
 """
 
@@ -14,14 +17,15 @@ from dataclasses import dataclass, replace
 from math import isqrt
 
 from .errors import BadReductionError, HypothesisError, SingularCurveError, TangentUndefinedError
-from .modmath import mod_inverse, legendre_symbol, quadratic_residues, require_odd_prime, sieve_primes
+from .modmath import _sqrt_of_minus_one, _squares, legendre_symbol, mod_inverse, require_odd_prime, sieve_primes
 from .residue_lemmas import count_quartic
 
 BRUTE = "brute"
 LEMMA1 = "lemma1"
 LEMMA3_MINUS = "lemma3_minus"
 LEMMA3_PLUS = "lemma3_plus"
-METHODS = (BRUTE, LEMMA1, LEMMA3_MINUS, LEMMA3_PLUS)
+GAUSS = "gauss"
+METHODS = (BRUTE, LEMMA1, LEMMA3_MINUS, LEMMA3_PLUS, GAUSS)
 
 MINUS = "minus"
 PLUS = "plus"
@@ -79,9 +83,14 @@ class PointCountRecord:
 def count_affine_points(curve: Curve, p: int) -> int:
     """#{(x, y) in Z_p x Z_p : y^2 = x^3 + ax + b mod p}, by brute force."""
     require_odd_prime(p)
+    return _count_affine(curve, p)
+
+
+def _count_affine(curve: Curve, p: int) -> int:
+    """count_affine_points without its check: p must be an odd prime."""
     a = curve.a % p
     b = curve.b % p
-    qr = quadratic_residues(p)
+    qr = _squares(p)
     n = 0
     for x in range(p):
         t = (x * x * x + a * x + b) % p
@@ -134,34 +143,64 @@ def np_lemma3(spec: TwistSpec, p: int) -> PointCountRecord:
     return PointCountRecord(p, n_p, p - n_p, method, n1_used=n1)
 
 
-def _twist_d(curve: Curve) -> int | None:
-    """d >= 1 with curve = y^2 = x^3 +- d^2 x, or None if not of that shape."""
-    if curve.b != 0 or curve.a == 0:
-        return None
-    r = isqrt(abs(curve.a))
-    return r if r * r == abs(curve.a) else None
+def _gauss_ap(a: int, p: int) -> int:
+    """a_p of y^2 = x^3 + ax at a prime p = 1 (mod 4) not dividing a.
+
+    Ireland & Rosen, A Classical Introduction to Modern Number Theory,
+    ch. 18 sec. 4, thm. 5: with p = pi conj(pi), pi = u + vi primary
+    (u odd, v even, pi = 1 mod 2 + 2i), a_p = 2 Re(conj(chi) pi), where
+    chi = (-a / pi)_4 is the quartic residue symbol.  Cornacchia's
+    descent from sqrt(-1) mod p gives u and v; one power of -a picks
+    chi.  Unchecked: callers vouch for p and a.
+    """
+    r, s = p, _sqrt_of_minus_one(p)
+    while s * s > p:  # Euclid on (p, sqrt(-1)): the first remainder below sqrt(p) is u
+        r, s = s, r % s
+    u, v = s, isqrt(p - s * s)
+    if u % 2 == 0:
+        u, v = v, u
+    if (u % 4 == 1) != (v % 4 == 0):  # primary: u = 1 (mod 4) iff 4 | v
+        u = -u
+    # chi = (-a)^((p-1)/4) mod pi, one of 1, -1, i, -i, where i = -u/v (mod pi).
+    w = pow(-a, (p - 1) // 4, p)
+    if w == 1:
+        return 2 * u
+    if w == p - 1:
+        return -2 * u
+    return 2 * v if w == -u * pow(v, -1, p) % p else -2 * v
 
 
 def trace_ap(curve: Curve, p: int, method: str = "auto") -> PointCountRecord:
     """a_p = p - N_p at one good prime.
 
-    method="auto" uses the closed forms where their hypotheses hold
-    (twist-shaped curves) and brute force otherwise; method="brute"
-    forces enumeration.
+    method="auto" picks Lemma 1 for b = 0 at p = 3 (mod 4), the Gauss
+    formula (_gauss_ap) for b = 0 at p = 1 (mod 4), and brute force for
+    every b != 0 curve; method="brute" forces enumeration.
     """
     require_odd_prime(p)
     if method not in ("auto", "brute"):
         raise ValueError(f"method must be 'auto' or 'brute', got {method!r}")
     if curve.discriminant() % p == 0:
         raise BadReductionError(f"p = {p} divides the discriminant of {curve}")
-    if method == "auto" and curve.b == 0 and curve.a % p != 0:
-        if p % 4 == 3:
-            n_p = np_lemma1(curve.a, p)
-            return PointCountRecord(p, n_p, p - n_p, LEMMA1)
-        d = _twist_d(curve)
-        if d is not None:
-            return np_lemma3(TwistSpec(d, MINUS if curve.a < 0 else PLUS), p)
-    n_p = count_affine_points(curve, p)
+    return _trace_ap(curve, p) if method == "auto" else _brute_record(curve, p)
+
+
+def _trace_ap(curve: Curve, p: int) -> PointCountRecord:
+    """trace_ap(curve, p) without its checks: p must be a good odd prime.
+
+    This is what every sweep calls, on primes from one sieve, so no
+    sweep runs Miller-Rabin per prime.
+    """
+    if curve.b != 0:
+        return _brute_record(curve, p)
+    if p % 4 == 3:
+        return PointCountRecord(p, p, 0, LEMMA1)  # Lemma 1: N_p = p
+    a_p = _gauss_ap(curve.a, p)
+    return PointCountRecord(p, p - a_p, a_p, GAUSS)
+
+
+def _brute_record(curve: Curve, p: int) -> PointCountRecord:
+    n_p = _count_affine(curve, p)
     return PointCountRecord(p, n_p, p - n_p, BRUTE)
 
 
@@ -212,12 +251,16 @@ def good_odd_primes(curve: Curve, limit: int) -> list[int]:
 
 
 def records_for_primes(curve: Curve, primes: list[int], cross_validate: bool = False) -> list[PointCountRecord]:
-    """trace_ap over a prime list; the unit of work handed to sweep workers."""
+    """trace_ap over a prime list; the unit of work handed to sweep workers.
+
+    The primes must be good odd primes of curve, as good_odd_primes
+    gives them; they are not checked again.
+    """
     out = []
     for p in primes:
-        rec = trace_ap(curve, p)
+        rec = _trace_ap(curve, p)
         if cross_validate and rec.method != BRUTE:
-            rec = replace(rec, brute_np=count_affine_points(curve, p))
+            rec = replace(rec, brute_np=_count_affine(curve, p))
         out.append(rec)
     return out
 

@@ -5,10 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from curvecount import cache, cli
+from curvecount import cache, cli, lseries, modmath, point_count, residue_lemmas
 from curvecount.errors import CacheInvalidError
 from curvecount.lseries import partial_L_exact
-from curvecount.point_count import Curve, ap_table
+from curvecount.point_count import MINUS, Curve, TwistSpec, ap_table, np_lemma3
 
 
 def run(capsys, argv):
@@ -122,6 +122,33 @@ def test_ap_table_incomplete_cache_recomputes(tmp_path, capsys):
     assert again == cold
 
 
+def test_ap_table_rebuild_says_why(tmp_path, capsys):
+    path = tmp_path / "minus1.cache"
+    args = ["ap-table", "--a", "-1", "--b", "0", "--limit", "60"]
+    _, cold = run(capsys, args)
+    run(capsys, args + ["--cache", str(path)])
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(line for line in lines if not line.startswith("7,")) + "\n")
+    rc = cli.main(args + ["--cache", str(path)])
+    out, err = capsys.readouterr()
+    assert rc == 0 and out == cold
+    assert err.count("\n") == 1
+    assert str(path) in err and "not one per good odd prime" in err
+
+
+def test_ap_table_serves_lemma3_cache_as_it_is(tmp_path, capsys):
+    # A cache written when the census closed form was the default path.
+    path = tmp_path / "old.cache"
+    rows = ["curvecount-cache v1 a=-1 b=0 pmin=3 pmax=13", "3,3,0,lemma1", "5,7,-2,lemma3_minus"]
+    rows += ["7,7,0,lemma1", "11,11,0,lemma1", "13,7,6,lemma3_minus"]
+    path.write_text("\n".join(rows) + "\n")
+    rc = cli.main(["ap-table", "--a", "-1", "--b", "0", "--limit", "17", "--cache", str(path), "--format", "csv"])
+    out, err = capsys.readouterr()
+    assert rc == 0 and err == ""
+    assert out.splitlines()[1:] == rows[1:] + ["17,15,2,gauss"]
+    assert path.read_text().splitlines()[1:] == rows[1:] + ["17,15,2,gauss"]
+
+
 def test_ap_table_worker_invariance(tmp_path, capsys):
     args = ["ap-table", "--a", "1", "--b", "0", "--limit", "300"]
     _, one = run(capsys, args + ["--workers", "1"])
@@ -159,7 +186,8 @@ def test_ap_table_csv(capsys):
     lines = out.splitlines()
     assert lines[0] == "p,n_p,a_p,method"
     assert lines[1] == "3,3,0,lemma1"
-    assert lines[5] == "13,7,6,lemma3_minus"
+    assert lines[5] == "13,7,6,gauss"
+    assert np_lemma3(TwistSpec(1, MINUS), 13).a_p == 6
 
 
 def test_cache_env_var_resolves_relative_paths(tmp_path, capsys, monkeypatch):
@@ -197,6 +225,46 @@ def test_cache_rejects_wrong_curve_and_garbage(tmp_path):
             cache.read_cache(path, Curve(-1, 0))
     with pytest.raises(FileNotFoundError):
         cache.read_cache(str(tmp_path / "missing.cache"), Curve(-1, 0))
+
+
+def test_cache_write_failing_midway_keeps_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "f.cache"
+    cache.write_cache(str(path), Curve(-1, 0), 50, ap_table(Curve(-1, 0), 50))
+    before = path.read_bytes()
+
+    class HalfWriter:
+        """A file that takes half of the first write, then reports a full disk."""
+
+        def __init__(self, handle):
+            self.handle = handle
+
+        def write(self, text):
+            self.handle.write(text[: len(text) // 2])
+            raise OSError(28, "No space left on device")
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.handle.close()
+
+    real_open = open
+    monkeypatch.setattr(cache, "open", lambda *a, **k: HalfWriter(real_open(*a, **k)), raising=False)
+    with pytest.raises(OSError):
+        cache.write_cache(str(path), Curve(-1, 0), 100, ap_table(Curve(-1, 0), 100))
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["f.cache"]
+
+
+def test_cache_huge_pmax_rejected_without_sieving(tmp_path, monkeypatch):
+    def no_big_sieve(limit):
+        raise AssertionError(f"sieve to {limit}")
+
+    monkeypatch.setattr(point_count, "sieve_primes", no_big_sieve)
+    path = tmp_path / "g.cache"
+    path.write_text(f"curvecount-cache v1 a=-1 b=0 pmin=3 pmax={10**12}\n3,3,0,lemma1\n")
+    with pytest.raises(CacheInvalidError):
+        cache.read_cache(str(path), Curve(-1, 0))
 
 
 def test_cache_rejects_bad_records(tmp_path):
@@ -370,6 +438,28 @@ def test_workers_below_one_rejected(capsys, argv):
     for workers in ("0", "-1"):
         rc, out = run(capsys, argv + ["--workers", workers])
         assert rc == 2 and out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ap-table", "--a", "-1", "--b", "0"],
+        ["lseries", "--a", "-1", "--b", "0", "--s", "1"],
+        ["ratio", "--a1", "-1", "--b1", "0", "--a2", "1", "--b2", "0", "--s", "1"],
+        ["lemma-verify", "--lemma", "3"],
+        ["lemma8"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_limit_above_ceiling_rejected(capsys, monkeypatch, argv):
+    def no_sieve(limit):
+        raise AssertionError(f"sieve to {limit}")
+
+    for module in (cli, point_count, lseries, residue_lemmas, modmath):
+        monkeypatch.setattr(module, "sieve_primes", no_sieve)
+    rc, out = run(capsys, argv + ["--limit", str(10**12)])
+    assert rc == 2 and out == ""
+    assert cli.LIMIT_CEILING == 10**8
 
 
 def test_lemma8_record(capsys):

@@ -2,10 +2,13 @@ import random
 
 import pytest
 
+from curvecount import modmath
 from curvecount.errors import BadReductionError, HypothesisError, SingularCurveError, TangentUndefinedError
-from curvecount.modmath import sieve_primes
+from curvecount.lseries import partial_L, partial_L_exact, ratio_partial
+from curvecount.modmath import sieve_primes, sqrt_of_minus_one
 from curvecount.point_count import (
     BRUTE,
+    GAUSS,
     LEMMA1,
     LEMMA3_MINUS,
     LEMMA3_PLUS,
@@ -109,13 +112,84 @@ def test_trace_ap_examples_and_dispatch():
     rec = trace_ap(Curve(1, 0), 7)
     assert (rec.a_p, rec.method) == (0, LEMMA1)
     rec = trace_ap(Curve(-1, 0), 13)
-    assert (rec.a_p, rec.method) == (6, LEMMA3_MINUS)
+    assert (rec.a_p, rec.method) == (6, GAUSS)
+    assert np_lemma3(TwistSpec(1, MINUS), 13).a_p == 6
     rec = trace_ap(Curve(1, 0), 13)
-    assert (rec.a_p, rec.method) == (-6, LEMMA3_PLUS)
+    assert (rec.a_p, rec.method) == (-6, GAUSS)
+    assert np_lemma3(TwistSpec(1, PLUS), 13).a_p == -6
     rec = trace_ap(Curve(-1, 0), 13, method="brute")
     assert (rec.n_p, rec.a_p, rec.method) == (7, 6, BRUTE)
     # b != 0 has no closed form; auto falls back to brute force.
     assert trace_ap(Curve(0, 1), 7).method == BRUTE
+
+
+def test_gauss_trace_matches_double_loop():
+    # Every y^2 = x^3 + ax, twist or not, at every p = 1 (mod 4) below 400.
+    for p in primes_by_trial_division(400):
+        if p % 4 != 1:
+            continue
+        for a in [a for a in range(-20, 21) if a % p != 0]:
+            rec = trace_ap(Curve(a, 0), p)
+            assert rec.method == GAUSS, (a, p)
+            assert rec.n_p == count_points_double_loop(a, 0, p), (a, p)
+
+
+def test_np_lemma3_agrees_with_gauss_trace():
+    # The paper's closed form stays under test against the default path.
+    for p in sieve_primes(2000):
+        if p % 4 != 1:
+            continue
+        for d in range(1, 13):
+            if d % p == 0:
+                continue
+            for sign in (MINUS, PLUS):
+                spec = TwistSpec(d, sign)
+                rec = trace_ap(spec.curve(), p)
+                assert rec.method == GAUSS
+                assert np_lemma3(spec, p).a_p == rec.a_p, (d, sign, p)
+
+
+def _count_is_prime(monkeypatch) -> list[int]:
+    """Record every Miller-Rabin call; the returned list grows as they happen."""
+    calls = []
+    real = modmath.is_prime
+
+    def counting(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(modmath, "is_prime", counting)
+    return calls
+
+
+def test_sweeps_run_no_miller_rabin(monkeypatch):
+    calls = _count_is_prime(monkeypatch)
+    for curve in (Curve(-4, 0), Curve(9, 0), Curve(3, 5)):
+        assert len(ap_table(curve, 2000, cross_validate=True)) > 290
+        partial_L(curve, 1.5, 2000)
+        partial_L_exact(curve, 1, 2000)
+    ratio_partial(Curve(-4, 0), Curve(4, 0), 1.5, 2000)
+    ratio_partial(Curve(3, 5), Curve(-4, 0), 1.5, 2000)
+    assert calls == []
+
+
+def test_public_functions_still_validate_their_prime(monkeypatch):
+    calls = _count_is_prime(monkeypatch)
+    assert trace_ap(Curve(-1, 0), 13).a_p == 6
+    assert calls == [13]  # once, at the boundary
+    for composite in (21, 25, 2):
+        with pytest.raises(ValueError):
+            trace_ap(Curve(-1, 0), composite)
+        with pytest.raises(ValueError):
+            sqrt_of_minus_one(composite)
+        with pytest.raises(ValueError):
+            np_lemma1(1, composite)
+        with pytest.raises(ValueError):
+            np_lemma3(TwistSpec(1, MINUS), composite)
+    with pytest.raises(BadReductionError):
+        trace_ap(Curve(-25, 0), 5)  # p = 1 (mod 4), p | a: no Gauss trace
+    with pytest.raises(BadReductionError):
+        trace_ap(Curve(-9, 0), 3)
 
 
 def test_discriminant_vanishes_exactly_at_shared_roots():
@@ -192,7 +266,8 @@ def test_ap_table_example():
     records = ap_table(Curve(-1, 0), 13)
     assert [r.p for r in records] == [3, 5, 7, 11, 13]
     assert [r.a_p for r in records] == [0, -2, 0, 0, 6]
-    assert [r.method for r in records] == [LEMMA1, LEMMA3_MINUS, LEMMA1, LEMMA1, LEMMA3_MINUS]
+    assert [r.method for r in records] == [LEMMA1, GAUSS, LEMMA1, LEMMA1, GAUSS]
+    assert [np_lemma3(TwistSpec(1, MINUS), p).a_p for p in (5, 13)] == [-2, 6]
     assert all(r.a_p == r.p - r.n_p for r in records)
     assert ap_table(Curve(-1, 0), 2) == []
 
