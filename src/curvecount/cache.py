@@ -16,7 +16,7 @@ import os
 from dataclasses import dataclass
 
 from .errors import CacheInvalidError
-from .point_count import METHODS, Curve, PointCountRecord, good_odd_primes
+from .point_count import METHODS, Curve, PointCountRecord, good_odd_primes, next_good_prime
 
 MAGIC = "curvecount-cache"
 VERSION = "v1"
@@ -124,15 +124,12 @@ def read_cache(path: str, curve: Curve) -> tuple[CacheHeader, list[PointCountRec
             f"cache is for curve ({header.a}, {header.b}), wanted ({curve.a}, {curve.b})"
         )
     records = [_parse_record(line) for line in lines[1:] if line]
-    # Bertrand: some prime q has m < q <= 2m.  Past |discriminant| and pmin
-    # it is a good odd prime in range, and past the last record it is
-    # missing, so such a header is rejected before the sieve below.
-    m = max(records[-1].p if records else 0, abs(curve.discriminant()), header.pmin)
-    if header.pmax >= 2 * m:
-        raise CacheInvalidError(f"pmax={header.pmax} is at least twice {m}: good primes below it have no record")
-    expected = [p for p in good_odd_primes(curve, header.pmax) if p >= header.pmin]
+    # The records must be exactly the good odd primes in [pmin, pmax]: past the
+    # last record the next good prime decides, so pmax costs no sieve.
+    last = records[-1].p if records else header.pmin - 1
+    if not last <= header.pmax < next_good_prime(curve, last):
+        raise CacheInvalidError(f"records do not end at the last good odd prime <= pmax={header.pmax}")
+    expected = [p for p in good_odd_primes(curve, last) if p >= header.pmin] if records else []
     if [r.p for r in records] != expected:
-        raise CacheInvalidError(
-            f"records are not one per good odd prime in [{header.pmin}, {header.pmax}], ascending"
-        )
+        raise CacheInvalidError(f"records are not one per good odd prime in [{header.pmin}, {last}], ascending")
     return header, records

@@ -19,8 +19,8 @@ from fractions import Fraction
 from functools import partial
 
 from .cache import read_cache, resolve_cache_path, write_cache
-from .errors import CacheInvalidError
-from .lseries import partial_L, partial_L_exact, prime_split, ratio_partial
+from .errors import CacheInvalidError, SingularCurveError
+from .lseries import partial_L, partial_L_exact, ratio_partial
 from .modmath import is_prime, prime_profile, sieve_primes
 from .point_count import (
     MINUS,
@@ -31,6 +31,7 @@ from .point_count import (
     good_odd_primes,
     lemma7_check,
     np_lemma3,
+    prime_split,
     records_for_primes,
     trace_ap,
 )
@@ -47,11 +48,7 @@ def _fraction_str(q: Fraction) -> str:
 
 def _emit(records: list[dict], fmt: str) -> None:
     if fmt == "csv":
-        fieldnames: list[str] = []
-        for record in records:
-            for key in record:
-                if key not in fieldnames:
-                    fieldnames.append(key)
+        fieldnames = list(dict.fromkeys(key for record in records for key in record))
         if not fieldnames:
             return
         writer = csv.DictWriter(sys.stdout, fieldnames=fieldnames, restval="")
@@ -90,8 +87,8 @@ LIMIT_CEILING = 10**8
 
 def _limit(text: str) -> int:
     value = int(text)
-    if value > LIMIT_CEILING:
-        raise argparse.ArgumentTypeError(f"must be <= {LIMIT_CEILING}, got {value}")
+    if not 0 <= value <= LIMIT_CEILING:
+        raise argparse.ArgumentTypeError(f"must be in [0, {LIMIT_CEILING}], got {value}")
     return value
 
 
@@ -237,10 +234,6 @@ def _run_count(args) -> int:
 
 def _run_ap_table(args) -> int:
     curve = Curve(args.a, args.b)
-    if curve.discriminant() == 0:
-        return _fail(f"curve {curve} is singular")
-    if args.limit < 0:
-        return _fail(f"--limit must be >= 0, got {args.limit}")
     primes = good_odd_primes(curve, args.limit)
     cache_path = resolve_cache_path(args.cache) if args.cache else None
     cached, pmax_seen = [], 0
@@ -258,11 +251,12 @@ def _run_ap_table(args) -> int:
     records = [r for r in cached if r.p <= args.limit] + fresh
     if cache_path:
         write_cache(cache_path, curve, max(args.limit, pmax_seen), cached + fresh)
+    shift = 1 if args.plus_one else 0
     rows = []
     for r in records:
-        row = {"p": r.p, "n_p": r.n_p + 1 if args.plus_one else r.n_p, "a_p": r.a_p, "method": r.method}
+        row = {"p": r.p, "n_p": r.n_p + shift, "a_p": r.a_p, "method": r.method}
         if args.cross_validate:
-            row["brute_np"] = r.brute_np
+            row["brute_np"] = None if r.brute_np is None else r.brute_np + shift
         rows.append(row)
     _emit(rows, args.format)
     return 1 if any(r.mismatch for r in records) else 0
@@ -270,12 +264,8 @@ def _run_ap_table(args) -> int:
 
 def _run_lseries(args) -> int:
     curve = Curve(args.a, args.b)
-    if curve.discriminant() == 0:
-        return _fail(f"curve {curve} is singular")
     if not args.s > 0:
         return _fail(f"--s must be positive, got {args.s}")
-    if args.limit < 0:
-        return _fail(f"--limit must be >= 0, got {args.limit}")
     if args.exact and args.s != int(args.s):
         return _fail(f"--exact needs an integer s, got {args.s}")
     record = {"a": args.a, "b": args.b, "s": args.s, "prime_bound": args.limit}
@@ -297,13 +287,8 @@ def _run_lseries(args) -> int:
 
 def _run_ratio(args) -> int:
     top, bottom = Curve(args.a1, args.b1), Curve(args.a2, args.b2)
-    for curve in (top, bottom):
-        if curve.discriminant() == 0:
-            return _fail(f"curve {curve} is singular")
     if not args.s > 0:
         return _fail(f"--s must be positive, got {args.s}")
-    if args.limit < 0:
-        return _fail(f"--limit must be >= 0, got {args.limit}")
     ev = ratio_partial(top, bottom, args.s, args.limit)
     rows = [{"p": p, "factor": factor} for p, factor in zip(ev.primes, ev.factors)]
     rows.append({"s": ev.s, "prime_bound": ev.prime_bound, "ratio": ev.ratio})
@@ -379,22 +364,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
+    curve = argparse.ArgumentParser(add_help=False, parents=[common])
+    curve.add_argument("--a", type=int, required=True)
+    curve.add_argument("--b", type=int, required=True)
 
     p = sub.add_parser("profile", parents=[common], help="residue classes of -1, 2 and eps at p")
     p.add_argument("p", type=int)
     p.set_defaults(handler=_run_profile)
 
-    p = sub.add_parser("count", parents=[common], help="n_p and a_p at one good prime")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
+    p = sub.add_parser("count", parents=[curve], help="n_p and a_p at one good prime")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--method", choices=("auto", "brute"), default="auto")
     p.add_argument("--plus-one", action="store_true", help="display the projective count n_p + 1")
     p.set_defaults(handler=_run_count)
 
-    p = sub.add_parser("ap-table", parents=[common], help="a_p records for all good odd primes <= limit")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
+    p = sub.add_parser("ap-table", parents=[curve], help="a_p records for all good odd primes <= limit")
     p.add_argument("--limit", type=_limit, required=True)
     p.add_argument("--workers", type=_workers, default=os.cpu_count() or 1)
     p.add_argument("--cache", help="cache file; relative paths resolve under $CURVECOUNT_CACHE_DIR")
@@ -411,9 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=_workers, default=os.cpu_count() or 1)
     p.set_defaults(handler=_run_verify)
 
-    p = sub.add_parser("lseries", parents=[common], help="truncated Euler product at s")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
+    p = sub.add_parser("lseries", parents=[curve], help="truncated Euler product at s")
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--limit", type=_limit, required=True)
     p.add_argument("--exact", action="store_true", help="exact rational product (integer s only)")
@@ -457,7 +439,10 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except SingularCurveError as exc:  # raised by the good-primes rule before any work
+        return _fail(str(exc))
 
 
 def entry() -> None:

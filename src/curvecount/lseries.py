@@ -12,25 +12,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import SingularCurveError, VanishingFactorError
-from .modmath import sieve_primes
-from .point_count import Curve, _trace_ap
-
-
-def prime_split(curve: Curve, limit: int) -> tuple[list[int], tuple[int, ...]]:
-    """(good, skipped) among the primes <= limit, from one sieve.
-
-    good are the odd primes not dividing the discriminant, ascending;
-    skipped are the primes dividing it, 2 always among them once limit
-    reaches it.
-    """
-    delta = curve.discriminant()
-    if delta == 0:
-        raise SingularCurveError(f"singular curve {curve}")
-    good, skipped = [], []
-    for q in sieve_primes(limit):
-        (skipped if delta % q == 0 else good).append(q)
-    return good, tuple(skipped)
+from .errors import VanishingFactorError
+from .point_count import Curve, _nonsingular_discriminant, _trace_ap, prime_split
 
 
 def _factor_denominator(p: int, a_p: int, s: float) -> float:
@@ -137,12 +120,9 @@ def ratio_partial(top: Curve, bottom: Curve, s: float, limit: int) -> RatioEvalu
     pinned to 1.0: both traces vanish there, so the quotient carries
     information only at p = 1 (mod 4).
     """
-    for curve in (top, bottom):
-        if curve.discriminant() == 0:
-            raise SingularCurveError(f"singular curve {curve}")
     if not s > 0:
         raise ValueError(f"s must be positive, got {s}")
-    delta_bottom = bottom.discriminant()
+    delta_bottom = _nonsingular_discriminant(bottom)
     primes = tuple(p for p in prime_split(top, limit)[0] if delta_bottom % p != 0)
     factors = []
     ratio = 1.0

@@ -14,10 +14,13 @@ and any disagreement is surfaced as data, never patched over.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import count
 from math import isqrt
 
 from .errors import BadReductionError, HypothesisError, SingularCurveError, TangentUndefinedError
-from .modmath import _sqrt_of_minus_one, _squares, legendre_symbol, mod_inverse, require_odd_prime, sieve_primes
+from .modmath import (
+    _sqrt_of_minus_one, _squares, is_prime, legendre_symbol, mod_inverse, require_odd_prime, sieve_primes,
+)
 from .residue_lemmas import count_quartic
 
 BRUTE = "brute"
@@ -242,12 +245,35 @@ def double_point_mod(curve: Curve, p: int, point: tuple[int, int]) -> tuple[int,
     return x2, y2
 
 
-def good_odd_primes(curve: Curve, limit: int) -> list[int]:
-    """Odd primes <= limit not dividing the discriminant, ascending."""
+def _nonsingular_discriminant(curve: Curve) -> int:
     delta = curve.discriminant()
     if delta == 0:
         raise SingularCurveError(f"{curve} is singular")
-    return [p for p in sieve_primes(limit) if p != 2 and delta % p != 0]
+    return delta
+
+
+def prime_split(curve: Curve, limit: int) -> tuple[list[int], tuple[int, ...]]:
+    """(good, skipped) among the primes <= limit, from one sieve.
+
+    good are the odd primes not dividing the discriminant, ascending;
+    skipped are the primes dividing it (2 always, once limit reaches it).
+    """
+    delta = _nonsingular_discriminant(curve)
+    good, skipped = [], []
+    for q in sieve_primes(limit):
+        (skipped if delta % q == 0 else good).append(q)
+    return good, tuple(skipped)
+
+
+def good_odd_primes(curve: Curve, limit: int) -> list[int]:
+    """Odd primes <= limit not dividing the discriminant, ascending."""
+    return prime_split(curve, limit)[0]
+
+
+def next_good_prime(curve: Curve, n: int) -> int:
+    """The least good odd prime above n, by Miller-Rabin: no sieve."""
+    delta = _nonsingular_discriminant(curve)
+    return next(q for q in count(max(n + 1, 3)) if delta % q and is_prime(q))
 
 
 def records_for_primes(curve: Curve, primes: list[int], cross_validate: bool = False) -> list[PointCountRecord]:

@@ -9,10 +9,13 @@ point is either on its curve or the construction is rejected.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import groupby
 from math import gcd, isqrt
+from operator import itemgetter
 
 from .errors import TangentUndefinedError
 from .modmath import is_prime, legendre_symbol
@@ -219,38 +222,45 @@ class CollisionGroup:
             assert y * y == self.v**3 - d * d * self.v
 
 
-def _collision_chunk(bound: int, coprime_only: bool, es: list[int]) -> dict[int, list[tuple[int, int]]]:
-    """V -> members over the given e values; the unit of worker work."""
-    groups: dict[int, list[tuple[int, int]]] = {}
-    for e in es:
-        for m in range(e + 1, bound + 1):
-            if coprime_only and gcd(e, m) != 1:
-                continue
-            groups.setdefault(e * m * (m + e) ** 2, []).append((e, m))
-    return groups
+def _collision_groups(bound: int, coprime_only: bool, slices: list[tuple[int, int]]) -> list[CollisionGroup]:
+    """The groups with V in the given ascending, contiguous [lo, hi) slices; the unit of worker work.
+
+    V increases in m for fixed e, so next_m[e], the least m with V(e, m)
+    in or past the current slice, only moves forward.
+    """
+    ms = range(bound + 1)
+    next_m = [bisect_left(ms, slices[0][0], e + 1, key=lambda m: e * m * (m + e) ** 2) for e in range(bound)]
+    out = []
+    for _, hi in slices:
+        pairs = []
+        for e in range(1, bound):
+            m = next_m[e]
+            while m <= bound and (v := e * m * (m + e) ** 2) < hi:
+                if not coprime_only or gcd(e, m) == 1:
+                    pairs.append((v, e, m))
+                m += 1
+            next_m[e] = m
+        for v, run in groupby(sorted(pairs), key=itemgetter(0)):
+            members = tuple((e, m) for _, e, m in run)
+            if len(members) > 1:
+                out.append(CollisionGroup(v, members, tuple(e * m * (m * m - e * e) for e, m in members), v))
+    return out
 
 
 def collision_search(bound: int, workers: int = 1, coprime_only: bool = True) -> list[CollisionGroup]:
     """All V = em(m+e)^2 values hit by >= 2 pairs with 1 <= e < m <= bound.
 
     coprime_only keeps the gcd(e, m) = 1 normalization; pass False to
-    search the unrestricted lattice.  Grouping is a commutative merge
-    keyed by V and the output is sorted by V with members in (e, m)
-    order, so results are identical for any worker count.
+    search the unrestricted lattice.  The V axis is cut at every eighth
+    value of a grid sample of V (steps of isqrt(bound) in e and m), so a
+    slice holds about 8 * bound pairs; one slice is held at a time, and
+    workers take contiguous runs of slices.  No group straddles a cut, so
+    the output is sorted by V, members in (e, m) order, for any workers.
     """
     if bound < 2:
         raise ValueError(f"bound must be >= 2, got {bound}")
-    groups, *rest = map_chunks(partial(_collision_chunk, bound, coprime_only), range(1, bound), workers)
-    # Fold the other chunks into the first one's dict, freeing each as it
-    # goes: these dicts are the search's memory peak.
-    while rest:
-        for v, members in rest.pop().items():
-            groups.setdefault(v, []).extend(members)
-    out = []
-    for v in sorted(groups):
-        members = sorted(groups[v])
-        if len(members) < 2:
-            continue
-        d_values = tuple(e * m * (m * m - e * e) for e, m in members)
-        out.append(CollisionGroup(v, tuple(members), d_values, v))
-    return out
+    step = isqrt(bound)
+    cuts = sorted(e * m * (m + e) ** 2 for e in range(1, bound, step) for m in range(e + 1, bound + 1, step))[8::8]
+    slices = list(zip([0] + cuts, cuts + [(2 * bound) ** 4]))  # V < bound^2 (2 bound)^2
+    parts = map_chunks(partial(_collision_groups, bound, coprime_only), slices, workers)
+    return [group for part in parts for group in part]

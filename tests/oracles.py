@@ -63,14 +63,21 @@ def coprime_pairs(bound):
     return [(e, m) for m in range(2, bound + 1) for e in range(1, m) if gcd(e, m) == 1]
 
 
-def collision_groups_by_sorting(bound):
+def all_pairs(bound):
+    """All (e, m) with 1 <= e < m <= bound."""
+    return [(e, m) for m in range(2, bound + 1) for e in range(1, m)]
+
+
+def collision_groups_by_sorting(bound, coprime=True):
     """Groups of coprime (e, m) pairs sharing V = e*m*(m+e)^2.
 
     Sorts all (V, e, m) triples and walks adjacent runs; no hashing, no
     shared code with the search under test.  Returns {V: [(e, m), ...]}
-    for runs of length >= 2, members in (e, m) order.
+    for runs of length >= 2, members in (e, m) order.  coprime=False
+    groups every pair of all_pairs(bound) instead.
     """
-    triples = sorted((e * m * (m + e) ** 2, e, m) for e, m in coprime_pairs(bound))
+    pairs = coprime_pairs(bound) if coprime else all_pairs(bound)
+    triples = sorted((e * m * (m + e) ** 2, e, m) for e, m in pairs)
     groups = {}
     run = [triples[0]] if triples else []
     for t in triples[1:]:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from curvecount import cache, cli, lseries, modmath, point_count, residue_lemmas
+from curvecount import cache, cli, modmath, point_count, residue_lemmas
 from curvecount.errors import CacheInvalidError
 from curvecount.lseries import partial_L_exact
 from curvecount.point_count import MINUS, Curve, TwistSpec, ap_table, np_lemma3
@@ -172,6 +172,15 @@ def test_ap_table_plus_one_leaves_cache_raw(tmp_path, capsys):
     assert {r.p: r.n_p for r in records} == {p: n - 1 for p, n in shown.items()}
 
 
+def test_ap_table_plus_one_shifts_brute_np(capsys):
+    args = ["ap-table", "--a", "2", "--b", "0", "--limit", "30", "--cross-validate", "--workers", "1"]
+    _, raw = run(capsys, args)
+    rc, out = run(capsys, args + ["--plus-one"])
+    assert rc == 0
+    assert jsonl(out)[0] == {"p": 3, "n_p": 4, "a_p": 0, "method": "lemma1", "brute_np": 4}
+    assert jsonl(out) == [{**r, "n_p": r["n_p"] + 1, "brute_np": r["brute_np"] + 1} for r in jsonl(raw)]
+
+
 def test_ap_table_empty_range(tmp_path, capsys):
     path = str(tmp_path / "empty.cache")
     rc, out = run(capsys, ["ap-table", "--a", "-1", "--b", "0", "--limit", "2", "--cache", path])
@@ -265,6 +274,26 @@ def test_cache_huge_pmax_rejected_without_sieving(tmp_path, monkeypatch):
     path.write_text(f"curvecount-cache v1 a=-1 b=0 pmin=3 pmax={10**12}\n3,3,0,lemma1\n")
     with pytest.raises(CacheInvalidError):
         cache.read_cache(str(path), Curve(-1, 0))
+
+
+def test_cache_pmax_past_large_discriminant_rebuilt_without_sieving(tmp_path, capsys, monkeypatch):
+    # |discriminant| of (1000, 0) is 6.4 * 10^10, far above pmax.
+    def sieve_to_last_record(limit, real=modmath.sieve_primes):
+        if limit > 3:
+            raise AssertionError(f"sieve to {limit}")
+        return real(limit)
+
+    for module in (cli, point_count, residue_lemmas, modmath):
+        monkeypatch.setattr(module, "sieve_primes", sieve_to_last_record)
+    path = tmp_path / "h.cache"
+    path.write_text("curvecount-cache v1 a=1000 b=0 pmin=3 pmax=10000000\n3,3,0,lemma1\n")
+    argv = ["ap-table", "--a", "1000", "--b", "0", "--limit", "3", "--cache", str(path), "--workers", "1"]
+    rc = cli.main(argv)
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert jsonl(captured.out) == [{"p": 3, "n_p": 3, "a_p": 0, "method": "lemma1"}]
+    assert "rebuilding cache" in captured.err and "pmax=10000000" in captured.err
+    assert path.read_text() == "curvecount-cache v1 a=1000 b=0 pmin=3 pmax=3\n3,3,0,lemma1\n"
 
 
 def test_cache_rejects_bad_records(tmp_path):
@@ -455,11 +484,39 @@ def test_limit_above_ceiling_rejected(capsys, monkeypatch, argv):
     def no_sieve(limit):
         raise AssertionError(f"sieve to {limit}")
 
-    for module in (cli, point_count, lseries, residue_lemmas, modmath):
+    for module in (cli, point_count, residue_lemmas, modmath):
         monkeypatch.setattr(module, "sieve_primes", no_sieve)
     rc, out = run(capsys, argv + ["--limit", str(10**12)])
     assert rc == 2 and out == ""
     assert cli.LIMIT_CEILING == 10**8
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ap-table", "--a", "0", "--b", "0", "--limit", "50", "--cache", "unused.cache"],
+        ["lseries", "--a", "0", "--b", "0", "--s", "1", "--limit", "50"],
+        ["lseries", "--a", "0", "--b", "0", "--s", "1", "--limit", "50", "--exact"],
+        ["ratio", "--a1", "0", "--b1", "0", "--a2", "1", "--b2", "0", "--s", "1", "--limit", "50"],
+        ["ratio", "--a1", "1", "--b1", "0", "--a2", "0", "--b2", "0", "--s", "1", "--limit", "50"],
+        ["ap-table", "--a", "1", "--b", "0", "--limit", "-1"],
+        ["lseries", "--a", "1", "--b", "0", "--s", "1", "--limit", "-1"],
+        ["ratio", "--a1", "1", "--b1", "0", "--a2", "-1", "--b2", "0", "--s", "1", "--limit", "-1"],
+    ],
+    ids=lambda argv: " ".join(argv[:5]),
+)
+def test_singular_curve_or_negative_limit_rejected_before_work(tmp_path, capsys, monkeypatch, argv):
+    def no_sieve(limit):
+        raise AssertionError(f"sieve to {limit}")
+
+    for module in (cli, point_count, residue_lemmas, modmath):
+        monkeypatch.setattr(module, "sieve_primes", no_sieve)
+    monkeypatch.chdir(tmp_path)
+    rc = cli.main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert "is singular" in captured.err or "argument --limit" in captured.err
+    assert os.listdir(tmp_path) == []
 
 
 def test_lemma8_record(capsys):

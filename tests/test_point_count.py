@@ -21,8 +21,10 @@ from curvecount.point_count import (
     double_point_mod,
     good_odd_primes,
     lemma7_check,
+    next_good_prime,
     np_lemma1,
     np_lemma3,
+    prime_split,
     trace_ap,
 )
 from oracles import count_points_double_loop, primes_by_trial_division, singular_by_shared_root
@@ -258,8 +260,20 @@ def test_good_odd_primes():
     assert good_odd_primes(Curve(-1, 0), 13) == [3, 5, 7, 11, 13]
     assert good_odd_primes(Curve(-9, 0), 13) == [5, 7, 11, 13]
     assert good_odd_primes(Curve(-1, 0), 2) == []
-    with pytest.raises(SingularCurveError):
-        good_odd_primes(Curve(0, 0), 13)
+    assert prime_split(Curve(-9, 0), 13) == ([5, 7, 11, 13], (2, 3))
+    assert prime_split(Curve(-1, 0), 1) == ([], ())
+    for find in (good_odd_primes, prime_split, next_good_prime):
+        with pytest.raises(SingularCurveError):
+            find(Curve(0, 0), 13)
+
+
+def test_next_good_prime_matches_trial_division():
+    primes = primes_by_trial_division(700)
+    for a, b in ((-1, 0), (-9, 0), (1000, 0), (3, 5), (-21, 20)):
+        curve = Curve(a, b)
+        good = [q for q in primes if q > 2 and curve.discriminant() % q != 0]
+        for n in range(-3, 600):
+            assert next_good_prime(curve, n) == min(q for q in good if q > n)
 
 
 def test_ap_table_example():

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
@@ -205,21 +206,42 @@ def test_collision_search_first_group():
 
 
 def test_collision_search_matches_oracle():
-    for bound in (20, 50, 100):
-        got = {g.v: list(g.members) for g in collision_search(bound)}
-        assert got == collision_groups_by_sorting(bound)
+    # Bound 300 cuts the V axis into about 20 slices, so at 3 workers each
+    # worker starts mid-axis.
+    for bound in (2, 3, 20, 50, 100, 300):
+        for workers in (1, 3):
+            got = {g.v: list(g.members) for g in collision_search(bound, workers=workers)}
+            assert got == collision_groups_by_sorting(bound)
 
 
 def test_collision_search_worker_invariance():
-    reference = collision_search(60)
-    assert collision_search(60, workers=2) == reference
-    assert collision_search(60, workers=3) == reference
+    for bound in (60, 300):
+        reference = collision_search(bound)
+        assert [g.v for g in reference] == sorted(g.v for g in reference)
+        for workers in (2, 3, 4):
+            assert collision_search(bound, workers=workers) == reference
 
 
 def test_collision_search_non_coprime_lattice():
     groups = collision_search(20, coprime_only=False)
     by_v = {g.v: g.members for g in groups}
     assert by_v[8820] == ((1, 20), (5, 9))
+    for bound in (2, 3, 20, 100, 200):
+        for workers in (1, 2):
+            got = {g.v: list(g.members) for g in collision_search(bound, workers=workers, coprime_only=False)}
+            assert got == collision_groups_by_sorting(bound, coprime=False)
+
+
+def test_collision_search_memory_is_bounded():
+    # Holding all of the about 110000 coprime pairs below bound 600 at
+    # once peaks near 27 MB; one slice of them stays far below 4 MiB.
+    tracemalloc.start()
+    try:
+        collision_search(600)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_collision_search_validation():
