@@ -2,7 +2,7 @@
 
 Layout is a single header line
 
-    curvecount-cache v1 a=<int> b=<int> pmin=<int> pmax=<int>
+    curvecount-cache v1 a=<int> b=<int> pmin=3 pmax=<int>
 
 followed by one `p,n_p,a_p,method` record per line, ascending in p.
 Anything off-format raises CacheInvalidError; callers recompute and
@@ -12,6 +12,7 @@ never correctness.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -25,15 +26,14 @@ ENV_CACHE_DIR = "CURVECOUNT_CACHE_DIR"
 
 @dataclass(frozen=True)
 class CacheHeader:
-    """Identity line: which curve, and which prime range was swept."""
+    """Identity line: which curve, and up to which prime it was swept."""
 
     a: int
     b: int
-    pmin: int
     pmax: int
 
     def line(self) -> str:
-        return f"{MAGIC} {VERSION} a={self.a} b={self.b} pmin={self.pmin} pmax={self.pmax}"
+        return f"{MAGIC} {VERSION} a={self.a} b={self.b} pmin=3 pmax={self.pmax}"
 
 
 def resolve_cache_path(path: str) -> str:
@@ -64,7 +64,9 @@ def parse_header(line: str) -> CacheHeader:
         _parse_tagged_int(token, tag)
         for token, tag in zip(tokens[2:], ("a", "b", "pmin", "pmax"))
     )
-    return CacheHeader(a, b, pmin, pmax)
+    if pmin != 3:
+        raise CacheInvalidError(f"pmin={pmin}, but every cache starts at pmin=3")
+    return CacheHeader(a, b, pmax)
 
 
 def _record_line(record: PointCountRecord) -> str:
@@ -89,13 +91,13 @@ def _parse_record(line: str) -> PointCountRecord:
     return PointCountRecord(p, n_p, a_p, method)
 
 
-def write_cache(path: str, curve: Curve, pmax: int, records: list[PointCountRecord], pmin: int = 3) -> None:
+def write_cache(path: str, curve: Curve, pmax: int, records: list[PointCountRecord]) -> None:
     """Serialize header + records; records must be ascending in p.
 
     The file is written beside path and then moved over it, so a write
     that fails midway leaves the previous cache as it was.
     """
-    lines = [CacheHeader(curve.a, curve.b, pmin, pmax).line()]
+    lines = [CacheHeader(curve.a, curve.b, pmax).line()]
     lines.extend(_record_line(r) for r in records)
     temp = f"{path}.{os.getpid()}.tmp"
     try:
@@ -124,12 +126,16 @@ def read_cache(path: str, curve: Curve) -> tuple[CacheHeader, list[PointCountRec
             f"cache is for curve ({header.a}, {header.b}), wanted ({curve.a}, {curve.b})"
         )
     records = [_parse_record(line) for line in lines[1:] if line]
-    # The records must be exactly the good odd primes in [pmin, pmax]: past the
-    # last record the next good prime decides, so pmax costs no sieve.
-    last = records[-1].p if records else header.pmin - 1
+    # The records must be exactly the good odd primes <= pmax: past the last
+    # record the next good prime decides, so pmax costs no sieve.
+    last = records[-1].p if records else 2
     if not last <= header.pmax < next_good_prime(curve, last):
         raise CacheInvalidError(f"records do not end at the last good odd prime <= pmax={header.pmax}")
-    expected = [p for p in good_odd_primes(curve, last) if p >= header.pmin] if records else []
-    if [r.p for r in records] != expected:
-        raise CacheInvalidError(f"records are not one per good odd prime in [{header.pmin}, {last}], ascending")
+    # Rosser (1941): pi(x) > x/ln x for x >= 17.  The bad primes are 2 and at
+    # most bit_length(|disc|) others, so a complete cache holds more than
+    # last/ln(last) - 1 - bit_length(|disc|) records; fewer fails without a sieve.
+    if last >= 17 and (len(records) + 1 + abs(curve.discriminant()).bit_length()) * math.log(last) < last:
+        raise CacheInvalidError(f"{len(records)} records are too few to be every good odd prime <= {last}")
+    if [r.p for r in records] != good_odd_primes(curve, last):
+        raise CacheInvalidError(f"records are not one per good odd prime in [3, {last}], ascending")
     return header, records

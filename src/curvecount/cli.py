@@ -3,7 +3,8 @@
 One subcommand per library surface; records stream to stdout as JSON
 Lines (default) or CSV.  Exit codes: 0 success, 1 a sweep found a
 claim/oracle mismatch (the finding is the output, not a crash), 2 bad
-usage.  All option validation happens before any computation starts.
+usage: each argument's range is checked once, by its argparse type, and
+rules needing the curve or two arguments exit 2 before any work too.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import random
 import sys
@@ -19,9 +21,9 @@ from fractions import Fraction
 from functools import partial
 
 from .cache import read_cache, resolve_cache_path, write_cache
-from .errors import CacheInvalidError, SingularCurveError
+from .errors import BadReductionError, CacheInvalidError, SingularCurveError
 from .lseries import partial_L, partial_L_exact, ratio_partial
-from .modmath import is_prime, prime_profile, sieve_primes
+from .modmath import prime_profile, require_odd_prime, sieve_primes
 from .point_count import (
     MINUS,
     PLUS,
@@ -73,22 +75,40 @@ def _fail(message: str) -> int:
     return 2
 
 
-def _workers(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+# A sieve to --limit allocates about limit bytes plus the prime list, and
+# collision_search sorts about bound/2 values of V (24 MB at 10^6) before
+# it searches, so larger values are refused before anything is computed.
+LIMIT_CEILING = 10**8
+BOUND_CEILING = 10**6
+
+
+def _int_in(lo: int, hi: int | None = None):
+    """argparse type: an integer in [lo, hi], or >= lo when hi is None."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lo or (hi is not None and value > hi):
+            rule = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
+def _odd_prime(text: str) -> int:
+    try:
+        value = int(text)
+        require_odd_prime(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return value
 
 
-# A sieve to --limit allocates about limit bytes plus the prime list, so
-# larger limits are refused before anything is computed.
-LIMIT_CEILING = 10**8
-
-
-def _limit(text: str) -> int:
-    value = int(text)
-    if not 0 <= value <= LIMIT_CEILING:
-        raise argparse.ArgumentTypeError(f"must be in [0, {LIMIT_CEILING}], got {value}")
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {value}")
     return value
 
 
@@ -185,12 +205,6 @@ def _verify_chunk(lemma: int, d_max: int, samples: int, seed: int, primes: list[
 
 
 def _run_verify(args) -> int:
-    if args.lemma not in LEMMAS:
-        return _fail(f"--lemma must be one of {tuple(LEMMAS)}, got {args.lemma}")
-    if args.limit < 3:
-        return _fail(f"--limit must be >= 3, got {args.limit}")
-    if args.d_max < 1 or args.samples < 1:
-        return _fail("--d-max and --samples must be >= 1")
     (modulus, residue), _ = LEMMAS[args.lemma]
     primes = [p for p in sieve_primes(args.limit) if p % modulus == residue]
     chunk = partial(_verify_chunk, args.lemma, args.d_max, args.samples, args.seed)
@@ -206,8 +220,6 @@ def _run_verify(args) -> int:
 
 
 def _run_profile(args) -> int:
-    if not is_prime(args.p) or args.p == 2:
-        return _fail(f"p must be an odd prime, got {args.p}")
     prof = prime_profile(args.p)
     record = {
         "p": prof.p,
@@ -221,12 +233,7 @@ def _run_profile(args) -> int:
 
 
 def _run_count(args) -> int:
-    if not is_prime(args.p) or args.p == 2:
-        return _fail(f"p must be an odd prime, got {args.p}")
-    curve = Curve(args.a, args.b)
-    if curve.discriminant() % args.p == 0:
-        return _fail(f"p = {args.p} divides the discriminant of {curve}")
-    record = trace_ap(curve, args.p, method=args.method)
+    record = trace_ap(Curve(args.a, args.b), args.p, method=args.method)
     shown = record.n_p + 1 if args.plus_one else record.n_p
     _emit([{"p": record.p, "n_p": shown, "a_p": record.a_p}], args.format)
     return 0
@@ -264,8 +271,6 @@ def _run_ap_table(args) -> int:
 
 def _run_lseries(args) -> int:
     curve = Curve(args.a, args.b)
-    if not args.s > 0:
-        return _fail(f"--s must be positive, got {args.s}")
     if args.exact and args.s != int(args.s):
         return _fail(f"--exact needs an integer s, got {args.s}")
     record = {"a": args.a, "b": args.b, "s": args.s, "prime_bound": args.limit}
@@ -286,10 +291,7 @@ def _run_lseries(args) -> int:
 
 
 def _run_ratio(args) -> int:
-    top, bottom = Curve(args.a1, args.b1), Curve(args.a2, args.b2)
-    if not args.s > 0:
-        return _fail(f"--s must be positive, got {args.s}")
-    ev = ratio_partial(top, bottom, args.s, args.limit)
+    ev = ratio_partial(Curve(args.a1, args.b1), Curve(args.a2, args.b2), args.s, args.limit)
     rows = [{"p": p, "factor": factor} for p, factor in zip(ev.primes, ev.factors)]
     rows.append({"s": ev.s, "prime_bound": ev.prime_bound, "ratio": ev.ratio})
     _emit(rows, args.format)
@@ -297,10 +299,6 @@ def _run_ratio(args) -> int:
 
 
 def _run_find_points(args) -> int:
-    if args.d < 1:
-        return _fail(f"--d must be >= 1, got {args.d}")
-    if args.bound < 2:
-        return _fail(f"--bound must be >= 2, got {args.bound}")
     points = find_points_for_d(args.d, args.bound)
     _emit(
         [{"d": args.d, "x": _fraction_str(p.x), "y": _fraction_str(p.y)} for p in points],
@@ -310,10 +308,6 @@ def _run_find_points(args) -> int:
 
 
 def _run_lemma11(args) -> int:
-    if args.d < 1:
-        return _fail(f"--d must be >= 1, got {args.d}")
-    if args.bound < 0:
-        return _fail(f"--bound must be >= 0, got {args.bound}")
     applicable = lemma11_applicable(args.d)
     hits = lemma11_exhaustive(args.d, args.bound)
     rows = [{"k": q.k, "j": q.j, "m": q.m, "e": q.e} for q in hits]
@@ -331,8 +325,6 @@ def _run_lemma11(args) -> int:
 
 
 def _run_collisions(args) -> int:
-    if args.bound < 2:
-        return _fail(f"--bound must be >= 2, got {args.bound}")
     groups = collision_search(args.bound, workers=args.workers, coprime_only=not args.allow_non_coprime)
     _emit(
         [
@@ -345,8 +337,6 @@ def _run_collisions(args) -> int:
 
 
 def _run_lemma8(args) -> int:
-    if args.limit < 3:
-        return _fail(f"--limit must be >= 3, got {args.limit}")
     ones, threes, fraction = lemma8_fraction(args.limit)
     _emit(
         [{"limit": args.limit, "ones": ones, "threes": threes, "fraction": _fraction_str(fraction)}],
@@ -367,37 +357,39 @@ def build_parser() -> argparse.ArgumentParser:
     curve = argparse.ArgumentParser(add_help=False, parents=[common])
     curve.add_argument("--a", type=int, required=True)
     curve.add_argument("--b", type=int, required=True)
+    limit = _int_in(0, LIMIT_CEILING)
+    sweep_limit = _int_in(3, LIMIT_CEILING)  # lemma-verify and lemma8 need an odd prime
 
     p = sub.add_parser("profile", parents=[common], help="residue classes of -1, 2 and eps at p")
-    p.add_argument("p", type=int)
+    p.add_argument("p", type=_odd_prime)
     p.set_defaults(handler=_run_profile)
 
     p = sub.add_parser("count", parents=[curve], help="n_p and a_p at one good prime")
-    p.add_argument("--p", type=int, required=True)
+    p.add_argument("--p", type=_odd_prime, required=True)
     p.add_argument("--method", choices=("auto", "brute"), default="auto")
     p.add_argument("--plus-one", action="store_true", help="display the projective count n_p + 1")
     p.set_defaults(handler=_run_count)
 
     p = sub.add_parser("ap-table", parents=[curve], help="a_p records for all good odd primes <= limit")
-    p.add_argument("--limit", type=_limit, required=True)
-    p.add_argument("--workers", type=_workers, default=os.cpu_count() or 1)
+    p.add_argument("--limit", type=limit, required=True)
+    p.add_argument("--workers", type=_int_in(1), default=os.cpu_count() or 1)
     p.add_argument("--cache", help="cache file; relative paths resolve under $CURVECOUNT_CACHE_DIR")
     p.add_argument("--cross-validate", action="store_true", help="recompute and check every record against brute force")
     p.add_argument("--plus-one", action="store_true")
     p.set_defaults(handler=_run_ap_table)
 
     p = sub.add_parser("lemma-verify", parents=[common], help="sweep one closed-form claim against brute force")
-    p.add_argument("--lemma", type=int, required=True)
-    p.add_argument("--limit", type=_limit, required=True)
-    p.add_argument("--d-max", type=int, default=20)
-    p.add_argument("--samples", type=int, default=20, help="a values sampled per prime (lemma 1)")
+    p.add_argument("--lemma", type=int, choices=sorted(LEMMAS), required=True)
+    p.add_argument("--limit", type=sweep_limit, required=True)
+    p.add_argument("--d-max", type=_int_in(1), default=20)
+    p.add_argument("--samples", type=_int_in(1), default=20, help="a values sampled per prime (lemma 1)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=_workers, default=os.cpu_count() or 1)
+    p.add_argument("--workers", type=_int_in(1), default=os.cpu_count() or 1)
     p.set_defaults(handler=_run_verify)
 
     p = sub.add_parser("lseries", parents=[curve], help="truncated Euler product at s")
-    p.add_argument("--s", type=float, required=True)
-    p.add_argument("--limit", type=_limit, required=True)
+    p.add_argument("--s", type=_positive_float, required=True)
+    p.add_argument("--limit", type=limit, required=True)
     p.add_argument("--exact", action="store_true", help="exact rational product (integer s only)")
     p.set_defaults(handler=_run_lseries)
 
@@ -406,28 +398,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b1", type=int, required=True)
     p.add_argument("--a2", type=int, required=True)
     p.add_argument("--b2", type=int, required=True)
-    p.add_argument("--s", type=float, required=True)
-    p.add_argument("--limit", type=_limit, required=True)
+    p.add_argument("--s", type=_positive_float, required=True)
+    p.add_argument("--limit", type=limit, required=True)
     p.set_defaults(handler=_run_ratio)
 
     p = sub.add_parser("find-points", parents=[common], help="rational points on y^2 = x^3 - d^2 x")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--bound", type=int, required=True)
+    p.add_argument("--d", type=_int_in(1), required=True)
+    p.add_argument("--bound", type=_int_in(2), required=True)
     p.set_defaults(handler=_run_find_points)
 
     p = sub.add_parser("lemma11", parents=[common], help="exhaustive no-solution check for prime d = 3 (mod 8)")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--bound", type=int, required=True)
+    p.add_argument("--d", type=_int_in(1), required=True)
+    p.add_argument("--bound", type=_int_in(0), required=True)
     p.set_defaults(handler=_run_lemma11)
 
     p = sub.add_parser("collisions", parents=[common], help="pairs sharing V = em(m+e)^2")
-    p.add_argument("--bound", type=int, required=True)
-    p.add_argument("--workers", type=_workers, default=os.cpu_count() or 1)
+    p.add_argument("--bound", type=_int_in(2, BOUND_CEILING), required=True)
+    p.add_argument("--workers", type=_int_in(1), default=os.cpu_count() or 1)
     p.add_argument("--allow-non-coprime", action="store_true")
     p.set_defaults(handler=_run_collisions)
 
     p = sub.add_parser("lemma8", parents=[common], help="split of odd primes by p mod 4")
-    p.add_argument("--limit", type=_limit, required=True)
+    p.add_argument("--limit", type=sweep_limit, required=True)
     p.set_defaults(handler=_run_lemma8)
 
     return parser
@@ -441,7 +433,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except SingularCurveError as exc:  # raised by the good-primes rule before any work
+    except (SingularCurveError, BadReductionError) as exc:  # raised by the library before any work
         return _fail(str(exc))
 
 

@@ -150,14 +150,12 @@ def find_points_for_d(d: int, bound: int) -> list[RationalPoint]:
         raise ValueError(f"d must be >= 1, got {d}")
     if bound < 2:
         raise ValueError(f"bound must be >= 2, got {bound}")
-    a = -d * d
     found = {}
     for m, e, beta in _qualifying_pairs(d, bound):
-        for x in (Fraction(d * (m + e), m - e), Fraction(-d * (m - e), m + e)):
-            y = beta * x
-            for point in (RationalPoint(x, y), RationalPoint(x, -y)):
-                assert point.on_curve(a)
-                found[(point.x, point.y)] = point
+        twist, p1, p2 = points_from_param(ParamQuadruple(beta.numerator, beta.denominator, m, e))
+        assert twist == d
+        for point in (p1, p2, RationalPoint(p1.x, -p1.y), RationalPoint(p2.x, -p2.y)):
+            found[(point.x, point.y)] = point
     return sorted(
         found.values(),
         key=lambda p: (p.x.numerator, p.x.denominator, p.y.numerator, p.y.denominator),

@@ -136,6 +136,20 @@ def test_ap_table_rebuild_says_why(tmp_path, capsys):
     assert str(path) in err and "not one per good odd prime" in err
 
 
+def test_ap_table_cache_pmin_above_3_rebuilt(tmp_path, capsys):
+    # A header claiming the sweep began at 31 once served 7 of the 16 rows.
+    path = tmp_path / "late.cache"
+    args = ["ap-table", "--a", "-1", "--b", "0", "--limit", "60", "--workers", "1"]
+    _, cold = run(capsys, args)
+    rows = [f"{r['p']},{r['n_p']},{r['a_p']},{r['method']}" for r in jsonl(cold) if r["p"] >= 31]
+    path.write_text("\n".join(["curvecount-cache v1 a=-1 b=0 pmin=31 pmax=60"] + rows) + "\n")
+    rc = cli.main(args + ["--cache", str(path)])
+    out, err = capsys.readouterr()
+    assert rc == 0 and out == cold and len(jsonl(out)) == 16
+    assert "rebuilding cache" in err and "pmin" in err
+    assert path.read_text().startswith("curvecount-cache v1 a=-1 b=0 pmin=3 pmax=60\n")
+
+
 def test_ap_table_serves_lemma3_cache_as_it_is(tmp_path, capsys):
     # A cache written when the census closed form was the default path.
     path = tmp_path / "old.cache"
@@ -277,23 +291,29 @@ def test_cache_huge_pmax_rejected_without_sieving(tmp_path, monkeypatch):
 
 
 def test_cache_pmax_past_large_discriminant_rebuilt_without_sieving(tmp_path, capsys, monkeypatch):
-    # |discriminant| of (1000, 0) is 6.4 * 10^10, far above pmax.
-    def sieve_to_last_record(limit, real=modmath.sieve_primes):
+    def sieve_to_limit(limit, real=modmath.sieve_primes):
         if limit > 3:
             raise AssertionError(f"sieve to {limit}")
         return real(limit)
 
     for module in (cli, point_count, residue_lemmas, modmath):
-        monkeypatch.setattr(module, "sieve_primes", sieve_to_last_record)
+        monkeypatch.setattr(module, "sieve_primes", sieve_to_limit)
     path = tmp_path / "h.cache"
-    path.write_text("curvecount-cache v1 a=1000 b=0 pmin=3 pmax=10000000\n3,3,0,lemma1\n")
-    argv = ["ap-table", "--a", "1000", "--b", "0", "--limit", "3", "--cache", str(path), "--workers", "1"]
-    rc = cli.main(argv)
-    captured = capsys.readouterr()
-    assert rc == 0
-    assert jsonl(captured.out) == [{"p": 3, "n_p": 3, "a_p": 0, "method": "lemma1"}]
-    assert "rebuilding cache" in captured.err and "pmax=10000000" in captured.err
-    assert path.read_text() == "curvecount-cache v1 a=1000 b=0 pmin=3 pmax=3\n3,3,0,lemma1\n"
+    for a, pmax, record, reason in (
+        # |discriminant| of (1000, 0) is 6.4 * 10^10, far above pmax.
+        (1000, 10000000, "3,3,0,lemma1", "pmax=10000000"),
+        # One record at a large prime: too few records to reach it.
+        (-1, 10000019, "10000019,10000019,0,lemma1", "<= 10000019"),
+        (-1, 30000023, "30000023,30000023,0,lemma1", "<= 30000023"),
+    ):
+        path.write_text(f"curvecount-cache v1 a={a} b=0 pmin=3 pmax={pmax}\n{record}\n")
+        argv = ["ap-table", "--a", str(a), "--b", "0", "--limit", "3", "--cache", str(path), "--workers", "1"]
+        rc = cli.main(argv)
+        captured = capsys.readouterr()
+        assert rc == 0
+        assert jsonl(captured.out) == [{"p": 3, "n_p": 3, "a_p": 0, "method": "lemma1"}]
+        assert "rebuilding cache" in captured.err and reason in captured.err
+        assert path.read_text() == f"curvecount-cache v1 a={a} b=0 pmin=3 pmax=3\n3,3,0,lemma1\n"
 
 
 def test_cache_rejects_bad_records(tmp_path):
@@ -517,6 +537,65 @@ def test_singular_curve_or_negative_limit_rejected_before_work(tmp_path, capsys,
     assert rc == 2 and captured.out == ""
     assert "is singular" in captured.err or "argument --limit" in captured.err
     assert os.listdir(tmp_path) == []
+
+
+# (command, {} marking the value; the argument; the edge value inside its
+# range; the first value outside it, and for collisions --bound a far one)
+RANGED_ARGUMENTS = [
+    ("profile {}", "p", "3", "2"),
+    ("count --a -1 --b 0 --p {}", "--p", "3", "2"),
+    ("count --a -1 --b 0 --p {}", "--p", "7", "9"),
+    ("ap-table --a -1 --b 0 --cache c.cache --limit {}", "--limit", "0", "-1"),
+    ("ap-table --a -1 --b 0 --cache c.cache --limit {}", "--limit", "100000000", "100000001"),
+    ("ap-table --a -1 --b 0 --cache c.cache --limit 60 --workers {}", "--workers", "1", "0"),
+    ("lemma-verify --limit 60 --lemma {}", "--lemma", "1", "0"),
+    ("lemma-verify --limit 60 --lemma {}", "--lemma", "7", "8"),
+    ("lemma-verify --lemma 3 --limit {}", "--limit", "3", "2"),
+    ("lemma-verify --lemma 3 --limit {}", "--limit", "100000000", "100000001"),
+    ("lemma-verify --lemma 3 --limit 60 --d-max {}", "--d-max", "1", "0"),
+    ("lemma-verify --lemma 1 --limit 60 --samples {}", "--samples", "1", "0"),
+    ("lemma-verify --lemma 3 --limit 60 --workers {}", "--workers", "1", "0"),
+    ("lseries --a -1 --b 0 --limit 60 --s {}", "--s", "5e-324", "0"),
+    ("lseries --a -1 --b 0 --limit 60 --exact --s {}", "--s", "1.7976931348623157e+308", "inf"),
+    ("lseries --a -1 --b 0 --s 1 --limit {}", "--limit", "0", "-1"),
+    ("lseries --a -1 --b 0 --s 1 --limit {}", "--limit", "100000000", "100000001"),
+    ("ratio --a1 -1 --b1 0 --a2 1 --b2 0 --limit 60 --s {}", "--s", "5e-324", "0"),
+    ("ratio --a1 -1 --b1 0 --a2 1 --b2 0 --s 1 --limit {}", "--limit", "0", "-1"),
+    ("ratio --a1 -1 --b1 0 --a2 1 --b2 0 --s 1 --limit {}", "--limit", "100000000", "100000001"),
+    ("find-points --bound 10 --d {}", "--d", "1", "0"),
+    ("find-points --d 6 --bound {}", "--bound", "2", "1"),
+    ("lemma11 --bound 10 --d {}", "--d", "1", "0"),
+    ("lemma11 --d 3 --bound {}", "--bound", "0", "-1"),
+    ("collisions --bound {}", "--bound", "2", "1"),
+    ("collisions --bound {}", "--bound", "1000000", "1000001"),
+    ("collisions --bound {}", "--bound", "1000000", str(10**9)),
+    ("collisions --bound 30 --workers {}", "--workers", "1", "0"),
+    ("lemma8 --limit {}", "--limit", "3", "2"),
+    ("lemma8 --limit {}", "--limit", "100000000", "100000001"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, name, edge, outside",
+    RANGED_ARGUMENTS,
+    ids=lambda value: value.split()[0] if " " in value else value,
+)
+def test_argument_out_of_range_rejected_at_parse_time(tmp_path, capsys, monkeypatch, command, name, edge, outside):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for module in (cli, point_count, residue_lemmas, modmath):
+        monkeypatch.setattr(module, "sieve_primes", no_work)
+    for function in ("collision_search", "find_points_for_d", "lemma11_exhaustive", "prime_profile", "trace_ap"):
+        monkeypatch.setattr(cli, function, no_work)
+    monkeypatch.chdir(tmp_path)
+    rc = cli.main(command.format(outside).split())
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert f"argument {name}:" in captured.err
+    assert os.listdir(tmp_path) == []
+    args = cli.build_parser().parse_args(command.format(edge).split())
+    assert str(getattr(args, name.lstrip("-").replace("-", "_"))) == edge
 
 
 def test_lemma8_record(capsys):
