@@ -80,6 +80,9 @@ def _fail(message: str) -> int:
 # it searches, so larger values are refused before anything is computed.
 LIMIT_CEILING = 10**8
 BOUND_CEILING = 10**6
+# An exact product's numerator prod p^(2s-1) has at most
+# (2s - 1) * limit / ln 10 digits, since theta(x) = sum of ln p < x.
+EXACT_DIGITS_CEILING = 10**6
 
 
 def _int_in(lo: int, hi: int | None = None):
@@ -273,6 +276,10 @@ def _run_lseries(args) -> int:
     curve = Curve(args.a, args.b)
     if args.exact and args.s != int(args.s):
         return _fail(f"--exact needs an integer s, got {args.s}")
+    digits = (2 * args.s - 1) * args.limit / math.log(10)
+    if args.exact and digits > EXACT_DIGITS_CEILING:
+        return _fail(f"--exact --s {args.s} --limit {args.limit} needs about {digits:.3g} digits, "
+                     f"above the ceiling of {EXACT_DIGITS_CEILING}")
     record = {"a": args.a, "b": args.b, "s": args.s, "prime_bound": args.limit}
     if args.exact:
         good, skipped = prime_split(curve, args.limit)

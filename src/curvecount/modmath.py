@@ -1,10 +1,13 @@
 """Modular arithmetic over odd prime fields.
 
 All residues are normalized to {0, ..., p-1}.  Public functions that
-take a prime validate it on entry (deterministic Miller-Rabin), so a bad
-p fails loudly instead of producing garbage counts downstream.  The
-private kernels behind some of them skip that check; sweeps call them
-on primes that came from the sieve.
+take a prime validate it (deterministic Miller-Rabin), so a bad p fails
+loudly instead of producing garbage counts downstream.  The lru-cached
+quadratic_residues proves its prime when its table is built; lru_cache
+never stores a call that raised, so reading the table is itself the
+check, and the identity functions built on it run Miller-Rabin once per
+prime.  The private kernels behind some functions skip the check; sweeps
+call them on primes that came from the sieve.
 """
 
 from __future__ import annotations
@@ -101,30 +104,6 @@ def _sqrt_of_minus_one(p: int) -> int:
         n += 1
     eps = pow(n, (p - 1) // 4, p)
     return min(eps, p - eps)
-
-
-def _distinct_prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def primitive_root(p: int) -> int:
-    """Smallest g >= 2 generating the multiplicative group mod p."""
-    require_odd_prime(p)
-    factors = _distinct_prime_factors(p - 1)
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // q, p) != 1 for q in factors):
-            return g
-    raise AssertionError(f"no primitive root below {p}; p is not prime")
 
 
 @lru_cache(maxsize=8)

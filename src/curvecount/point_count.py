@@ -19,9 +19,9 @@ from math import isqrt
 
 from .errors import BadReductionError, HypothesisError, SingularCurveError, TangentUndefinedError
 from .modmath import (
-    _sqrt_of_minus_one, _squares, is_prime, legendre_symbol, mod_inverse, require_odd_prime, sieve_primes,
+    _sqrt_of_minus_one, _squares, is_prime, mod_inverse, quadratic_residues, require_odd_prime, sieve_primes,
 )
-from .residue_lemmas import count_quartic
+from .residue_lemmas import _quartic_census
 
 BRUTE = "brute"
 LEMMA1 = "lemma1"
@@ -85,7 +85,7 @@ class PointCountRecord:
 
 def count_affine_points(curve: Curve, p: int) -> int:
     """#{(x, y) in Z_p x Z_p : y^2 = x^3 + ax + b mod p}, by brute force."""
-    require_odd_prime(p)
+    quadratic_residues(p)  # reading the table is the odd-prime check
     return _count_affine(curve, p)
 
 
@@ -130,20 +130,16 @@ def np_lemma3(spec: TwistSpec, p: int) -> PointCountRecord:
     d's, so the plus count there IS the minus count.  (At p = 5 (mod 8)
     the two routes agree exactly because n1 + n2 = (p-5)/4.)
     """
-    require_odd_prime(p)
+    n1, n2 = _quartic_census(p)  # reading the census is the odd-prime check
     if p % 4 != 1:
         raise HypothesisError(f"np_lemma3 needs p = 1 (mod 4), got {p}")
     if spec.d % p == 0:
         raise HypothesisError(f"np_lemma3 needs d nonzero mod p, got d = {spec.d}, p = {p}")
-    d_is_qr = legendre_symbol(spec.d, p) == 1
-    if spec.sign == MINUS or p % 8 == 1:
-        n1 = count_quartic(p, -1)
-        n_p = 8 * n1 + 7 if d_is_qr else 2 * p - 7 - 8 * n1
-    else:
-        n1 = count_quartic(p, 1)
-        n_p = 8 * n1 + 3 if d_is_qr else 2 * p - 3 - 8 * n1
+    d_is_qr = pow(spec.d, (p - 1) // 2, p) == 1  # Euler's criterion
+    n_used, shift = (n1, 7) if spec.sign == MINUS or p % 8 == 1 else (n2, 3)
+    n_p = 8 * n_used + shift if d_is_qr else 2 * p - shift - 8 * n_used
     method = LEMMA3_MINUS if spec.sign == MINUS else LEMMA3_PLUS
-    return PointCountRecord(p, n_p, p - n_p, method, n1_used=n1)
+    return PointCountRecord(p, n_p, p - n_p, method, n1_used=n_used)
 
 
 def _gauss_ap(a: int, p: int) -> int:
@@ -213,14 +209,12 @@ def lemma7_check(d: int, p: int) -> tuple[int, int, int]:
     The sum vanishes exactly when the n1 + n2 census identity holds, so
     this is a cross-lemma consistency check, not a tautology.
     """
-    if d < 1:
-        raise ValueError(f"d must be a positive integer, got {d}")
-    require_odd_prime(p)
+    minus = TwistSpec(d, MINUS)  # raises ValueError unless d >= 1
     if p % 8 != 5:
         raise HypothesisError(f"lemma7_check needs p = 5 (mod 8), got {p}")
     if d % p == 0:
         raise HypothesisError(f"lemma7_check needs d nonzero mod p, got d = {d}, p = {p}")
-    ap_minus = np_lemma3(TwistSpec(d, MINUS), p).a_p
+    ap_minus = np_lemma3(minus, p).a_p  # np_lemma3's census read is the odd-prime check
     ap_plus = np_lemma3(TwistSpec(d, PLUS), p).a_p
     return ap_minus, ap_plus, ap_minus + ap_plus
 

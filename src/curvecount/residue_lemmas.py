@@ -3,6 +3,11 @@
 A census counts *distinct* square (or fourth-power) values t in Z_p^*,
 not the y producing them; shifted values that land on 0 are excluded,
 since 0 is neither a residue nor a nonresidue.
+
+Each identity proves its prime by first reading a per-prime lru table
+(quadratic_residues, or the census built on it) and makes no
+Miller-Rabin call of its own.  A table is only stored once its prime
+has passed, so a sweep proves each prime once.
 """
 
 from __future__ import annotations
@@ -12,14 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import HypothesisError
-from .modmath import (
-    legendre_symbol,
-    quadratic_residues,
-    quartic_residues,
-    require_odd_prime,
-    sieve_primes,
-    sqrt_of_minus_one,
-)
+from .modmath import _sqrt_of_minus_one, quadratic_residues, quartic_residues, require_odd_prime, sieve_primes
 
 
 @dataclass(frozen=True)
@@ -38,16 +36,18 @@ def count_lemma2(p: int) -> int:
     For p = 1 (mod 4) the count is exactly (p - 5)/4; the sweep tests
     assert that identity wholesale.
     """
-    require_odd_prime(p)
+    qr = quadratic_residues(p)  # reading the table is the odd-prime check
     if p % 4 != 1:
         raise HypothesisError(f"count_lemma2 needs p = 1 (mod 4), got {p}")
-    qr = quadratic_residues(p)
     return sum(1 for t in qr if (t - 1) % p in qr)
 
 
 @lru_cache(maxsize=8192)
 def _quartic_census(p: int) -> tuple[int, int]:
-    """(n1, n2): distinct fourth powers t with t - 1 resp. t + 1 in QR_p."""
+    """(n1, n2): distinct fourth powers t with t - 1 resp. t + 1 in QR_p.
+
+    Raises ValueError, through quadratic_residues, unless p is an odd prime.
+    """
     qr = quadratic_residues(p)
     n1 = n2 = 0
     for t in quartic_residues(p):
@@ -63,10 +63,9 @@ def count_quartic(p: int, shift: int) -> int:
 
     shift = -1 gives the census written n1 throughout, shift = +1 gives n2.
     """
-    require_odd_prime(p)
+    n1, n2 = _quartic_census(p)  # reading the census is the odd-prime check
     if shift not in (-1, 1):
         raise ValueError(f"shift must be -1 or +1, got {shift}")
-    n1, n2 = _quartic_census(p)
     return n1 if shift == -1 else n2
 
 
@@ -77,8 +76,11 @@ def census(p: int) -> ResidueCounts:
 
 @lru_cache(maxsize=8)
 def _chord_values(p: int) -> frozenset[int]:
-    """All r + 1/r mod p over units r outside {1, -1, eps, -eps}."""
-    eps = sqrt_of_minus_one(p)
+    """All r + 1/r mod p over units r outside {1, -1, eps, -eps}.
+
+    Unchecked: lemma4_check has proved p prime and p = 1 (mod 4).
+    """
+    eps = _sqrt_of_minus_one(p)
     excluded = {1, p - 1, eps, p - eps}
     return frozenset(
         (r + pow(r, -1, p)) % p for r in range(2, p - 1) if r not in excluded
@@ -93,13 +95,13 @@ def lemma4_check(p: int, y: int) -> tuple[bool, bool]:
     degenerate chords (r = +-1 forces y^4 = 1, r = +-eps forces y = 0).
     The contract is lhs = rhs at every y; tests sweep it exhaustively.
     """
-    require_odd_prime(p)
+    qr = quadratic_residues(p)  # reading the table is the odd-prime check
     if p % 4 != 1:
         raise HypothesisError(f"lemma4_check needs p = 1 (mod 4), got {p}")
     y %= p
     if y == 0:
         raise ValueError("y must be a unit mod p")
-    lhs = (pow(y, 4, p) - 1) % p in quadratic_residues(p)
+    lhs = (pow(y, 4, p) - 1) % p in qr
     rhs = 2 * y * y % p in _chord_values(p)
     return lhs, rhs
 
@@ -111,9 +113,10 @@ def lemma5_hit(p: int) -> bool:
     mod-8 argument that predicts the class is empty.
     """
     require_odd_prime(p)
-    if legendre_symbol(-1, p) != 1 or legendre_symbol(2, p) == 1:
+    half = (p - 1) // 2  # Euler's criterion: t in QR_p iff t^half = 1
+    if pow(-1, half, p) != 1 or pow(2, half, p) == 1:
         return False
-    return legendre_symbol(sqrt_of_minus_one(p), p) == 1
+    return pow(_sqrt_of_minus_one(p), half, p) == 1
 
 
 def lemma5_scan(limit: int) -> list[int]:
@@ -130,10 +133,9 @@ def lemma6_check(p: int) -> tuple[int, int, bool]:
     The identity is specific to -1 in QR_p with eps in QNR_p; at
     p = 1 (mod 8) it genuinely fails (p = 17 gives 1 + 1 = 2, not 3).
     """
-    require_odd_prime(p)
+    n1, n2 = _quartic_census(p)  # reading the census is the odd-prime check
     if p % 8 != 5:
         raise HypothesisError(f"lemma6_check needs p = 5 (mod 8), got {p}")
-    n1, n2 = _quartic_census(p)
     return n1, n2, n1 + n2 == (p - 5) // 4
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -34,6 +35,23 @@ def test_profile_without_epsilon(capsys):
     (record,) = jsonl(out)
     assert record["minus_one"] == "QNR"
     assert record["epsilon"] is None and record["epsilon_class"] is None
+
+
+def test_module_entry_point():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+
+    def entry(*argv):
+        return subprocess.run([sys.executable, "-m", "curvecount.cli", *argv], env=env, capture_output=True, text=True)
+
+    done = entry("profile", "13")
+    assert done.returncode == 0 and done.stderr == ""
+    assert jsonl(done.stdout) == [
+        {"p": 13, "minus_one": "QR", "two": "QNR", "epsilon": 5, "epsilon_class": "QNR"}
+    ]
+    done = entry("profile", "15")
+    assert done.returncode == 2 and done.stdout == ""
+    assert "expected an odd prime" in done.stderr
 
 
 def test_profile_usage_errors(capsys):
@@ -408,6 +426,23 @@ def test_lseries_exact_past_digit_limit(capsys):
         assert Fraction(int(num), int(den)) == partial_L_exact(Curve(-1, 0), 3, 3000)
     finally:
         sys.set_int_max_str_digits(saved)
+
+
+def test_lseries_exact_digit_ceiling(capsys, monkeypatch):
+    def no_sieve(limit):
+        raise AssertionError(f"sieve to {limit}")
+
+    for module in (cli, point_count, residue_lemmas, modmath):
+        monkeypatch.setattr(module, "sieve_primes", no_sieve)
+    for s in ("1e300", "100000"):
+        rc = cli.main(["lseries", "--a", "-1", "--b", "0", "--s", s, "--limit", "100", "--exact"])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert "digits" in captured.err
+    monkeypatch.undo()
+    rc, out = run(capsys, ["lseries", "--a", "-1", "--b", "0", "--s", "3", "--limit", "3000", "--exact"])
+    assert rc == 0 and jsonl(out)[0]["factor_count"] == 429
+    assert cli.EXACT_DIGITS_CEILING == 10**6
 
 
 def test_lseries_float_mode(capsys):

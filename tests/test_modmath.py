@@ -10,7 +10,6 @@ from curvecount.modmath import (
     legendre_symbol,
     mod_inverse,
     prime_profile,
-    primitive_root,
     quadratic_residues,
     quartic_residues,
     sieve_primes,
@@ -124,24 +123,6 @@ def test_sqrt_of_minus_one_hypothesis():
     for p in (3, 7, 11, 19):
         with pytest.raises(HypothesisError):
             sqrt_of_minus_one(p)
-
-
-def test_primitive_root_examples():
-    assert primitive_root(7) == 3
-    assert primitive_root(13) == 2
-    assert primitive_root(5) == 2
-
-
-def test_primitive_root_has_full_order():
-    for p in primes_by_trial_division(500):
-        if p == 2:
-            continue
-        g = primitive_root(p)
-        x, order = g, 1
-        while x != 1:
-            x = x * g % p
-            order += 1
-        assert order == p - 1, p
 
 
 def test_prime_profile_examples():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from curvecount import modmath
+from curvecount import cli, modmath, residue_lemmas
 from curvecount.errors import BadReductionError, HypothesisError, SingularCurveError, TangentUndefinedError
 from curvecount.lseries import partial_L, partial_L_exact, ratio_partial
 from curvecount.modmath import sieve_primes, sqrt_of_minus_one
@@ -27,6 +27,7 @@ from curvecount.point_count import (
     prime_split,
     trace_ap,
 )
+from curvecount.residue_lemmas import count_lemma2, count_quartic, lemma4_check, lemma5_hit, lemma6_check
 from oracles import count_points_double_loop, primes_by_trial_division, singular_by_shared_root
 
 
@@ -175,6 +176,35 @@ def test_sweeps_run_no_miller_rabin(monkeypatch):
     assert calls == []
 
 
+def _clear_prime_tables():
+    for table in (modmath.quadratic_residues, modmath._squares, modmath.quartic_residues,
+                  residue_lemmas._quartic_census, residue_lemmas._chord_values):
+        table.cache_clear()
+
+
+@pytest.mark.parametrize("lemma", sorted(cli.LEMMAS))
+def test_lemma_sweeps_prove_each_prime_once(monkeypatch, capsys, lemma):
+    _clear_prime_tables()
+    calls = _count_is_prime(monkeypatch)
+    rc = cli.main(["lemma-verify", "--lemma", str(lemma), "--limit", "400", "--workers", "1"])
+    assert rc == 0, capsys.readouterr()
+    (modulus, residue), _ = cli.LEMMAS[lemma]
+    assert calls == [p for p in sieve_primes(400) if p % modulus == residue]
+
+
+# Public identities that take a prime, each with a second argument that
+# is valid whenever the prime is.
+IDENTITIES = (
+    lambda p: count_affine_points(Curve(-1, 0), p),
+    count_lemma2,
+    lambda p: count_quartic(p, -1),
+    lambda p: lemma4_check(p, 2),
+    lemma5_hit,
+    lemma6_check,
+    lambda p: lemma7_check(1, p),
+)
+
+
 def test_public_functions_still_validate_their_prime(monkeypatch):
     calls = _count_is_prime(monkeypatch)
     assert trace_ap(Curve(-1, 0), 13).a_p == 6
@@ -192,6 +222,15 @@ def test_public_functions_still_validate_their_prime(monkeypatch):
         trace_ap(Curve(-25, 0), 5)  # p = 1 (mod 4), p | a: no Gauss trace
     with pytest.raises(BadReductionError):
         trace_ap(Curve(-9, 0), 3)
+    _clear_prime_tables()
+    for warm in (None, 13, 29):  # cold tables, then tables filled by a prime = 5 (mod 8)
+        for identity in IDENTITIES:
+            if warm is not None:
+                identity(warm)
+            for composite in (21, 45, 77, 33):  # 5, 5, 5 and 1 (mod 8)
+                # 21, 45 and 77 pass every class check; 33 may fail one instead.
+                with pytest.raises(ValueError, match="expected an odd prime" if composite % 8 == 5 else None):
+                    identity(composite)
 
 
 def test_discriminant_vanishes_exactly_at_shared_roots():
