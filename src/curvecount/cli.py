@@ -7,49 +7,35 @@ usage: each argument's range is checked once, by its argparse type, and
 rules needing the curve or two arguments exit 2 before any work too.
 """
 
+# A call imports only what its subcommand runs: the module level holds
+# what the parser and every handler need, and each handler imports the
+# library functions it calls (the module docstring is the --help text).
+
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
-import random
 import sys
-from decimal import Decimal
-from fractions import Fraction
 from functools import partial
 
-from .cache import read_cache, resolve_cache_path, write_cache
 from .errors import BadReductionError, CacheInvalidError, SingularCurveError
-from .lseries import partial_L, partial_L_exact, ratio_partial
-from .modmath import prime_profile, require_odd_prime, sieve_primes
-from .point_count import (
-    MINUS,
-    PLUS,
-    Curve,
-    TwistSpec,
-    count_affine_points,
-    good_odd_primes,
-    lemma7_check,
-    np_lemma3,
-    prime_split,
-    records_for_primes,
-    trace_ap,
-)
-from .rational_points import collision_search, find_points_for_d, lemma11_applicable, lemma11_exhaustive
-from .residue_lemmas import count_lemma2, lemma4_check, lemma5_hit, lemma6_check, lemma8_fraction
-from .sweep import map_chunks
+from .modmath import require_odd_prime
 
 
-def _fraction_str(q: Fraction) -> str:
+def _fraction_str(q) -> str:
     # str(Decimal(n)) is exact and, unlike str(n), not capped by the
     # int-to-str digit limit (4300 by default) that exact products outgrow.
+    from decimal import Decimal
+
     return f"{Decimal(q.numerator)}/{Decimal(q.denominator)}"
 
 
 def _emit(records: list[dict], fmt: str) -> None:
     if fmt == "csv":
+        import csv
+
         fieldnames = list(dict.fromkeys(key for record in records for key in record))
         if not fieldnames:
             return
@@ -83,6 +69,9 @@ BOUND_CEILING = 10**6
 # An exact product's numerator prod p^(2s-1) has at most
 # (2s - 1) * limit / ln 10 digits, since theta(x) = sum of ln p < x.
 EXACT_DIGITS_CEILING = 10**6
+# --s is parsed as a float, which holds every integer below 2^53 but not
+# every one above it, so --exact refuses an s that may have been rounded.
+EXACT_S_CEILING = 2**53
 
 
 def _int_in(lo: int, hi: int | None = None):
@@ -124,6 +113,10 @@ def _positive_float(text: str) -> float:
 
 
 def _check_lemma1(p: int, d_max: int, samples: int, seed: int):
+    import random
+
+    from .point_count import Curve, count_affine_points
+
     rng = random.Random((seed << 32) | p)
     values = sorted(rng.sample(range(1, p), min(samples, p - 1)))
     bad = []
@@ -135,11 +128,15 @@ def _check_lemma1(p: int, d_max: int, samples: int, seed: int):
 
 
 def _check_lemma2(p: int, d_max: int, samples: int, seed: int):
+    from .residue_lemmas import count_lemma2
+
     count = count_lemma2(p)
     return 1, [] if count == (p - 5) // 4 else [{"count": count, "expected": (p - 5) // 4}]
 
 
 def _check_lemma3(p: int, d_max: int, samples: int, seed: int):
+    from .point_count import MINUS, PLUS, TwistSpec, count_affine_points, np_lemma3
+
     checked, bad = 0, []
     for d in range(1, d_max + 1):
         if d % p == 0:
@@ -155,6 +152,8 @@ def _check_lemma3(p: int, d_max: int, samples: int, seed: int):
 
 
 def _check_lemma4(p: int, d_max: int, samples: int, seed: int):
+    from .residue_lemmas import lemma4_check
+
     bad = []
     for y in range(1, p):
         lhs, rhs = lemma4_check(p, y)
@@ -164,15 +163,21 @@ def _check_lemma4(p: int, d_max: int, samples: int, seed: int):
 
 
 def _check_lemma5(p: int, d_max: int, samples: int, seed: int):
+    from .residue_lemmas import lemma5_hit
+
     return 1, [{}] if lemma5_hit(p) else []
 
 
 def _check_lemma6(p: int, d_max: int, samples: int, seed: int):
+    from .residue_lemmas import lemma6_check
+
     n1, n2, ok = lemma6_check(p)
     return 1, [] if ok else [{"n1": n1, "n2": n2, "expected_sum": (p - 5) // 4}]
 
 
 def _check_lemma7(p: int, d_max: int, samples: int, seed: int):
+    from .point_count import lemma7_check
+
     checked, bad = 0, []
     for d in range(1, d_max + 1):
         if d % p == 0:
@@ -208,6 +213,9 @@ def _verify_chunk(lemma: int, d_max: int, samples: int, seed: int, primes: list[
 
 
 def _run_verify(args) -> int:
+    from .modmath import sieve_primes
+    from .sweep import map_chunks
+
     (modulus, residue), _ = LEMMAS[args.lemma]
     primes = [p for p in sieve_primes(args.limit) if p % modulus == residue]
     chunk = partial(_verify_chunk, args.lemma, args.d_max, args.samples, args.seed)
@@ -223,6 +231,8 @@ def _run_verify(args) -> int:
 
 
 def _run_profile(args) -> int:
+    from .modmath import prime_profile
+
     prof = prime_profile(args.p)
     record = {
         "p": prof.p,
@@ -236,6 +246,8 @@ def _run_profile(args) -> int:
 
 
 def _run_count(args) -> int:
+    from .point_count import Curve, trace_ap
+
     record = trace_ap(Curve(args.a, args.b), args.p, method=args.method)
     shown = record.n_p + 1 if args.plus_one else record.n_p
     _emit([{"p": record.p, "n_p": shown, "a_p": record.a_p}], args.format)
@@ -243,6 +255,10 @@ def _run_count(args) -> int:
 
 
 def _run_ap_table(args) -> int:
+    from .cache import read_cache, resolve_cache_path, write_cache
+    from .point_count import Curve, good_odd_primes, records_for_primes
+    from .sweep import map_chunks
+
     curve = Curve(args.a, args.b)
     primes = good_odd_primes(curve, args.limit)
     cache_path = resolve_cache_path(args.cache) if args.cache else None
@@ -273,6 +289,9 @@ def _run_ap_table(args) -> int:
 
 
 def _run_lseries(args) -> int:
+    from .lseries import partial_L, partial_L_exact
+    from .point_count import Curve
+
     curve = Curve(args.a, args.b)
     if args.exact and args.s != int(args.s):
         return _fail(f"--exact needs an integer s, got {args.s}")
@@ -280,24 +299,27 @@ def _run_lseries(args) -> int:
     if args.exact and digits > EXACT_DIGITS_CEILING:
         return _fail(f"--exact --s {args.s} --limit {args.limit} needs about {digits:.3g} digits, "
                      f"above the ceiling of {EXACT_DIGITS_CEILING}")
+    if args.exact and args.s >= EXACT_S_CEILING:
+        return _fail(f"--exact needs s below 2^53, got {args.s}")
     record = {"a": args.a, "b": args.b, "s": args.s, "prime_bound": args.limit}
     if args.exact:
-        good, skipped = prime_split(curve, args.limit)
-        record["s"] = int(args.s)
-        record["value"] = _fraction_str(partial_L_exact(curve, int(args.s), args.limit))
-        record["factor_count"] = len(good)
-        record["skipped_primes"] = list(skipped)
+        ev = partial_L_exact(curve, int(args.s), args.limit)
+        record["s"] = ev.s
+        record["value"] = _fraction_str(ev.value)
     else:
         ev = partial_L(curve, args.s, args.limit)
         record["log_value"] = ev.log_value
         record["value"] = ev.value
-        record["factor_count"] = ev.factor_count
-        record["skipped_primes"] = list(ev.skipped_primes)
+    record["factor_count"] = ev.factor_count
+    record["skipped_primes"] = list(ev.skipped_primes)
     _emit([record], args.format)
     return 0
 
 
 def _run_ratio(args) -> int:
+    from .lseries import ratio_partial
+    from .point_count import Curve
+
     ev = ratio_partial(Curve(args.a1, args.b1), Curve(args.a2, args.b2), args.s, args.limit)
     rows = [{"p": p, "factor": factor} for p, factor in zip(ev.primes, ev.factors)]
     rows.append({"s": ev.s, "prime_bound": ev.prime_bound, "ratio": ev.ratio})
@@ -306,6 +328,8 @@ def _run_ratio(args) -> int:
 
 
 def _run_find_points(args) -> int:
+    from .rational_points import find_points_for_d
+
     points = find_points_for_d(args.d, args.bound)
     _emit(
         [{"d": args.d, "x": _fraction_str(p.x), "y": _fraction_str(p.y)} for p in points],
@@ -315,6 +339,8 @@ def _run_find_points(args) -> int:
 
 
 def _run_lemma11(args) -> int:
+    from .rational_points import lemma11_applicable, lemma11_exhaustive
+
     applicable = lemma11_applicable(args.d)
     hits = lemma11_exhaustive(args.d, args.bound)
     rows = [{"k": q.k, "j": q.j, "m": q.m, "e": q.e} for q in hits]
@@ -332,6 +358,8 @@ def _run_lemma11(args) -> int:
 
 
 def _run_collisions(args) -> int:
+    from .rational_points import collision_search
+
     groups = collision_search(args.bound, workers=args.workers, coprime_only=not args.allow_non_coprime)
     _emit(
         [
@@ -344,6 +372,8 @@ def _run_collisions(args) -> int:
 
 
 def _run_lemma8(args) -> int:
+    from .residue_lemmas import lemma8_fraction
+
     ones, threes, fraction = lemma8_fraction(args.limit)
     _emit(
         [{"limit": args.limit, "ones": ones, "threes": threes, "fraction": _fraction_str(fraction)}],

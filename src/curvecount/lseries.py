@@ -84,17 +84,32 @@ def partial_L(curve: Curve, s: float, limit: int) -> EulerEvaluation:
     return EulerEvaluation(float(s), limit, log_value, math.exp(log_value), len(primes), skipped)
 
 
-def partial_L_exact(curve: Curve, s: int, limit: int) -> Fraction:
-    """Exact truncated product for integer s >= 1.
+@dataclass(frozen=True)
+class ExactEulerEvaluation:
+    """A truncated Euler product evaluated exactly at integer s >= 1.
+
+    factor_count and skipped_primes are as in EulerEvaluation.
+    """
+
+    s: int
+    prime_bound: int
+    value: Fraction
+    factor_count: int
+    skipped_primes: tuple[int, ...]
+
+
+def partial_L_exact(curve: Curve, s: int, limit: int) -> ExactEulerEvaluation:
+    """Exact truncated product for integer s >= 1, from one sieve.
 
     The d = 1 minus twist at s = 1 up to limit 7 comes out to
     (3/4)(5/8)(7/8) = 105/256.
     """
     _check_exact_s(s)
+    primes, skipped = prime_split(curve, limit)
     value = Fraction(1)
-    for p in prime_split(curve, limit)[0]:
+    for p in primes:
         value *= euler_factor_exact(p, _trace_ap(curve, p).a_p, s)
-    return value
+    return ExactEulerEvaluation(s, limit, value, len(primes), skipped)
 
 
 @dataclass(frozen=True)

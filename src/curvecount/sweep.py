@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import concurrent.futures
-
 
 def map_chunks(fn, items, workers: int) -> list:
     """[fn(chunk) for each of at most `workers` contiguous chunks of items].
@@ -21,5 +19,7 @@ def map_chunks(fn, items, workers: int) -> list:
     chunks = [items[i : i + size] for i in range(0, len(items), size)]
     if workers == 1 or len(items) < 2 * workers:
         return [fn(chunk) for chunk in chunks]
+    import concurrent.futures  # loaded only when a pool starts
+
     with concurrent.futures.ProcessPoolExecutor(max_workers=len(chunks)) as pool:
         return list(pool.map(fn, chunks))

@@ -195,7 +195,7 @@ def test_criterion_13_duplication():
 
 
 def test_criterion_14_partial_products():
-    exact = partial_L_exact(Curve(-1, 0), 1, 7)
+    exact = partial_L_exact(Curve(-1, 0), 1, 7).value
     ok = exact == Fraction(105, 256)
     ok = ok and partial_L(Curve(-1, 0), 1.0, 7).value == pytest.approx(float(exact), rel=1e-12)
     ratio = ratio_partial(Curve(-1, 0), Curve(1, 0), 1.0, 13).ratio

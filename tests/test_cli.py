@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from curvecount import cache, cli, modmath, point_count, residue_lemmas
+from curvecount import cache, cli, modmath, point_count, rational_points, residue_lemmas
 from curvecount.errors import CacheInvalidError
 from curvecount.lseries import partial_L_exact
 from curvecount.point_count import MINUS, Curve, TwistSpec, ap_table, np_lemma3
@@ -52,6 +52,30 @@ def test_module_entry_point():
     done = entry("profile", "15")
     assert done.returncode == 2 and done.stdout == ""
     assert "expected an odd prime" in done.stderr
+
+
+def _modules_loaded_after(code, names):
+    """The subset of names in sys.modules after a fresh interpreter runs code."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    probe = f"{code}\nimport json, sys\nprint(json.dumps(sorted(set({names!r}) & set(sys.modules))))"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_parser_loads_no_library_module():
+    heavy = ["curvecount.cache", "curvecount.lseries", "curvecount.rational_points",
+             "curvecount.residue_lemmas", "concurrent.futures", "fractions"]
+    assert _modules_loaded_after("import curvecount.cli as cli\ncli.build_parser()", heavy) == []
+
+
+def test_ap_table_at_one_worker_loads_only_its_modules():
+    code = ("import curvecount.cli as cli\n"
+            "assert cli.main(['ap-table', '--a', '-1', '--b', '0', '--limit', '200', '--workers', '1']) == 0")
+    used = ["curvecount.cache", "curvecount.point_count"]
+    unused = ["curvecount.rational_points", "curvecount.lseries", "concurrent.futures"]
+    assert _modules_loaded_after(code, used + unused) == used
 
 
 def test_profile_usage_errors(capsys):
@@ -314,7 +338,7 @@ def test_cache_pmax_past_large_discriminant_rebuilt_without_sieving(tmp_path, ca
             raise AssertionError(f"sieve to {limit}")
         return real(limit)
 
-    for module in (cli, point_count, residue_lemmas, modmath):
+    for module in (point_count, residue_lemmas, modmath):
         monkeypatch.setattr(module, "sieve_primes", sieve_to_limit)
     path = tmp_path / "h.cache"
     for a, pmax, record, reason in (
@@ -393,7 +417,7 @@ def test_lemma_verify_sampling_is_seeded(capsys):
 
 def test_lemma_verify_reports_findings(capsys, monkeypatch):
     # no real mismatch exists, so break the oracle to exercise the path
-    monkeypatch.setattr(cli, "count_affine_points", lambda curve, p: p + 2)
+    monkeypatch.setattr(point_count, "count_affine_points", lambda curve, p: p + 2)
     rc, out = run(capsys, ["lemma-verify", "--lemma", "1", "--limit", "20", "--workers", "1"])
     assert rc == 1
     records = jsonl(out)
@@ -423,7 +447,7 @@ def test_lseries_exact_past_digit_limit(capsys):
     saved = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        assert Fraction(int(num), int(den)) == partial_L_exact(Curve(-1, 0), 3, 3000)
+        assert Fraction(int(num), int(den)) == partial_L_exact(Curve(-1, 0), 3, 3000).value
     finally:
         sys.set_int_max_str_digits(saved)
 
@@ -432,7 +456,7 @@ def test_lseries_exact_digit_ceiling(capsys, monkeypatch):
     def no_sieve(limit):
         raise AssertionError(f"sieve to {limit}")
 
-    for module in (cli, point_count, residue_lemmas, modmath):
+    for module in (point_count, residue_lemmas, modmath):
         monkeypatch.setattr(module, "sieve_primes", no_sieve)
     for s in ("1e300", "100000"):
         rc = cli.main(["lseries", "--a", "-1", "--b", "0", "--s", s, "--limit", "100", "--exact"])
@@ -443,6 +467,35 @@ def test_lseries_exact_digit_ceiling(capsys, monkeypatch):
     rc, out = run(capsys, ["lseries", "--a", "-1", "--b", "0", "--s", "3", "--limit", "3000", "--exact"])
     assert rc == 0 and jsonl(out)[0]["factor_count"] == 429
     assert cli.EXACT_DIGITS_CEILING == 10**6
+
+
+def test_lseries_exact_sieves_once(capsys, monkeypatch):
+    calls = []
+
+    def counting(limit, real=modmath.sieve_primes):
+        calls.append(limit)
+        return real(limit)
+
+    for module in (point_count, residue_lemmas, modmath):
+        monkeypatch.setattr(module, "sieve_primes", counting)
+    rc, out = run(capsys, ["lseries", "--a", "-1", "--b", "0", "--s", "2", "--limit", "500", "--exact"])
+    assert rc == 0 and jsonl(out)[0]["factor_count"] == 94
+    assert calls == [500]
+
+
+def test_lseries_exact_refuses_s_a_float_may_have_rounded(capsys):
+    for s in ("9007199254740993", "1e300"):
+        rc = cli.main(["lseries", "--a", "-1", "--b", "0", "--s", s, "--limit", "0", "--exact"])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert "below 2^53" in captured.err
+    rc, out = run(capsys, ["lseries", "--a", "-1", "--b", "0", "--s", "9007199254740991", "--limit", "0", "--exact"])
+    assert rc == 0
+    assert jsonl(out) == [
+        {"a": -1, "b": 0, "s": 9007199254740991, "prime_bound": 0, "value": "1/1",
+         "factor_count": 0, "skipped_primes": []}
+    ]
+    assert cli.EXACT_S_CEILING == 2**53
 
 
 def test_lseries_float_mode(capsys):
@@ -489,7 +542,7 @@ def test_lemma11_applicable_and_control(capsys):
 
 def test_lemma11_violation_exit_code(capsys, monkeypatch):
     # unreachable with honest data; force it to pin the exit code contract
-    monkeypatch.setattr(cli, "lemma11_applicable", lambda d: True)
+    monkeypatch.setattr(rational_points, "lemma11_applicable", lambda d: True)
     rc, out = run(capsys, ["lemma11", "--d", "6", "--bound", "10"])
     assert rc == 1
     assert jsonl(out)[-1]["violation"] is True
@@ -539,7 +592,7 @@ def test_limit_above_ceiling_rejected(capsys, monkeypatch, argv):
     def no_sieve(limit):
         raise AssertionError(f"sieve to {limit}")
 
-    for module in (cli, point_count, residue_lemmas, modmath):
+    for module in (point_count, residue_lemmas, modmath):
         monkeypatch.setattr(module, "sieve_primes", no_sieve)
     rc, out = run(capsys, argv + ["--limit", str(10**12)])
     assert rc == 2 and out == ""
@@ -564,7 +617,7 @@ def test_singular_curve_or_negative_limit_rejected_before_work(tmp_path, capsys,
     def no_sieve(limit):
         raise AssertionError(f"sieve to {limit}")
 
-    for module in (cli, point_count, residue_lemmas, modmath):
+    for module in (point_count, residue_lemmas, modmath):
         monkeypatch.setattr(module, "sieve_primes", no_sieve)
     monkeypatch.chdir(tmp_path)
     rc = cli.main(argv)
@@ -619,10 +672,16 @@ def test_argument_out_of_range_rejected_at_parse_time(tmp_path, capsys, monkeypa
     def no_work(*args, **kwargs):
         raise AssertionError("work started")
 
-    for module in (cli, point_count, residue_lemmas, modmath):
+    for module in (point_count, residue_lemmas, modmath):
         monkeypatch.setattr(module, "sieve_primes", no_work)
-    for function in ("collision_search", "find_points_for_d", "lemma11_exhaustive", "prime_profile", "trace_ap"):
-        monkeypatch.setattr(cli, function, no_work)
+    for module, function in (
+        (rational_points, "collision_search"),
+        (rational_points, "find_points_for_d"),
+        (rational_points, "lemma11_exhaustive"),
+        (modmath, "prime_profile"),
+        (point_count, "trace_ap"),
+    ):
+        monkeypatch.setattr(module, function, no_work)
     monkeypatch.chdir(tmp_path)
     rc = cli.main(command.format(outside).split())
     captured = capsys.readouterr()

@@ -72,9 +72,18 @@ def test_euler_factor_exact_rejects_bad_s():
 
 
 def test_partial_l_exact_frozen_values():
-    assert partial_L_exact(MINUS_ONE, 1, 7) == Fraction(105, 256)
-    assert partial_L_exact(MINUS_ONE, 1, 5) == Fraction(15, 32)
-    assert partial_L_exact(MINUS_ONE, 1, 2) == Fraction(1)
+    assert partial_L_exact(MINUS_ONE, 1, 7).value == Fraction(105, 256)
+    assert partial_L_exact(MINUS_ONE, 1, 5).value == Fraction(15, 32)
+    assert partial_L_exact(MINUS_ONE, 1, 2).value == Fraction(1)
+
+
+def test_partial_l_exact_counts_factors_as_float_mode():
+    for curve, s, limit in ((MINUS_ONE, 1, 7), (MINUS_ONE, 3, 500), (Curve(3, 5), 2, 300), (MINUS_ONE, 1, 1)):
+        exact = partial_L_exact(curve, s, limit)
+        approx = partial_L(curve, float(s), limit)
+        assert (exact.s, exact.prime_bound) == (s, limit)
+        assert (exact.factor_count, exact.skipped_primes) == (approx.factor_count, approx.skipped_primes)
+        assert float(exact.value) == pytest.approx(approx.value, rel=1e-12)
 
 
 def test_partial_l_float_agrees_with_exact():
