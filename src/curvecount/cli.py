@@ -189,21 +189,27 @@ def _check_lemma7(p: int, d_max: int, samples: int, seed: int):
     return checked, bad
 
 
-# lemma -> ((modulus, residue) selecting the odd primes it covers, check)
+# lemma -> ((modulus, residue) selecting the odd primes it covers, check,
+# cost(p, d_max, samples)).  The cost estimates the check's in-process
+# work at p for sweep.map_chunks, in elements of a brute-force count, and
+# was fitted to per-prime timings of the check at d_max = samples = 20.
+# Lemma 1 counts `samples` curves and lemma 3 counts 2 d_max curves by
+# brute force; lemmas 2, 4, 6 and 7 build residue tables, and lemma 7
+# then reads its census 2 d_max times.
 LEMMAS = {
-    1: ((4, 3), _check_lemma1),
-    2: ((4, 1), _check_lemma2),
-    3: ((4, 1), _check_lemma3),
-    4: ((4, 1), _check_lemma4),
-    5: ((2, 1), _check_lemma5),
-    6: ((8, 5), _check_lemma6),
-    7: ((8, 5), _check_lemma7),
+    1: ((4, 3), _check_lemma1, lambda p, d_max, samples: min(samples, p - 1) * p),
+    2: ((4, 1), _check_lemma2, lambda p, d_max, samples: 0.6 * p),
+    3: ((4, 1), _check_lemma3, lambda p, d_max, samples: 2.4 * d_max * p),
+    4: ((4, 1), _check_lemma4, lambda p, d_max, samples: 8 * p),
+    5: ((2, 1), _check_lemma5, lambda p, d_max, samples: 70),
+    6: ((8, 5), _check_lemma6, lambda p, d_max, samples: 0.8 * p + 300),
+    7: ((8, 5), _check_lemma7, lambda p, d_max, samples: 0.9 * p + 30 * d_max),
 }
 
 
 def _verify_chunk(lemma: int, d_max: int, samples: int, seed: int, primes: list[int]):
     """(checked, mismatch records) for one prime chunk of one lemma sweep."""
-    check = LEMMAS[lemma][1]
+    _, check, _ = LEMMAS[lemma]
     checked, mismatches = 0, []
     for p in primes:
         count, bad = check(p, d_max, samples, seed)
@@ -216,10 +222,10 @@ def _run_verify(args) -> int:
     from .modmath import sieve_primes
     from .sweep import map_chunks
 
-    (modulus, residue), _ = LEMMAS[args.lemma]
+    (modulus, residue), _, cost = LEMMAS[args.lemma]
     primes = [p for p in sieve_primes(args.limit) if p % modulus == residue]
     chunk = partial(_verify_chunk, args.lemma, args.d_max, args.samples, args.seed)
-    results = map_chunks(chunk, primes, args.workers)
+    results = map_chunks(chunk, primes, args.workers, lambda p: cost(p, args.d_max, args.samples))
     checked = sum(r[0] for r in results)
     mismatches = [record for r in results for record in r[1]]
     summary = {"lemma": args.lemma, "limit": args.limit, "checked": checked, "mismatches": len(mismatches)}
@@ -256,7 +262,7 @@ def _run_count(args) -> int:
 
 def _run_ap_table(args) -> int:
     from .cache import read_cache, resolve_cache_path, write_cache
-    from .point_count import Curve, good_odd_primes, records_for_primes
+    from .point_count import Curve, good_odd_primes, record_cost, records_for_primes
     from .sweep import map_chunks
 
     curve = Curve(args.a, args.b)
@@ -272,7 +278,8 @@ def _run_ap_table(args) -> int:
         except CacheInvalidError as exc:
             print(f"curvecount: rebuilding cache {cache_path}: {exc}", file=sys.stderr)
     chunk = partial(records_for_primes, curve, cross_validate=args.cross_validate)
-    parts = map_chunks(chunk, [p for p in primes if p > pmax_seen], args.workers)
+    cost = partial(record_cost, curve, args.cross_validate)
+    parts = map_chunks(chunk, [p for p in primes if p > pmax_seen], args.workers, cost)
     fresh = [r for part in parts for r in part]
     records = [r for r in cached if r.p <= args.limit] + fresh
     if cache_path:
@@ -385,6 +392,13 @@ def _run_lemma8(args) -> int:
 # --------------------------------------------------------------------- parser
 
 
+def _cpus_available() -> int:
+    """The CPUs this process may run on, the default for --workers."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="curvecount", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -396,6 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     curve.add_argument("--b", type=int, required=True)
     limit = _int_in(0, LIMIT_CEILING)
     sweep_limit = _int_in(3, LIMIT_CEILING)  # lemma-verify and lemma8 need an odd prime
+    cpus = _cpus_available()
 
     p = sub.add_parser("profile", parents=[common], help="residue classes of -1, 2 and eps at p")
     p.add_argument("p", type=_odd_prime)
@@ -409,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ap-table", parents=[curve], help="a_p records for all good odd primes <= limit")
     p.add_argument("--limit", type=limit, required=True)
-    p.add_argument("--workers", type=_int_in(1), default=os.cpu_count() or 1)
+    p.add_argument("--workers", type=_int_in(1), default=cpus)
     p.add_argument("--cache", help="cache file; relative paths resolve under $CURVECOUNT_CACHE_DIR")
     p.add_argument("--cross-validate", action="store_true", help="recompute and check every record against brute force")
     p.add_argument("--plus-one", action="store_true")
@@ -421,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d-max", type=_int_in(1), default=20)
     p.add_argument("--samples", type=_int_in(1), default=20, help="a values sampled per prime (lemma 1)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=_int_in(1), default=os.cpu_count() or 1)
+    p.add_argument("--workers", type=_int_in(1), default=cpus)
     p.set_defaults(handler=_run_verify)
 
     p = sub.add_parser("lseries", parents=[curve], help="truncated Euler product at s")
@@ -451,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("collisions", parents=[common], help="pairs sharing V = em(m+e)^2")
     p.add_argument("--bound", type=_int_in(2, BOUND_CEILING), required=True)
-    p.add_argument("--workers", type=_int_in(1), default=os.cpu_count() or 1)
+    p.add_argument("--workers", type=_int_in(1), default=cpus)
     p.add_argument("--allow-non-coprime", action="store_true")
     p.set_defaults(handler=_run_collisions)
 

@@ -12,7 +12,7 @@ call them on primes that came from the sieve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .errors import HypothesisError
@@ -125,16 +125,16 @@ def quartic_residues(p: int) -> frozenset[int]:
     return frozenset(t * t % p for t in quadratic_residues(p))
 
 
-@dataclass(frozen=True)
-class PrimeProfile:
-    """Residue classification of one prime, gating the lemma hypotheses."""
+# A namedtuple, not a dataclass: functools already loads collections,
+# while dataclasses pulls in inspect and ast, and the CLI parser imports
+# this module.
+class PrimeProfile(namedtuple("PrimeProfile", "p p_mod_8 class_minus_one class_two epsilon class_epsilon")):
+    """Residue classification of one prime, gating the lemma hypotheses.
 
-    p: int
-    p_mod_8: int
-    class_minus_one: str
-    class_two: str
-    epsilon: int | None
-    class_epsilon: str | None
+    epsilon and class_epsilon are None unless p = 1 (mod 4).
+    """
+
+    __slots__ = ()
 
 
 def prime_profile(p: int) -> PrimeProfile:

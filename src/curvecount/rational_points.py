@@ -252,13 +252,16 @@ def collision_search(bound: int, workers: int = 1, coprime_only: bool = True) ->
     search the unrestricted lattice.  The V axis is cut at every eighth
     value of a grid sample of V (steps of isqrt(bound) in e and m), so a
     slice holds about 8 * bound pairs; one slice is held at a time, and
-    workers take contiguous runs of slices.  No group straddles a cut, so
-    the output is sorted by V, members in (e, m) order, for any workers.
+    workers take contiguous runs of about equally many slices.  No group
+    straddles a cut, so the output is sorted by V, members in (e, m)
+    order, for any workers.
     """
     if bound < 2:
         raise ValueError(f"bound must be >= 2, got {bound}")
     step = isqrt(bound)
     cuts = sorted(e * m * (m + e) ** 2 for e in range(1, bound, step) for m in range(e + 1, bound + 1, step))[8::8]
     slices = list(zip([0] + cuts, cuts + [(2 * bound) ** 4]))  # V < bound^2 (2 bound)^2
-    parts = map_chunks(partial(_collision_groups, bound, coprime_only), slices, workers)
+    # Every slice costs about the same: 30-50 brute-force count elements
+    # per unit of bound (per-slice timings at bounds 100 to 1000).
+    parts = map_chunks(partial(_collision_groups, bound, coprime_only), slices, workers, lambda _: 40 * bound)
     return [group for part in parts for group in part]

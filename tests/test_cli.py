@@ -66,8 +66,32 @@ def _modules_loaded_after(code, names):
 
 def test_parser_loads_no_library_module():
     heavy = ["curvecount.cache", "curvecount.lseries", "curvecount.rational_points",
-             "curvecount.residue_lemmas", "concurrent.futures", "fractions"]
+             "curvecount.residue_lemmas", "concurrent.futures", "fractions", "dataclasses"]
     assert _modules_loaded_after("import curvecount.cli as cli\ncli.build_parser()", heavy) == []
+
+
+def test_pool_starts_only_when_it_pays():
+    # 783 closed-form traces are a few milliseconds of work, far below the
+    # cost of starting a pool; a collision search to bound 1000 is not.
+    def pool_loaded(argv):
+        code = f"import curvecount.cli as cli\nassert cli.main({argv!r}) == 0"
+        return _modules_loaded_after(code, ["concurrent.futures"]) == ["concurrent.futures"]
+
+    assert not pool_loaded(["ap-table", "--a", "1369", "--b", "0", "--limit", "6020", "--workers", "2"])
+    assert pool_loaded(["collisions", "--bound", "1000", "--workers", "2"])
+
+
+def test_workers_default_to_the_cpus_this_process_may_use(monkeypatch):
+    def default_workers():
+        return cli.build_parser().parse_args(["collisions", "--bound", "10"]).workers
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert default_workers() == 3
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert default_workers() == 8
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert default_workers() == 1
 
 
 def test_ap_table_at_one_worker_loads_only_its_modules():
@@ -205,11 +229,13 @@ def test_ap_table_serves_lemma3_cache_as_it_is(tmp_path, capsys):
     assert path.read_text().splitlines()[1:] == rows[1:] + ["17,15,2,gauss"]
 
 
-def test_ap_table_worker_invariance(tmp_path, capsys):
-    args = ["ap-table", "--a", "1", "--b", "0", "--limit", "300"]
-    _, one = run(capsys, args + ["--workers", "1"])
-    _, three = run(capsys, args + ["--workers", "3"])
-    assert one == three
+def test_ap_table_worker_invariance(tmp_path, capsys, pool_forced):
+    for args in (["ap-table", "--a", "1", "--b", "0", "--limit", "300"],
+                 ["ap-table", "--a", "3", "--b", "5", "--limit", "300", "--cross-validate"]):
+        _, one = run(capsys, args + ["--workers", "1"])
+        _, three = run(capsys, args + ["--workers", "3"])
+        assert one == three
+    assert pool_forced == [3, 3]
 
 
 def test_ap_table_cross_validate(capsys):
@@ -396,14 +422,15 @@ def test_lemma_verify_example(capsys):
     assert jsonl(out) == [{"lemma": 7, "limit": 2000, "checked": 1575, "mismatches": 0}]
 
 
-def test_lemma_verify_worker_invariance(capsys):
-    # limit 120 gives every lemma's prime class at least two primes per worker
+def test_lemma_verify_worker_invariance(capsys, pool_forced):
+    # limit 120 gives every lemma's prime class at least three primes, so a pool of three
     for lemma in range(1, 8):
         args = ["lemma-verify", "--lemma", str(lemma), "--limit", "120", "--d-max", "6"]
         _, one = run(capsys, args + ["--workers", "1"])
         _, three = run(capsys, args + ["--workers", "3"])
         assert one == three, lemma
         assert jsonl(one)[-1]["mismatches"] == 0
+    assert pool_forced == [3] * 7
 
 
 def test_lemma_verify_sampling_is_seeded(capsys):
@@ -556,10 +583,11 @@ def test_collisions_records(capsys):
     ]
 
 
-def test_collisions_worker_invariance(capsys):
+def test_collisions_worker_invariance(capsys, pool_forced):
     _, one = run(capsys, ["collisions", "--bound", "40", "--workers", "1"])
     _, four = run(capsys, ["collisions", "--bound", "40", "--workers", "4"])
     assert one == four
+    assert pool_forced == [4]
 
 
 @pytest.mark.parametrize(

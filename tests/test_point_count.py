@@ -188,7 +188,7 @@ def test_lemma_sweeps_prove_each_prime_once(monkeypatch, capsys, lemma):
     calls = _count_is_prime(monkeypatch)
     rc = cli.main(["lemma-verify", "--lemma", str(lemma), "--limit", "400", "--workers", "1"])
     assert rc == 0, capsys.readouterr()
-    (modulus, residue), _ = cli.LEMMAS[lemma]
+    (modulus, residue), _, _ = cli.LEMMAS[lemma]
     assert calls == [p for p in sieve_primes(400) if p % modulus == residue]
 
 

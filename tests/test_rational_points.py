@@ -205,24 +205,26 @@ def test_collision_search_first_group():
     assert group.d_values == (7980, 2520)
 
 
-def test_collision_search_matches_oracle():
+def test_collision_search_matches_oracle(pool_forced):
     # Bound 300 cuts the V axis into about 20 slices, so at 3 workers each
     # worker starts mid-axis.
     for bound in (2, 3, 20, 50, 100, 300):
         for workers in (1, 3):
             got = {g.v: list(g.members) for g in collision_search(bound, workers=workers)}
             assert got == collision_groups_by_sorting(bound)
+    assert pool_forced[-3:] == [3, 3, 3]
 
 
-def test_collision_search_worker_invariance():
+def test_collision_search_worker_invariance(pool_forced):
     for bound in (60, 300):
         reference = collision_search(bound)
         assert [g.v for g in reference] == sorted(g.v for g in reference)
         for workers in (2, 3, 4):
             assert collision_search(bound, workers=workers) == reference
+    assert pool_forced[-3:] == [2, 3, 4]
 
 
-def test_collision_search_non_coprime_lattice():
+def test_collision_search_non_coprime_lattice(pool_forced):
     groups = collision_search(20, coprime_only=False)
     by_v = {g.v: g.members for g in groups}
     assert by_v[8820] == ((1, 20), (5, 9))
@@ -230,6 +232,7 @@ def test_collision_search_non_coprime_lattice():
         for workers in (1, 2):
             got = {g.v: list(g.members) for g in collision_search(bound, workers=workers, coprime_only=False)}
             assert got == collision_groups_by_sorting(bound, coprime=False)
+    assert pool_forced[-1:] == [2]
 
 
 def test_collision_search_memory_is_bounded():
