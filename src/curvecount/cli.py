@@ -267,12 +267,13 @@ def _run_ap_table(args) -> int:
 
     curve = Curve(args.a, args.b)
     primes = good_odd_primes(curve, args.limit)
-    cache_path = resolve_cache_path(args.cache) if args.cache else None
-    cached, pmax_seen = [], 0
-    if cache_path and not args.cross_validate:
+    # --cross-validate recounts every prime, so it neither reads nor writes the cache.
+    cache_path = resolve_cache_path(args.cache) if args.cache and not args.cross_validate else None
+    cached, pmax_seen, extends = [], 0, True
+    if cache_path:
         try:
             header, cached = read_cache(cache_path, curve)
-            pmax_seen = header.pmax
+            pmax_seen, extends = header.pmax, args.limit > header.pmax
         except FileNotFoundError:
             pass
         except CacheInvalidError as exc:
@@ -282,8 +283,8 @@ def _run_ap_table(args) -> int:
     parts = map_chunks(chunk, [p for p in primes if p > pmax_seen], args.workers, cost)
     fresh = [r for part in parts for r in part]
     records = [r for r in cached if r.p <= args.limit] + fresh
-    if cache_path:
-        write_cache(cache_path, curve, max(args.limit, pmax_seen), cached + fresh)
+    if cache_path and extends:  # a valid cache is rewritten only past its pmax
+        write_cache(cache_path, curve, args.limit, cached + fresh)
     shift = 1 if args.plus_one else 0
     rows = []
     for r in records:
@@ -425,7 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ap-table", parents=[curve], help="a_p records for all good odd primes <= limit")
     p.add_argument("--limit", type=limit, required=True)
     p.add_argument("--workers", type=_int_in(1), default=cpus)
-    p.add_argument("--cache", help="cache file; relative paths resolve under $CURVECOUNT_CACHE_DIR")
+    p.add_argument("--cache", help="cache file; relative paths resolve under $CURVECOUNT_CACHE_DIR; "
+                   "ignored under --cross-validate")
     p.add_argument("--cross-validate", action="store_true", help="recompute and check every record against brute force")
     p.add_argument("--plus-one", action="store_true")
     p.set_defaults(handler=_run_ap_table)

@@ -1,9 +1,10 @@
 """Partial Euler products 1/(1 - a_p p^-s + p^(1-2s)) over good primes.
 
 Factors multiply in ascending p.  Floating products accumulate in log
-space; the exact mode keeps Fractions end to end for integer s.  The
-prime 2 never contributes: the discriminant -16(4a^3 + 27b^2) is even
-for every curve, so 2 is a bad prime throughout.
+space; the exact mode, for integer s, multiplies integer numerators and
+denominators and forms one Fraction at the end.  The prime 2 never
+contributes: the discriminant -16(4a^3 + 27b^2) is even for every
+curve, so 2 is a bad prime throughout.
 """
 
 from __future__ import annotations
@@ -16,35 +17,22 @@ from .errors import VanishingFactorError
 from .point_count import Curve, _nonsingular_discriminant, _trace_ap, prime_split
 
 
-def _factor_denominator(p: int, a_p: int, s: float) -> float:
-    return 1.0 - a_p * float(p) ** -s + float(p) ** (1.0 - 2.0 * s)
+def _denominator(p: int, a_p: int, s: float) -> float:
+    """1 - a_p p^-s + p^(1-2s) as a float, raising unless it is positive.
+
+    Any a_p in the Hasse range keeps it positive for every s > 0 (it
+    dominates (1 - p^(1/2-s))^2); the guard only fires on out-of-range
+    input.
+    """
+    denom = 1.0 - a_p * float(p) ** -s + float(p) ** (1.0 - 2.0 * s)
+    if denom <= 0.0:
+        raise VanishingFactorError(p, f"denominator {denom} at s = {s}")
+    return denom
 
 
 def euler_factor(p: int, a_p: int, s: float) -> float:
-    """One local factor (1 - a_p p^-s + p^(1-2s))^-1 as a float.
-
-    Any a_p in the Hasse range keeps the denominator positive for every
-    s > 0 (it dominates (1 - p^(1/2-s))^2); the guard below only fires
-    on out-of-range input.
-    """
-    denom = _factor_denominator(p, a_p, s)
-    if denom <= 0.0:
-        raise VanishingFactorError(p, f"denominator {denom} at s = {s}")
-    return 1.0 / denom
-
-
-def _check_exact_s(s: int) -> None:
-    if not isinstance(s, int) or isinstance(s, bool) or s < 1:
-        raise ValueError(f"exact mode needs an integer s >= 1, got {s!r}")
-
-
-def euler_factor_exact(p: int, a_p: int, s: int) -> Fraction:
-    """The same local factor as an exact Fraction, for integer s >= 1."""
-    _check_exact_s(s)
-    denom = 1 - Fraction(a_p, p**s) + Fraction(1, p ** (2 * s - 1))
-    if denom == 0:
-        raise VanishingFactorError(p, "exact denominator is zero")
-    return 1 / denom
+    """One local factor (1 - a_p p^-s + p^(1-2s))^-1 as a float."""
+    return 1.0 / _denominator(p, a_p, s)
 
 
 @dataclass(frozen=True)
@@ -77,10 +65,7 @@ def partial_L(curve: Curve, s: float, limit: int) -> EulerEvaluation:
     primes, skipped = prime_split(curve, limit)
     log_value = 0.0
     for p in primes:
-        denom = _factor_denominator(p, _trace_ap(curve, p).a_p, s)
-        if denom <= 0.0:
-            raise VanishingFactorError(p, f"denominator {denom} at s = {s}")
-        log_value -= math.log(denom)
+        log_value -= math.log(_denominator(p, _trace_ap(curve, p).a_p, s))
     return EulerEvaluation(float(s), limit, log_value, math.exp(log_value), len(primes), skipped)
 
 
@@ -101,15 +86,22 @@ class ExactEulerEvaluation:
 def partial_L_exact(curve: Curve, s: int, limit: int) -> ExactEulerEvaluation:
     """Exact truncated product for integer s >= 1, from one sieve.
 
-    The d = 1 minus twist at s = 1 up to limit 7 comes out to
-    (3/4)(5/8)(7/8) = 105/256.
+    Each factor is p^(2s-1) / (p^(2s-1) - a_p p^(s-1) + 1).  Numerators
+    and denominators multiply as integers and reduce once, at the end.
+    The denominator needs no guard: |a_p| < 2 sqrt(p) keeps it above
+    (p^(s-1/2) - 1)^2, which is positive.  The d = 1 minus twist at
+    s = 1 up to limit 7 comes out to (3/4)(5/8)(7/8) = 105/256.
     """
-    _check_exact_s(s)
+    if not isinstance(s, int) or isinstance(s, bool) or s < 1:
+        raise ValueError(f"exact mode needs an integer s >= 1, got {s!r}")
     primes, skipped = prime_split(curve, limit)
-    value = Fraction(1)
+    numerator = denominator = 1
     for p in primes:
-        value *= euler_factor_exact(p, _trace_ap(curve, p).a_p, s)
-    return ExactEulerEvaluation(s, limit, value, len(primes), skipped)
+        q = p ** (s - 1)
+        top = q * q * p
+        numerator *= top
+        denominator *= top - _trace_ap(curve, p).a_p * q + 1
+    return ExactEulerEvaluation(s, limit, Fraction(numerator, denominator), len(primes), skipped)
 
 
 @dataclass(frozen=True)

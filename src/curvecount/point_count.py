@@ -286,17 +286,14 @@ def records_for_primes(curve: Curve, primes: list[int], cross_validate: bool = F
 
 
 def record_cost(curve: Curve, cross_validate: bool, p: int) -> float:
-    """The in-process work of records_for_primes at p, for sweep.map_chunks.
+    """The brute-force work of records_for_primes at p, for sweep.map_chunks.
 
-    In elements of a brute-force count, fitted to per-prime timings up
-    to p = 6000: a brute record with its residue table about 1.2 p, a
-    Lemma 1 record about 9, a Gauss one about 25; cross-validation adds
-    a brute count.
+    A brute count with its residue table costs about 1.2 p elements,
+    fitted to per-prime timings up to p = 6000.  A closed-form record
+    counts as 0: it takes about as long to compute as its result takes
+    to pickle back from a worker, so no pool can gain on it.
     """
-    if curve.b != 0:
-        return 1.2 * p
-    closed = 9 if p % 4 == 3 else 25
-    return closed + 1.2 * p if cross_validate else closed
+    return 1.2 * p if curve.b != 0 or cross_validate else 0
 
 
 def ap_table(curve: Curve, limit: int, cross_validate: bool = False) -> list[PointCountRecord]:

@@ -46,6 +46,24 @@ def count_points_double_loop(a, b, p):
     return count
 
 
+def exact_euler_product(a, b, s, limit):
+    """prod of 1/(1 - a_p p^-s + p^(1-2s)) over good odd primes p <= limit.
+
+    One Fraction per prime, multiplied in ascending p.  A prime is bad
+    when the cubic has a root mod p that its derivative shares; a_p is
+    p minus the double-loop count.  Keep limit <= 150 or so.
+    """
+    from fractions import Fraction
+
+    value = Fraction(1)
+    for p in primes_by_trial_division(limit):
+        if p == 2 or any((r**3 + a * r + b) % p == 0 and (3 * r * r + a) % p == 0 for r in range(p)):
+            continue
+        a_p = p - count_points_double_loop(a, b, p)
+        value /= 1 - Fraction(a_p, p**s) + Fraction(1, p ** (2 * s - 1))
+    return value
+
+
 def singular_by_shared_root(a, b):
     """Whether x^3 + a x + b has a repeated root, with no discriminant formula.
 

@@ -143,10 +143,13 @@ def test_ap_table_cache_roundtrip(tmp_path, capsys):
     rc, fresh = run(capsys, args)
     assert rc == 0
     first_bytes = open(path, "rb").read()
+    first = os.stat(path)
     rc, cached = run(capsys, args)
     assert rc == 0
     assert cached == fresh
     assert open(path, "rb").read() == first_bytes
+    # a warm run does not rewrite the file
+    assert (os.stat(path).st_ino, os.stat(path).st_mtime_ns) == (first.st_ino, first.st_mtime_ns)
 
 
 def test_ap_table_cache_extends(tmp_path, capsys):
@@ -157,10 +160,24 @@ def test_ap_table_cache_extends(tmp_path, capsys):
     header, records = cache.read_cache(path, Curve(-1, 0))
     assert header.pmax == 80
     assert [r.p for r in records] == [r["p"] for r in jsonl(out)]
-    # a shrunk limit serves from cache without rewriting the range
+    # a shrunk limit serves from cache without rewriting the file
+    extended = os.stat(path)
     rc, out = run(capsys, ["ap-table", "--a", "-1", "--b", "0", "--limit", "20", "--cache", path])
     assert [r["p"] for r in jsonl(out)] == [3, 5, 7, 11, 13, 17, 19]
     assert cache.read_cache(path, Curve(-1, 0))[0].pmax == 80
+    assert (os.stat(path).st_ino, os.stat(path).st_mtime_ns) == (extended.st_ino, extended.st_mtime_ns)
+
+
+def test_ap_table_cross_validate_neither_reads_nor_writes_cache(tmp_path, capsys):
+    path = tmp_path / "minus1.cache"
+    run(capsys, ["ap-table", "--a", "-1", "--b", "0", "--limit", "2000", "--cache", str(path)])
+    before = path.read_bytes()
+    args = ["ap-table", "--a", "-1", "--b", "0", "--limit", "50", "--cross-validate", "--workers", "1"]
+    _, uncached = run(capsys, args)
+    rc, out = run(capsys, args + ["--cache", str(path)])
+    assert rc == 0 and out == uncached
+    assert all(r["brute_np"] == r["n_p"] for r in jsonl(out))
+    assert path.read_bytes() == before
 
 
 def test_ap_table_tampered_cache_recomputes(tmp_path, capsys):
@@ -230,7 +247,8 @@ def test_ap_table_serves_lemma3_cache_as_it_is(tmp_path, capsys):
 
 
 def test_ap_table_worker_invariance(tmp_path, capsys, pool_forced):
-    for args in (["ap-table", "--a", "1", "--b", "0", "--limit", "300"],
+    # Closed-form records cost nothing to the gate, so each case does brute force.
+    for args in (["ap-table", "--a", "1", "--b", "0", "--limit", "300", "--cross-validate"],
                  ["ap-table", "--a", "3", "--b", "5", "--limit", "300", "--cross-validate"]):
         _, one = run(capsys, args + ["--workers", "1"])
         _, three = run(capsys, args + ["--workers", "3"])

@@ -4,14 +4,10 @@ from fractions import Fraction
 import pytest
 
 from curvecount.errors import SingularCurveError, VanishingFactorError
-from curvecount.lseries import (
-    euler_factor,
-    euler_factor_exact,
-    partial_L,
-    partial_L_exact,
-    ratio_partial,
-)
+from curvecount.lseries import euler_factor, partial_L, partial_L_exact, ratio_partial
 from curvecount.point_count import Curve, good_odd_primes, trace_ap
+
+from oracles import exact_euler_product
 
 MINUS_ONE = Curve(-1, 0)
 PLUS_ONE = Curve(1, 0)
@@ -56,19 +52,13 @@ def test_euler_factor_degenerate_denominator():
         euler_factor(5, 9, 1)
 
 
-def test_euler_factor_exact_examples():
-    assert euler_factor_exact(7, 0, 1) == Fraction(7, 8)
-    assert euler_factor_exact(13, 6, 1) == Fraction(13, 8)
-    assert euler_factor_exact(13, 6, 2) == Fraction(2197, 2120)
-
-
-def test_euler_factor_exact_rejects_bad_s():
-    with pytest.raises(ValueError):
-        euler_factor_exact(7, 0, 0)
-    with pytest.raises(ValueError):
-        euler_factor_exact(7, 0, 1.5)
-    with pytest.raises(VanishingFactorError):
-        euler_factor_exact(5, 6, 1)
+def test_partial_l_exact_matches_sequential_fraction_oracle():
+    for (a, b), s, limit in (((-1, 0), 1, 150), ((-1, 0), 2, 13), ((-1, 0), 3, 90), ((1, 0), 2, 120),
+                             ((3, 5), 1, 150), ((3, 5), 2, 80), ((-9, 0), 1, 60), ((0, 1), 4, 40)):
+        assert partial_L_exact(Curve(a, b), s, limit).value == exact_euler_product(a, b, s, limit)
+    # The factor at p = 13, where a_p = 6, at s = 2: 13^3 / (13^3 - 6 * 13 + 1).
+    step = partial_L_exact(MINUS_ONE, 2, 13).value / partial_L_exact(MINUS_ONE, 2, 12).value
+    assert step == Fraction(2197, 2120)
 
 
 def test_partial_l_exact_frozen_values():
@@ -129,8 +119,9 @@ def test_partial_l_validations():
         partial_L(MINUS_ONE, 0.0, 100)
     with pytest.raises(ValueError):
         partial_L(MINUS_ONE, -1.0, 100)
-    with pytest.raises(ValueError):
-        partial_L_exact(MINUS_ONE, 0, 100)
+    for s in (0, 1.5, True):
+        with pytest.raises(ValueError):
+            partial_L_exact(MINUS_ONE, s, 100)
 
 
 def test_ratio_frozen_trace():

@@ -1,6 +1,9 @@
+from functools import partial
+
 import pytest
 
 from curvecount.modmath import sieve_primes
+from curvecount.point_count import Curve, good_odd_primes, record_cost
 from curvecount.sweep import POOL_START_COST, map_chunks, split_by_cost
 
 
@@ -36,6 +39,16 @@ def test_map_chunks_gate_takes_the_largest_worker_count(pool_starts):
     assert map_chunks(lambda chunk: chunk, [1, 2, 3], 2, lambda i: cost) == [[1, 2, 3]]
     assert map_chunks(list, [1, 2, 3], 3, lambda i: cost) == [[1], [2], [3]]
     assert pool_starts == [3]
+
+
+def test_closed_form_traces_start_no_pool(pool_starts):
+    # A closed-form record takes about as long to compute as to pickle back
+    # from a worker, so 78,497 of them cost nothing to the gate; the lambda
+    # cannot be pickled, so the call only passes in process.
+    curve = Curve(-1, 0)
+    primes = good_odd_primes(curve, 10**6)
+    assert map_chunks(lambda chunk: len(chunk), primes, 8, partial(record_cost, curve, False)) == [78497]
+    assert pool_starts == []
 
 
 def test_split_by_cost_cuts_equal_cost_on_weights_proportional_to_p():
