@@ -61,9 +61,10 @@ def _fail(message: str) -> int:
     return 2
 
 
-# A sieve to --limit allocates about limit bytes plus the prime list, and
+# A sieve to --limit allocates about limit bytes plus the prime list,
 # collision_search sorts about bound/2 values of V (24 MB at 10^6) before
-# it searches, so larger values are refused before anything is computed.
+# it searches, and find-points and lemma11 mark 2 bound + 1 bytes, so
+# larger values are refused before anything is computed.
 LIMIT_CEILING = 10**8
 BOUND_CEILING = 10**6
 # An exact product's numerator prod p^(2s-1) has at most
@@ -458,12 +459,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("find-points", parents=[common], help="rational points on y^2 = x^3 - d^2 x")
     p.add_argument("--d", type=_int_in(1), required=True)
-    p.add_argument("--bound", type=_int_in(2), required=True)
+    p.add_argument("--bound", type=_int_in(2, BOUND_CEILING), required=True)
     p.set_defaults(handler=_run_find_points)
 
     p = sub.add_parser("lemma11", parents=[common], help="exhaustive no-solution check for prime d = 3 (mod 8)")
     p.add_argument("--d", type=_int_in(1), required=True)
-    p.add_argument("--bound", type=_int_in(0), required=True)
+    p.add_argument("--bound", type=_int_in(0, BOUND_CEILING), required=True)
     p.set_defaults(handler=_run_lemma11)
 
     p = sub.add_parser("collisions", parents=[common], help="pairs sharing V = em(m+e)^2")

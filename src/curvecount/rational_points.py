@@ -13,13 +13,10 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import groupby
 from math import gcd, isqrt
-from operator import itemgetter
 
 from .errors import TangentUndefinedError
 from .modmath import is_prime, legendre_symbol
-from .point_count import Curve
 from .sweep import map_chunks
 
 
@@ -101,8 +98,12 @@ def points_from_param(q: ParamQuadruple) -> tuple[Fraction, RationalPoint, Ratio
     return d, p1, p2
 
 
-def double_point_rational(curve: Curve, point: RationalPoint) -> RationalPoint:
+def double_point_rational(curve: "Curve", point: RationalPoint) -> RationalPoint:
     """Tangent-line duplication: S = (a + 3x^2)/(2y), x' = S^2 - 2x.
+
+    curve is a point_count.Curve, or anything with its a and b; the
+    annotation is a string so that importing this module does not load
+    point_count.
 
     y' = y + S(x' - x) is the tangent's third intersection with the
     curve, not its mirror; doubling twice therefore alternates the sign
@@ -126,16 +127,32 @@ def _qualifying_pairs(d: int, bound: int):
     triangle's area up to a square factor (the congruent-number
     condition).  So beta is rational exactly when t is a perfect square,
     and then beta = isqrt(t)/(m^2 - e^2).
+
+    Few pairs can pass.  For coprime m > e, any two of e, m, m - e and
+    m + e have a gcd dividing 2, so an odd prime q not dividing d
+    divides at most one of them, and divides t exactly as often as that
+    one; t square forces the exponent even.  Hence each of the four has
+    a squarefree part dividing 2d: it is delta a^2 with delta | 2d.
+    Those numbers up to 2 bound are marked (d is never factored, and a
+    delta that is not squarefree only marks again what its squarefree
+    part marked), and only pairs whose four numbers are all marked reach
+    the exact isqrt test, m ascending, then e.
     """
-    for m in range(2, bound + 1):
-        for e in range(1, m):
-            if gcd(m, e) != 1:
-                continue
-            leg = m * m - e * e
-            t = 4 * d * e * m * leg
-            root = isqrt(t)
-            if root * root == t:
-                yield m, e, Fraction(root, leg)
+    two_d, top = 2 * d, 2 * bound
+    shaped = bytearray(top + 1)
+    for delta in range(1, top + 1):
+        if two_d % delta == 0:
+            for a in range(1, isqrt(top // delta) + 1):
+                shaped[delta * a * a] = 1
+    candidates = [n for n in range(1, bound + 1) if shaped[n]]
+    for i, m in enumerate(candidates):
+        for e in candidates[:i]:
+            if shaped[m - e] and shaped[m + e] and gcd(m, e) == 1:
+                leg = m * m - e * e
+                t = 4 * d * e * m * leg
+                root = isqrt(t)
+                if root * root == t:
+                    yield m, e, Fraction(root, leg)
 
 
 def find_points_for_d(d: int, bound: int) -> list[RationalPoint]:
@@ -224,24 +241,36 @@ def _collision_groups(bound: int, coprime_only: bool, slices: list[tuple[int, in
     """The groups with V in the given ascending, contiguous [lo, hi) slices; the unit of worker work.
 
     V increases in m for fixed e, so next_m[e], the least m with V(e, m)
-    in or past the current slice, only moves forward.
+    in or past the current slice, only moves forward, and a slice is
+    one run of m per e.  A slice first collects its values of V alone;
+    only when one repeats are the runs scanned again for the (e, m)
+    behind the repeated values, e ascending and, V fixed, one m per e.
     """
     ms = range(bound + 1)
     next_m = [bisect_left(ms, slices[0][0], e + 1, key=lambda m: e * m * (m + e) ** 2) for e in range(bound)]
     out = []
     for _, hi in slices:
-        pairs = []
+        starts = next_m.copy()
+        vs = []
         for e in range(1, bound):
             m = next_m[e]
             while m <= bound and (v := e * m * (m + e) ** 2) < hi:
                 if not coprime_only or gcd(e, m) == 1:
-                    pairs.append((v, e, m))
+                    vs.append(v)
                 m += 1
             next_m[e] = m
-        for v, run in groupby(sorted(pairs), key=itemgetter(0)):
-            members = tuple((e, m) for _, e, m in run)
-            if len(members) > 1:
-                out.append(CollisionGroup(v, members, tuple(e * m * (m * m - e * e) for e, m in members), v))
+        if len(set(vs)) == len(vs):
+            continue
+        vs.sort()
+        repeated = {v for v, w in zip(vs, vs[1:]) if v == w}
+        members = {}
+        for e in range(1, bound):
+            for m in range(starts[e], next_m[e]):
+                if (v := e * m * (m + e) ** 2) in repeated and (not coprime_only or gcd(e, m) == 1):
+                    members.setdefault(v, []).append((e, m))
+        for v in sorted(members):
+            group = tuple(members[v])
+            out.append(CollisionGroup(v, group, tuple(e * m * (m * m - e * e) for e, m in group), v))
     return out
 
 
@@ -251,17 +280,18 @@ def collision_search(bound: int, workers: int = 1, coprime_only: bool = True) ->
     coprime_only keeps the gcd(e, m) = 1 normalization; pass False to
     search the unrestricted lattice.  The V axis is cut at every eighth
     value of a grid sample of V (steps of isqrt(bound) in e and m), so a
-    slice holds about 8 * bound pairs; one slice is held at a time, and
-    workers take contiguous runs of about equally many slices.  No group
-    straddles a cut, so the output is sorted by V, members in (e, m)
-    order, for any workers.
+    slice holds about 8 * bound pairs; one slice's values of V are held
+    at a time, and workers take contiguous runs of about equally many
+    slices.  No group straddles a cut, so the output is sorted by V,
+    members in (e, m) order, for any workers.
     """
     if bound < 2:
         raise ValueError(f"bound must be >= 2, got {bound}")
     step = isqrt(bound)
     cuts = sorted(e * m * (m + e) ** 2 for e in range(1, bound, step) for m in range(e + 1, bound + 1, step))[8::8]
     slices = list(zip([0] + cuts, cuts + [(2 * bound) ** 4]))  # V < bound^2 (2 bound)^2
-    # Every slice costs about the same: 30-50 brute-force count elements
-    # per unit of bound (per-slice timings at bounds 100 to 1000).
-    parts = map_chunks(partial(_collision_groups, bound, coprime_only), slices, workers, lambda _: 40 * bound)
+    # Every slice costs about the same: 10-13 brute-force count elements
+    # per unit of bound, 12-25 without coprime_only (per-slice timings at
+    # bounds 100 to 2000).
+    parts = map_chunks(partial(_collision_groups, bound, coprime_only), slices, workers, lambda _: 15 * bound)
     return [group for part in parts for group in part]

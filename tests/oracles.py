@@ -108,3 +108,25 @@ def collision_groups_by_sorting(bound, coprime=True):
     if len(run) >= 2:
         groups[run[0][0]] = sorted((e, m) for _, e, m in run)
     return groups
+
+
+def beta_quadruples_by_double_loop(d, bound):
+    """(k, j, m, e) for every coprime m > e >= 1, m <= bound, with k/j rational.
+
+    Tries every pair, m then e ascending: k/j = sqrt(t)/(m^2 - e^2) in
+    lowest terms whenever t = 4d em(m^2 - e^2) is a perfect square.
+    """
+    from math import gcd, isqrt
+
+    out = []
+    for m in range(2, bound + 1):
+        for e in range(1, m):
+            if gcd(m, e) != 1:
+                continue
+            leg = m * m - e * e
+            t = 4 * d * e * m * leg
+            root = isqrt(t)
+            if root * root == t:
+                g = gcd(root, leg)
+                out.append((root // g, leg // g, m, e))
+    return out

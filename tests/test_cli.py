@@ -102,6 +102,21 @@ def test_ap_table_at_one_worker_loads_only_its_modules():
     assert _modules_loaded_after(code, used + unused) == used
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["find-points", "--d", "6", "--bound", "30"],
+        ["lemma11", "--d", "3", "--bound", "30"],
+        ["collisions", "--bound", "30", "--workers", "1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_rational_point_commands_load_no_counting_module(argv):
+    code = f"import curvecount.cli as cli\nassert cli.main({argv!r}) == 0"
+    counting = ["curvecount.point_count", "curvecount.residue_lemmas"]
+    assert _modules_loaded_after(code, counting + ["curvecount.rational_points"]) == ["curvecount.rational_points"]
+
+
 def test_profile_usage_errors(capsys):
     assert cli.main(["profile", "12"]) == 2
     assert cli.main(["profile", "2"]) == 2
@@ -698,8 +713,12 @@ RANGED_ARGUMENTS = [
     ("ratio --a1 -1 --b1 0 --a2 1 --b2 0 --s 1 --limit {}", "--limit", "100000000", "100000001"),
     ("find-points --bound 10 --d {}", "--d", "1", "0"),
     ("find-points --d 6 --bound {}", "--bound", "2", "1"),
+    ("find-points --d 6 --bound {}", "--bound", "1000000", "1000001"),
+    ("find-points --d 6 --bound {}", "--bound", "1000000", str(10**12)),
     ("lemma11 --bound 10 --d {}", "--d", "1", "0"),
     ("lemma11 --d 3 --bound {}", "--bound", "0", "-1"),
+    ("lemma11 --d 3 --bound {}", "--bound", "1000000", "1000001"),
+    ("lemma11 --d 3 --bound {}", "--bound", "1000000", str(10**12)),
     ("collisions --bound {}", "--bound", "2", "1"),
     ("collisions --bound {}", "--bound", "1000000", "1000001"),
     ("collisions --bound {}", "--bound", "1000000", str(10**9)),

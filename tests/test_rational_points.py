@@ -20,7 +20,7 @@ from curvecount.rational_points import (
     points_from_param,
     pythagorean_from_param,
 )
-from oracles import collision_groups_by_sorting, coprime_pairs
+from oracles import beta_quadruples_by_double_loop, collision_groups_by_sorting, coprime_pairs
 
 
 def test_pythagorean_examples():
@@ -189,6 +189,34 @@ def test_lemma11_exhaustive_empty_for_applicable():
     assert lemma11_exhaustive(11, 100) == []
 
 
+# Every d up to 130 covers squares, primes 3 (mod 8) and composites with
+# many divisors; the larger ones add more prime factors of d, and one d
+# far beyond any sieve.
+SHAPED_SEARCH_D = [*range(1, 131), 210, 2310, 30030, 10**12 + 39]
+SHAPED_SEARCH_BOUNDS = (0, 1, 2, 3, 17, 60, 200)
+
+
+def test_shaped_search_matches_double_loop():
+    def point_order(point):
+        x, y = point
+        return x.numerator, x.denominator, y.numerator, y.denominator
+
+    top = max(SHAPED_SEARCH_BOUNDS)
+    for d in SHAPED_SEARCH_D:
+        rows = beta_quadruples_by_double_loop(d, top)  # m ascending, so each bound is a prefix
+        for bound in SHAPED_SEARCH_BOUNDS:
+            expected = [row for row in rows if row[2] <= bound]
+            assert [(q.k, q.j, q.m, q.e) for q in lemma11_exhaustive(d, bound)] == expected, (d, bound)
+            if bound < 2:
+                continue
+            points = set()
+            for k, j, m, e in expected:
+                for x in (Fraction(d * (m + e), m - e), Fraction(-d * (m - e), m + e)):
+                    points |= {(x, Fraction(k, j) * x), (x, -Fraction(k, j) * x)}
+            got = [(p.x, p.y) for p in find_points_for_d(d, bound)]
+            assert got == sorted(points, key=point_order), (d, bound)
+
+
 def test_collision_search_no_group_below_20():
     assert len(coprime_pairs(10)) == 31
     assert collision_search(10) == []
@@ -213,6 +241,16 @@ def test_collision_search_matches_oracle(pool_forced):
             got = {g.v: list(g.members) for g in collision_search(bound, workers=workers)}
             assert got == collision_groups_by_sorting(bound)
     assert pool_forced[-3:] == [3, 3, 3]
+
+
+def test_collision_search_three_member_group(pool_forced):
+    # The first V shared by three coprime pairs; its slice must report
+    # all three, not only a repeated pair.
+    for workers in (1, 3):
+        groups = {g.v: g for g in collision_search(153, workers=workers)}
+        group = groups[3628548]
+        assert group.members == ((1, 153), (9, 68), (17, 49))
+    assert pool_forced == [3]
 
 
 def test_collision_search_worker_invariance(pool_forced):
