@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import CacheInvalidError
 from .point_count import METHODS, Curve, PointCountRecord, good_odd_primes, next_good_prime
@@ -24,13 +24,10 @@ VERSION = "v1"
 ENV_CACHE_DIR = "CURVECOUNT_CACHE_DIR"
 
 
-@dataclass(frozen=True)
-class CacheHeader:
+class CacheHeader(namedtuple("CacheHeader", "a b pmax")):
     """Identity line: which curve, and up to which prime it was swept."""
 
-    a: int
-    b: int
-    pmax: int
+    __slots__ = ()
 
     def line(self) -> str:
         return f"{MAGIC} {VERSION} a={self.a} b={self.b} pmin=3 pmax={self.pmax}"

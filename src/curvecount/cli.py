@@ -164,9 +164,9 @@ def _check_lemma4(p: int, d_max: int, samples: int, seed: int):
 
 
 def _check_lemma5(p: int, d_max: int, samples: int, seed: int):
-    from .residue_lemmas import lemma5_hit
+    from .residue_lemmas import _lemma5_hit  # the sweep's primes come from the sieve
 
-    return 1, [{}] if lemma5_hit(p) else []
+    return 1, [{}] if _lemma5_hit(p) else []
 
 
 def _check_lemma6(p: int, d_max: int, samples: int, seed: int):
@@ -196,13 +196,14 @@ def _check_lemma7(p: int, d_max: int, samples: int, seed: int):
 # was fitted to per-prime timings of the check at d_max = samples = 20.
 # Lemma 1 counts `samples` curves and lemma 3 counts 2 d_max curves by
 # brute force; lemmas 2, 4, 6 and 7 build residue tables, and lemma 7
-# then reads its census 2 d_max times.
+# then reads its census 2 d_max times.  Lemma 5 takes a few modular powers
+# per prime, about 5 us with the chunk's bookkeeping (limit 60015).
 LEMMAS = {
     1: ((4, 3), _check_lemma1, lambda p, d_max, samples: min(samples, p - 1) * p),
     2: ((4, 1), _check_lemma2, lambda p, d_max, samples: 0.6 * p),
     3: ((4, 1), _check_lemma3, lambda p, d_max, samples: 2.4 * d_max * p),
     4: ((4, 1), _check_lemma4, lambda p, d_max, samples: 8 * p),
-    5: ((2, 1), _check_lemma5, lambda p, d_max, samples: 70),
+    5: ((2, 1), _check_lemma5, lambda p, d_max, samples: 20),
     6: ((8, 5), _check_lemma6, lambda p, d_max, samples: 0.8 * p + 300),
     7: ((8, 5), _check_lemma7, lambda p, d_max, samples: 0.9 * p + 30 * d_max),
 }

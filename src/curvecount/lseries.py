@@ -10,8 +10,7 @@ curve, so 2 is a bad prime throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 
 from .errors import VanishingFactorError
 from .point_count import Curve, _nonsingular_discriminant, _trace_ap, prime_split
@@ -35,8 +34,7 @@ def euler_factor(p: int, a_p: int, s: float) -> float:
     return 1.0 / _denominator(p, a_p, s)
 
 
-@dataclass(frozen=True)
-class EulerEvaluation:
+class EulerEvaluation(namedtuple("EulerEvaluation", "s prime_bound log_value value factor_count skipped_primes")):
     """A truncated Euler product evaluated at real s > 0.
 
     value is exp(log_value) by construction.  factor_count is the
@@ -45,12 +43,7 @@ class EulerEvaluation:
     them once prime_bound reaches it.
     """
 
-    s: float
-    prime_bound: int
-    log_value: float
-    value: float
-    factor_count: int
-    skipped_primes: tuple[int, ...]
+    __slots__ = ()
 
 
 def partial_L(curve: Curve, s: float, limit: int) -> EulerEvaluation:
@@ -69,18 +62,14 @@ def partial_L(curve: Curve, s: float, limit: int) -> EulerEvaluation:
     return EulerEvaluation(float(s), limit, log_value, math.exp(log_value), len(primes), skipped)
 
 
-@dataclass(frozen=True)
-class ExactEulerEvaluation:
+class ExactEulerEvaluation(namedtuple("ExactEulerEvaluation", "s prime_bound value factor_count skipped_primes")):
     """A truncated Euler product evaluated exactly at integer s >= 1.
 
-    factor_count and skipped_primes are as in EulerEvaluation.
+    value is a Fraction; factor_count and skipped_primes are as in
+    EulerEvaluation.
     """
 
-    s: int
-    prime_bound: int
-    value: Fraction
-    factor_count: int
-    skipped_primes: tuple[int, ...]
+    __slots__ = ()
 
 
 def partial_L_exact(curve: Curve, s: int, limit: int) -> ExactEulerEvaluation:
@@ -94,6 +83,8 @@ def partial_L_exact(curve: Curve, s: int, limit: int) -> ExactEulerEvaluation:
     """
     if not isinstance(s, int) or isinstance(s, bool) or s < 1:
         raise ValueError(f"exact mode needs an integer s >= 1, got {s!r}")
+    from fractions import Fraction  # kept off the import path of the float products
+
     primes, skipped = prime_split(curve, limit)
     numerator = denominator = 1
     for p in primes:
@@ -104,18 +95,13 @@ def partial_L_exact(curve: Curve, s: int, limit: int) -> ExactEulerEvaluation:
     return ExactEulerEvaluation(s, limit, Fraction(numerator, denominator), len(primes), skipped)
 
 
-@dataclass(frozen=True)
-class RatioEvaluation:
+class RatioEvaluation(namedtuple("RatioEvaluation", "s prime_bound primes factors ratio")):
     """Factorwise quotient of two truncated products at the same s.
 
     primes[i] and factors[i] pair up; ratio is their running product.
     """
 
-    s: float
-    prime_bound: int
-    primes: tuple[int, ...]
-    factors: tuple[float, ...]
-    ratio: float
+    __slots__ = ()
 
 
 def ratio_partial(top: Curve, bottom: Curve, s: float, limit: int) -> RatioEvaluation:

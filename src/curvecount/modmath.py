@@ -127,7 +127,9 @@ def quartic_residues(p: int) -> frozenset[int]:
 
 # A namedtuple, not a dataclass: functools already loads collections,
 # while dataclasses pulls in inspect and ast, and the CLI parser imports
-# this module.
+# this module.  This is the package's one record idiom: every record is
+# a namedtuple subclass with __slots__ = (), and a record that checks
+# its fields does so in __new__, so no subcommand loads dataclasses.
 class PrimeProfile(namedtuple("PrimeProfile", "p p_mod_8 class_minus_one class_two epsilon class_epsilon")):
     """Residue classification of one prime, gating the lemma hypotheses.
 

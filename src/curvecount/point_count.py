@@ -13,7 +13,7 @@ and any disagreement is surfaced as data, never patched over.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from itertools import count
 from math import isqrt
 
@@ -34,49 +34,41 @@ MINUS = "minus"
 PLUS = "plus"
 
 
-@dataclass(frozen=True)
-class Curve:
+class Curve(namedtuple("Curve", "a b")):
     """Short Weierstrass curve y^2 = x^3 + a x + b over the integers."""
 
-    a: int
-    b: int
+    __slots__ = ()
 
     def discriminant(self) -> int:
         return -16 * (4 * self.a**3 + 27 * self.b**2)
 
 
-@dataclass(frozen=True)
-class TwistSpec:
+class TwistSpec(namedtuple("TwistSpec", "d sign")):
     """One member of the twist family: y^2 = x^3 - d^2 x or + d^2 x."""
 
-    d: int
-    sign: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.d < 1:
-            raise ValueError(f"d must be a positive integer, got {self.d}")
-        if self.sign not in (MINUS, PLUS):
-            raise ValueError(f"sign must be {MINUS!r} or {PLUS!r}, got {self.sign!r}")
+    def __new__(cls, d: int, sign: str):
+        if d < 1:
+            raise ValueError(f"d must be a positive integer, got {d}")
+        if sign not in (MINUS, PLUS):
+            raise ValueError(f"sign must be {MINUS!r} or {PLUS!r}, got {sign!r}")
+        return super().__new__(cls, d, sign)
 
     def curve(self) -> Curve:
         dd = self.d * self.d
         return Curve(-dd if self.sign == MINUS else dd, 0)
 
 
-@dataclass(frozen=True)
-class PointCountRecord:
+class PointCountRecord(namedtuple("PointCountRecord", "p n_p a_p method n1_used brute_np", defaults=(None, None))):
     """One prime's count: n_p affine solutions, a_p = p - n_p.
 
     n1_used carries the quartic census behind a closed-form count;
-    brute_np is filled by cross-validation and must equal n_p.
+    brute_np is filled by cross-validation and must equal n_p.  Both
+    default to None.
     """
 
-    p: int
-    n_p: int
-    a_p: int
-    method: str
-    n1_used: int | None = None
-    brute_np: int | None = None
+    __slots__ = ()
 
     @property
     def mismatch(self) -> bool:
@@ -280,7 +272,7 @@ def records_for_primes(curve: Curve, primes: list[int], cross_validate: bool = F
     for p in primes:
         rec = _trace_ap(curve, p)
         if cross_validate and rec.method != BRUTE:
-            rec = replace(rec, brute_np=_count_affine(curve, p))
+            rec = rec._replace(brute_np=_count_affine(curve, p))
         out.append(rec)
     return out
 

@@ -10,7 +10,7 @@ point is either on its curve or the construction is rejected.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import partial
 from math import gcd, isqrt
@@ -20,38 +20,32 @@ from .modmath import is_prime, legendre_symbol
 from .sweep import map_chunks
 
 
-@dataclass(frozen=True)
-class RationalPoint:
-    """Exact rational coordinates; producers check the curve equation."""
+class RationalPoint(namedtuple("RationalPoint", "x y")):
+    """Exact rational coordinates, as Fractions; producers check the curve equation."""
 
-    x: Fraction
-    y: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", Fraction(self.x))
-        object.__setattr__(self, "y", Fraction(self.y))
+    def __new__(cls, x, y):
+        return super().__new__(cls, Fraction(x), Fraction(y))
 
     def on_curve(self, a, b=0) -> bool:
         """Whether y^2 = x^3 + ax + b holds exactly (a, b may be rational)."""
         return self.y * self.y == self.x**3 + a * self.x + b
 
 
-@dataclass(frozen=True)
-class ParamQuadruple:
+class ParamQuadruple(namedtuple("ParamQuadruple", "k j m e")):
     """(k, j, m, e) with beta = k/j over the coprime leg pair m > e."""
 
-    k: int
-    j: int
-    m: int
-    e: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.k < 1 or self.j < 1:
-            raise ValueError(f"k and j must be >= 1, got k={self.k}, j={self.j}")
-        if not self.m > self.e >= 1:
-            raise ValueError(f"need m > e >= 1, got m={self.m}, e={self.e}")
-        if gcd(self.m, self.e) != 1:
-            raise ValueError(f"m and e must be coprime, got m={self.m}, e={self.e}")
+    def __new__(cls, k: int, j: int, m: int, e: int):
+        if k < 1 or j < 1:
+            raise ValueError(f"k and j must be >= 1, got k={k}, j={j}")
+        if not m > e >= 1:
+            raise ValueError(f"need m > e >= 1, got m={m}, e={e}")
+        if gcd(m, e) != 1:
+            raise ValueError(f"m and e must be coprime, got m={m}, e={e}")
+        return super().__new__(cls, k, j, m, e)
 
 
 def pythagorean_from_param(h: int, m: int, e: int) -> tuple[int, int, int]:
@@ -204,37 +198,35 @@ def lemma11_exhaustive(d: int, bound: int) -> list[ParamQuadruple]:
     ]
 
 
-@dataclass(frozen=True)
-class CollisionGroup:
+class CollisionGroup(namedtuple("CollisionGroup", "v members d_values shared_x")):
     """Distinct coprime pairs sharing V = em(m+e)^2.
 
-    The shared value is one x coordinate sitting on every member's
-    curve y^2 = x^3 - d_i^2 x at once, with d_i = e_i m_i (m_i^2 -
-    e_i^2): x = d_i (m_i+e_i)/(m_i-e_i) collapses to V member by
-    member, and y_i = 2 e_i^2 m_i^2 (m_i+e_i)^2 closes the equation.
+    members holds the (e, m) pairs and d_values their d, in the same
+    order.  The shared value is one x coordinate sitting on every
+    member's curve y^2 = x^3 - d_i^2 x at once, with d_i = e_i m_i
+    (m_i^2 - e_i^2): x = d_i (m_i+e_i)/(m_i-e_i) collapses to V member
+    by member, and y_i = 2 e_i^2 m_i^2 (m_i+e_i)^2 closes the equation.
     """
 
-    v: int
-    members: tuple[tuple[int, int], ...]
-    d_values: tuple[int, ...]
-    shared_x: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.members) < 2:
+    def __new__(cls, v: int, members: tuple, d_values: tuple, shared_x: int):
+        if len(members) < 2:
             raise ValueError("a collision group needs at least two members")
-        if len(set(self.members)) != len(self.members):
+        if len(set(members)) != len(members):
             raise ValueError("members must be distinct")
-        if self.shared_x != self.v:
-            raise ValueError(f"shared_x {self.shared_x} != v {self.v}")
-        if len(self.d_values) != len(self.members):
+        if shared_x != v:
+            raise ValueError(f"shared_x {shared_x} != v {v}")
+        if len(d_values) != len(members):
             raise ValueError("d_values and members must pair up")
-        for (e, m), d in zip(self.members, self.d_values):
-            if e * m * (m + e) ** 2 != self.v:
-                raise ValueError(f"({e}, {m}) does not share v = {self.v}")
+        for (e, m), d in zip(members, d_values):
+            if e * m * (m + e) ** 2 != v:
+                raise ValueError(f"({e}, {m}) does not share v = {v}")
             if d != e * m * (m * m - e * e):
                 raise ValueError(f"wrong d for ({e}, {m}): {d}")
             y = 2 * e * e * m * m * (m + e) ** 2
-            assert y * y == self.v**3 - d * d * self.v
+            assert y * y == v**3 - d * d * v
+        return super().__new__(cls, v, members, d_values, shared_x)
 
 
 def _collision_groups(bound: int, coprime_only: bool, slices: list[tuple[int, int]]) -> list[CollisionGroup]:

@@ -12,21 +12,17 @@ has passed, so a sweep proves each prime once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .errors import HypothesisError
 from .modmath import _sqrt_of_minus_one, quadratic_residues, quartic_residues, require_odd_prime, sieve_primes
 
 
-@dataclass(frozen=True)
-class ResidueCounts:
+class ResidueCounts(namedtuple("ResidueCounts", "p lemma2_count n1 n2")):
     """The three censuses at one prime p = 1 (mod 4)."""
 
-    p: int
-    lemma2_count: int
-    n1: int
-    n2: int
+    __slots__ = ()
 
 
 def count_lemma2(p: int) -> int:
@@ -112,6 +108,15 @@ def lemma5_hit(p: int) -> bool:
     mod-8 argument that predicts the class is empty.
     """
     require_odd_prime(p)
+    return _lemma5_hit(p)
+
+
+def _lemma5_hit(p: int) -> bool:
+    """lemma5_hit without its check: p must be an odd prime.
+
+    Sweeps call this on primes from one sieve, so no sweep runs
+    Miller-Rabin per prime.
+    """
     half = (p - 1) // 2  # Euler's criterion: t in QR_p iff t^half = 1
     if pow(-1, half, p) != 1 or pow(2, half, p) == 1:
         return False
@@ -123,7 +128,7 @@ def lemma5_scan(limit: int) -> list[int]:
     (eps lands in QR_p only at p = 1 mod 8, which puts 2 in QR_p too)."""
     if limit < 3:
         raise ValueError(f"limit must be >= 3, got {limit}")
-    return [p for p in sieve_primes(limit) if p != 2 and lemma5_hit(p)]
+    return [p for p in sieve_primes(limit) if p != 2 and _lemma5_hit(p)]
 
 
 def lemma6_check(p: int) -> tuple[int, int, bool]:

@@ -71,13 +71,15 @@ def test_parser_loads_no_library_module():
 
 
 def test_pool_starts_only_when_it_pays():
-    # 783 closed-form traces are a few milliseconds of work, far below the
-    # cost of starting a pool; a collision search to bound 1000 is not.
+    # 783 closed-form traces, or 6057 lemma 5 checks of a few modular powers
+    # each, are a few milliseconds of work, far below the cost of starting a
+    # pool; a collision search to bound 1000 is not.
     def pool_loaded(argv):
         code = f"import curvecount.cli as cli\nassert cli.main({argv!r}) == 0"
         return _modules_loaded_after(code, ["concurrent.futures"]) == ["concurrent.futures"]
 
     assert not pool_loaded(["ap-table", "--a", "1369", "--b", "0", "--limit", "6020", "--workers", "2"])
+    assert not pool_loaded(["lemma-verify", "--lemma", "5", "--limit", "60015", "--workers", "2"])
     assert pool_loaded(["collisions", "--bound", "1000", "--workers", "2"])
 
 
@@ -115,6 +117,38 @@ def test_rational_point_commands_load_no_counting_module(argv):
     code = f"import curvecount.cli as cli\nassert cli.main({argv!r}) == 0"
     counting = ["curvecount.point_count", "curvecount.residue_lemmas"]
     assert _modules_loaded_after(code, counting + ["curvecount.rational_points"]) == ["curvecount.rational_points"]
+
+
+# Records are namedtuples: dataclasses would pull in inspect, ast and dis
+# at every call.  The float products and the table print no Fraction.
+_FLOAT_CALLS = {
+    "ap-table": ["ap-table", "--a", "-1", "--b", "0", "--limit", "200", "--workers", "1"],
+    "lseries": ["lseries", "--a", "-1", "--b", "0", "--s", "1", "--limit", "200"],
+    "ratio": ["ratio", "--a1", "-1", "--b1", "0", "--a2", "1", "--b2", "0", "--s", "1", "--limit", "200"],
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *_FLOAT_CALLS.values(),
+        ["lemma-verify", "--lemma", "2", "--limit", "200", "--workers", "1"],
+        ["lemma-verify", "--lemma", "5", "--limit", "200", "--workers", "1"],
+        ["find-points", "--d", "6", "--bound", "30"],
+        ["lemma11", "--d", "3", "--bound", "30"],
+        ["collisions", "--bound", "30", "--workers", "1"],
+    ],
+    ids=lambda argv: f"lemma-verify-{argv[2]}" if argv[0] == "lemma-verify" else argv[0],
+)
+def test_commands_load_no_dataclasses(argv):
+    code = f"import curvecount.cli as cli\nassert cli.main({argv!r}) in (0, 1)"
+    assert _modules_loaded_after(code, ["dataclasses", "inspect"]) == []
+
+
+@pytest.mark.parametrize("argv", _FLOAT_CALLS.values(), ids=_FLOAT_CALLS)
+def test_float_commands_load_no_fractions(argv):
+    code = f"import curvecount.cli as cli\nassert cli.main({argv!r}) == 0"
+    assert _modules_loaded_after(code, ["fractions", "decimal"]) == []
 
 
 def test_profile_usage_errors(capsys):
@@ -330,6 +364,14 @@ def test_cache_thousand_records_byte_identical(tmp_path):
     _, reread = cache.read_cache(first, Curve(-1, 0))
     cache.write_cache(second, Curve(-1, 0), 8000, reread)
     assert open(first, "rb").read() == open(second, "rb").read()
+
+
+def test_cache_header_line_and_immutability():
+    header = cache.parse_header("curvecount-cache v1 a=-1 b=0 pmin=3 pmax=50")
+    assert header == cache.CacheHeader(-1, 0, 50)
+    assert header.line() == "curvecount-cache v1 a=-1 b=0 pmin=3 pmax=50"
+    with pytest.raises(AttributeError):
+        header.pmax = 60
 
 
 def test_cache_rejects_wrong_curve_and_garbage(tmp_path):

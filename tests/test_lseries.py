@@ -86,6 +86,12 @@ def test_partial_l_float_agrees_with_exact():
     assert ev.prime_bound == 7
 
 
+def test_evaluations_refuse_assignment():
+    for ev in (partial_L(MINUS_ONE, 1.0, 7), partial_L_exact(MINUS_ONE, 1, 7), ratio_partial(MINUS_ONE, PLUS_ONE, 1.0, 7)):
+        with pytest.raises(AttributeError):
+            ev.s = 2
+
+
 def test_partial_l_value_is_exp_of_log():
     for curve, s, limit in [(MINUS_ONE, 1.0, 200), (PLUS_ONE, 1.75, 300), (Curve(-9, 0), 2.5, 150)]:
         ev = partial_L(curve, s, limit)

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from curvecount.point_count import (
     MINUS,
     PLUS,
     Curve,
+    PointCountRecord,
     TwistSpec,
     ap_table,
     count_affine_points,
@@ -54,10 +56,30 @@ def test_count_affine_against_double_loop():
 def test_twistspec_validation():
     assert TwistSpec(1, MINUS).curve() == Curve(-1, 0)
     assert TwistSpec(3, PLUS).curve() == Curve(9, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^d must be a positive integer, got 0$"):
         TwistSpec(0, MINUS)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^sign must be 'minus' or 'plus', got 'both'$"):
         TwistSpec(2, "both")
+
+
+def test_records_print_by_field_and_refuse_assignment():
+    # Error messages name curves by this repr, so it must not change.
+    assert repr(Curve(3, 5)) == "Curve(a=3, b=5)"
+    assert str(TwistSpec(2, PLUS)) == "TwistSpec(d=2, sign='plus')"
+    for record, field in ((Curve(3, 5), "a"), (TwistSpec(2, PLUS), "d"), (PointCountRecord(5, 3, 2, BRUTE), "n_p")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0)
+
+
+def test_point_count_record_defaults_replace_and_pickle():
+    rec = PointCountRecord(13, 7, 6, GAUSS)
+    assert rec.n1_used is None and rec.brute_np is None and not rec.mismatch
+    checked = rec._replace(brute_np=8)
+    assert checked == PointCountRecord(13, 7, 6, GAUSS, brute_np=8) and checked.mismatch
+    assert rec.brute_np is None
+    # Pool workers send records back pickled.
+    back = pickle.loads(pickle.dumps(checked))
+    assert type(back) is PointCountRecord and back == checked
 
 
 def test_np_lemma1_examples():
@@ -189,7 +211,8 @@ def test_lemma_sweeps_prove_each_prime_once(monkeypatch, capsys, lemma):
     rc = cli.main(["lemma-verify", "--lemma", str(lemma), "--limit", "400", "--workers", "1"])
     assert rc == 0, capsys.readouterr()
     (modulus, residue), _, _ = cli.LEMMAS[lemma]
-    assert calls == [p for p in sieve_primes(400) if p % modulus == residue]
+    # Lemma 5 reads no per-prime table, so the sieve's proof is the only one.
+    assert calls == ([] if lemma == 5 else [p for p in sieve_primes(400) if p % modulus == residue])
 
 
 # Public identities that take a prime, each with a second argument that

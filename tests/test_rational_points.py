@@ -1,3 +1,4 @@
+import pickle
 import random
 import tracemalloc
 from fractions import Fraction
@@ -53,12 +54,29 @@ def test_pythagorean_random_triples():
 
 def test_param_quadruple_validation():
     ParamQuadruple(4, 1, 2, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^k and j must be >= 1, got k=0, j=1$"):
         ParamQuadruple(0, 1, 2, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^need m > e >= 1, got m=1, e=1$"):
         ParamQuadruple(1, 1, 1, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^m and e must be coprime, got m=4, e=2$"):
         ParamQuadruple(1, 1, 4, 2)
+
+
+def test_records_hold_fractions_and_refuse_assignment():
+    point = RationalPoint(1, 2)
+    assert type(point.x) is Fraction and type(point.y) is Fraction
+    assert repr(point) == "RationalPoint(x=Fraction(1, 1), y=Fraction(2, 1))"
+    group = CollisionGroup(8820, ((1, 20), (5, 9)), (7980, 2520), 8820)
+    for record, field in ((point, "x"), (ParamQuadruple(4, 1, 2, 1), "k"), (group, "v")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0)
+
+
+def test_collision_group_survives_pickle():
+    # Pool workers send their groups back pickled.
+    group = CollisionGroup(8820, ((1, 20), (5, 9)), (7980, 2520), 8820)
+    back = pickle.loads(pickle.dumps(group))
+    assert type(back) is CollisionGroup and back == group
 
 
 def test_d_from_param_examples():
@@ -293,13 +311,15 @@ def test_collision_search_validation():
 
 
 def test_collision_group_rejects_bad_data():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^a collision group needs at least two members$"):
         CollisionGroup(8820, ((1, 20),), (7980,), 8820)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^members must be distinct$"):
         CollisionGroup(8820, ((1, 20), (1, 20)), (7980, 7980), 8820)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^shared_x 8821 != v 8820$"):
         CollisionGroup(8820, ((1, 20), (5, 9)), (7980, 2520), 8821)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^d_values and members must pair up$"):
+        CollisionGroup(8820, ((1, 20), (5, 9)), (7980,), 8820)
+    with pytest.raises(ValueError, match=r"^\(1, 20\) does not share v = 18$"):
         CollisionGroup(18, ((1, 20), (5, 9)), (7980, 2520), 18)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^wrong d for \(5, 9\): 2521$"):
         CollisionGroup(8820, ((1, 20), (5, 9)), (7980, 2521), 8820)

@@ -72,6 +72,8 @@ def test_count_quartic_against_enumeration():
 def test_census_bundle():
     c = census(13)
     assert (c.p, c.lemma2_count, c.n1, c.n2) == (13, 2, 0, 2)
+    with pytest.raises(AttributeError):
+        c.n1 = 1
 
 
 def test_lemma4_examples():
