@@ -17,7 +17,7 @@ import os
 from collections import namedtuple
 
 from .errors import CacheInvalidError
-from .point_count import METHODS, Curve, PointCountRecord, good_odd_primes, next_good_prime
+from .point_count import Curve, PointCountRecord, _auto_method, good_odd_primes
 
 MAGIC = "curvecount-cache"
 VERSION = "v1"
@@ -70,7 +70,7 @@ def _record_line(record: PointCountRecord) -> str:
     return f"{record.p},{record.n_p},{record.a_p},{record.method}"
 
 
-def _parse_record(line: str) -> PointCountRecord:
+def _parse_record(line: str, curve: Curve) -> PointCountRecord:
     parts = line.split(",")
     if len(parts) != 4:
         raise CacheInvalidError(f"malformed record {line!r}")
@@ -79,8 +79,8 @@ def _parse_record(line: str) -> PointCountRecord:
     except ValueError:
         raise CacheInvalidError(f"malformed record {line!r}") from None
     method = parts[3]
-    if method not in METHODS:
-        raise CacheInvalidError(f"unknown method {method!r}")
+    if method != _auto_method(curve, p):
+        raise CacheInvalidError(f"method {method!r} is not the one trace_ap uses at p = {p}")
     if a_p != p - n_p:
         raise CacheInvalidError(f"inconsistent record {line!r}")
     if a_p * a_p >= 4 * p:
@@ -122,17 +122,15 @@ def read_cache(path: str, curve: Curve) -> tuple[CacheHeader, list[PointCountRec
         raise CacheInvalidError(
             f"cache is for curve ({header.a}, {header.b}), wanted ({curve.a}, {curve.b})"
         )
-    records = [_parse_record(line) for line in lines[1:] if line]
-    # The records must be exactly the good odd primes <= pmax: past the last
-    # record the next good prime decides, so pmax costs no sieve.
-    last = records[-1].p if records else 2
-    if not last <= header.pmax < next_good_prime(curve, last):
-        raise CacheInvalidError(f"records do not end at the last good odd prime <= pmax={header.pmax}")
-    # Rosser (1941): pi(x) > x/ln x for x >= 17.  The bad primes are 2 and at
-    # most bit_length(|disc|) others, so a complete cache holds more than
-    # last/ln(last) - 1 - bit_length(|disc|) records; fewer fails without a sieve.
-    if last >= 17 and (len(records) + 1 + abs(curve.discriminant()).bit_length()) * math.log(last) < last:
-        raise CacheInvalidError(f"{len(records)} records are too few to be every good odd prime <= {last}")
-    if [r.p for r in records] != good_odd_primes(curve, last):
-        raise CacheInvalidError(f"records are not one per good odd prime in [3, {last}], ascending")
+    records = [_parse_record(line, curve) for line in lines[1:] if line]
+    # Valid means what write_cache writes for this curve and pmax: one record
+    # per good odd prime <= pmax.  Rosser (1941): pi(x) > x/ln x for x >= 17.
+    # The bad primes are 2 and at most bit_length(|disc|) others, so such a
+    # file holds more than pmax/ln(pmax) - 1 - bit_length(|disc|) records;
+    # fewer fails without a sieve.
+    pmax = header.pmax
+    if pmax >= 17 and (len(records) + 1 + abs(curve.discriminant()).bit_length()) * math.log(pmax) < pmax:
+        raise CacheInvalidError(f"pmax={pmax}: {len(records)} records are too few to be every good odd prime <= {pmax}")
+    if [r.p for r in records] != good_odd_primes(curve, pmax):
+        raise CacheInvalidError(f"records are not one per good odd prime in [3, {pmax}], ascending")
     return header, records

@@ -14,12 +14,11 @@ and any disagreement is surfaced as data, never patched over.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import count
 from math import isqrt
 
 from .errors import BadReductionError, HypothesisError, SingularCurveError, TangentUndefinedError
 from .modmath import (
-    _sqrt_of_minus_one, _squares, is_prime, mod_inverse, quadratic_residues, require_odd_prime, sieve_primes,
+    _sqrt_of_minus_one, _squares, mod_inverse, quadratic_residues, require_odd_prime, sieve_primes,
 )
 from .residue_lemmas import _quartic_census
 
@@ -28,7 +27,6 @@ LEMMA1 = "lemma1"
 LEMMA3_MINUS = "lemma3_minus"
 LEMMA3_PLUS = "lemma3_plus"
 GAUSS = "gauss"
-METHODS = (BRUTE, LEMMA1, LEMMA3_MINUS, LEMMA3_PLUS, GAUSS)
 
 MINUS = "minus"
 PLUS = "plus"
@@ -176,15 +174,23 @@ def trace_ap(curve: Curve, p: int, method: str = "auto") -> PointCountRecord:
     return _trace_ap(curve, p) if method == "auto" else _brute_record(curve, p)
 
 
+def _auto_method(curve: Curve, p: int) -> str:
+    """The method trace_ap's "auto" uses at p: the one rule, also for caches."""
+    if curve.b != 0:
+        return BRUTE
+    return LEMMA1 if p % 4 == 3 else GAUSS
+
+
 def _trace_ap(curve: Curve, p: int) -> PointCountRecord:
     """trace_ap(curve, p) without its checks: p must be a good odd prime.
 
     This is what every sweep calls, on primes from one sieve, so no
     sweep runs Miller-Rabin per prime.
     """
-    if curve.b != 0:
+    method = _auto_method(curve, p)
+    if method == BRUTE:
         return _brute_record(curve, p)
-    if p % 4 == 3:
+    if method == LEMMA1:
         return PointCountRecord(p, p, 0, LEMMA1)  # Lemma 1: N_p = p
     a_p = _gauss_ap(curve.a, p)
     return PointCountRecord(p, p - a_p, a_p, GAUSS)
@@ -256,12 +262,6 @@ def good_odd_primes(curve: Curve, limit: int) -> list[int]:
     return prime_split(curve, limit)[0]
 
 
-def next_good_prime(curve: Curve, n: int) -> int:
-    """The least good odd prime above n, by Miller-Rabin: no sieve."""
-    delta = _nonsingular_discriminant(curve)
-    return next(q for q in count(max(n + 1, 3)) if delta % q and is_prime(q))
-
-
 def records_for_primes(curve: Curve, primes: list[int], cross_validate: bool = False) -> list[PointCountRecord]:
     """trace_ap over a prime list; the unit of work handed to sweep workers.
 
@@ -285,7 +285,7 @@ def record_cost(curve: Curve, cross_validate: bool, p: int) -> float:
     counts as 0: it takes about as long to compute as its result takes
     to pickle back from a worker, so no pool can gain on it.
     """
-    return 1.2 * p if curve.b != 0 or cross_validate else 0
+    return 1.2 * p if cross_validate or _auto_method(curve, p) == BRUTE else 0
 
 
 def ap_table(curve: Curve, limit: int, cross_validate: bool = False) -> list[PointCountRecord]:

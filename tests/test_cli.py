@@ -10,6 +10,7 @@ from curvecount import cache, cli, modmath, point_count, rational_points, residu
 from curvecount.errors import CacheInvalidError
 from curvecount.lseries import partial_L_exact
 from curvecount.point_count import MINUS, Curve, TwistSpec, ap_table, np_lemma3
+from oracles import primes_by_trial_division
 
 
 def run(capsys, argv):
@@ -282,17 +283,19 @@ def test_ap_table_cache_pmin_above_3_rebuilt(tmp_path, capsys):
     assert path.read_text().startswith("curvecount-cache v1 a=-1 b=0 pmin=3 pmax=60\n")
 
 
-def test_ap_table_serves_lemma3_cache_as_it_is(tmp_path, capsys):
-    # A cache written when the census closed form was the default path.
+def test_ap_table_rebuilds_lemma3_cache(tmp_path, capsys):
+    # A cache written when the census closed form was the default path: its
+    # lemma3_minus records are not what trace_ap now uses at 5 and 13.
     path = tmp_path / "old.cache"
     rows = ["curvecount-cache v1 a=-1 b=0 pmin=3 pmax=13", "3,3,0,lemma1", "5,7,-2,lemma3_minus"]
     rows += ["7,7,0,lemma1", "11,11,0,lemma1", "13,7,6,lemma3_minus"]
     path.write_text("\n".join(rows) + "\n")
     rc = cli.main(["ap-table", "--a", "-1", "--b", "0", "--limit", "17", "--cache", str(path), "--format", "csv"])
     out, err = capsys.readouterr()
-    assert rc == 0 and err == ""
-    assert out.splitlines()[1:] == rows[1:] + ["17,15,2,gauss"]
-    assert path.read_text().splitlines()[1:] == rows[1:] + ["17,15,2,gauss"]
+    fresh = ["3,3,0,lemma1", "5,7,-2,gauss", "7,7,0,lemma1", "11,11,0,lemma1", "13,7,6,gauss", "17,15,2,gauss"]
+    assert rc == 0 and out.splitlines()[1:] == fresh
+    assert err.count("\n") == 1 and "rebuilding cache" in err and "lemma3_minus" in err
+    assert path.read_text().splitlines() == ["curvecount-cache v1 a=-1 b=0 pmin=3 pmax=17"] + fresh
 
 
 def test_ap_table_worker_invariance(tmp_path, capsys, pool_forced):
@@ -457,6 +460,32 @@ def test_cache_pmax_past_large_discriminant_rebuilt_without_sieving(tmp_path, ca
         assert jsonl(captured.out) == [{"p": 3, "n_p": 3, "a_p": 0, "method": "lemma1"}]
         assert "rebuilding cache" in captured.err and reason in captured.err
         assert path.read_text() == f"curvecount-cache v1 a={a} b=0 pmin=3 pmax=3\n3,3,0,lemma1\n"
+
+
+def test_cache_accepts_exactly_what_write_cache_writes(tmp_path):
+    path = str(tmp_path / "r.cache")
+    primes = primes_by_trial_division(1100)
+    methods = ("brute", "lemma1", "lemma3_minus", "lemma3_plus", "gauss")
+
+    def read_back(curve, pmax, records):
+        cache.write_cache(path, curve, pmax, records)
+        return cache.read_cache(path, curve)
+
+    for curve in (Curve(-1, 0), Curve(1369, 0), Curve(3, 5), Curve(1000, 0)):
+        for pmax in (0, 1, 2, 3, 16, 17, 60, 1000):
+            records = ap_table(curve, pmax)
+            assert read_back(curve, pmax, records) == (cache.CacheHeader(curve.a, curve.b, pmax), records)
+            for i, record in enumerate(records):
+                with pytest.raises(CacheInvalidError):
+                    read_back(curve, pmax, records[:i] + records[i + 1:])
+                for method in methods:
+                    if method != record.method:
+                        renamed = records[:i] + [record._replace(method=method)] + records[i + 1:]
+                        with pytest.raises(CacheInvalidError):
+                            read_back(curve, pmax, renamed)
+            next_good = min(q for q in primes if q > max(pmax, 2) and curve.discriminant() % q)
+            with pytest.raises(CacheInvalidError):
+                read_back(curve, next_good, records)
 
 
 def test_cache_rejects_bad_records(tmp_path):
