@@ -109,12 +109,15 @@ def write_cache(path: str, curve: Curve, pmax: int, records: list[PointCountReco
 def read_cache(path: str, curve: Curve) -> tuple[CacheHeader, list[PointCountRecord]]:
     """Parse and validate; any deviation is CacheInvalidError.
 
-    A missing file raises FileNotFoundError instead: absent and invalid
-    are different conditions for the caller (only the latter overwrites
-    something).
+    A file that cannot be read raises OSError instead, FileNotFoundError
+    when it is missing: absent and invalid are different conditions for
+    the caller (only the latter overwrites something).
     """
-    with open(path) as handle:
-        lines = handle.read().splitlines()
+    try:
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise CacheInvalidError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     if not lines:
         raise CacheInvalidError("empty cache file")
     header = parse_header(lines[0])

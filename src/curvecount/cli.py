@@ -4,7 +4,8 @@ One subcommand per library surface; records stream to stdout as JSON
 Lines (default) or CSV.  Exit codes: 0 success, 1 a sweep found a
 claim/oracle mismatch (the finding is the output, not a crash), 2 bad
 usage: each argument's range is checked once, by its argparse type, and
-rules needing the curve or two arguments exit 2 before any work too.
+rules needing the curve or two arguments exit 2 before any work too, as
+does a --cache path that cannot be read or created.
 """
 
 # A call imports only what its subcommand runs: the module level holds
@@ -276,17 +277,23 @@ def _run_ap_table(args) -> int:
         try:
             header, cached = read_cache(cache_path, curve)
             pmax_seen, extends = header.pmax, args.limit > header.pmax
-        except FileNotFoundError:
-            pass
         except CacheInvalidError as exc:
             print(f"curvecount: rebuilding cache {cache_path}: {exc}", file=sys.stderr)
+        except FileNotFoundError:  # an absent cache is created, but only in a directory that exists
+            if not os.path.isdir(os.path.dirname(cache_path) or "."):
+                return _fail(f"cache {cache_path}: no such directory")
+        except OSError as exc:
+            return _fail(f"cache {cache_path}: {exc.strerror or exc}")
     chunk = partial(records_for_primes, curve, cross_validate=args.cross_validate)
     cost = partial(record_cost, curve, args.cross_validate)
     parts = map_chunks(chunk, [p for p in primes if p > pmax_seen], args.workers, cost)
     fresh = [r for part in parts for r in part]
     records = [r for r in cached if r.p <= args.limit] + fresh
     if cache_path and extends:  # a valid cache is rewritten only past its pmax
-        write_cache(cache_path, curve, args.limit, cached + fresh)
+        try:
+            write_cache(cache_path, curve, args.limit, cached + fresh)
+        except OSError as exc:
+            return _fail(f"cache {cache_path}: {exc.strerror or exc}")
     shift = 1 if args.plus_one else 0
     rows = []
     for r in records:

@@ -175,7 +175,7 @@ def trace_ap(curve: Curve, p: int, method: str = "auto") -> PointCountRecord:
 
 
 def _auto_method(curve: Curve, p: int) -> str:
-    """The method trace_ap's "auto" uses at p: the one rule, also for caches."""
+    """The method trace_ap's "auto" uses at p; its cost model and the cache check ask here too."""
     if curve.b != 0:
         return BRUTE
     return LEMMA1 if p % 4 == 3 else GAUSS

@@ -7,10 +7,15 @@ from itertools import accumulate
 
 # What starting a process pool costs, in the unit of every caller's cost
 # model: one element of a brute-force point count (one x of
-# point_count._count_affine, about 250 ns).  `ap-table --a 1369 --b 0
-# --limit 100` took 47 ms longer at --workers 2 than at 1 (median of 15
-# pairs, Python 3.11.7, 2 vCPUs): about 190000 elements.
-POOL_START_COST = 200_000
+# point_count._count_affine; the sweeps ran at 175-320 ns an element).
+# Fitted as the time a pool adds beyond half the in-process sweep, from
+# alternating pairs of fresh CLI calls at --workers 1 and 2 (Python
+# 3.11.7, 2 vCPUs): 16 fits over eight sweeps gave 10-200 ms, with
+# quartiles of 304k, 486k and 651k elements.  They swing with whether the
+# second vCPU is free: a pool at the margin then gains at most about
+# 70 ms, and otherwise loses up to 140 ms, so the constant is the upper
+# quartile.
+POOL_START_COST = 650_000
 
 
 def map_chunks(fn, items, workers: int, cost) -> list:

@@ -74,14 +74,14 @@ def test_parser_loads_no_library_module():
 def test_pool_starts_only_when_it_pays():
     # 783 closed-form traces, or 6057 lemma 5 checks of a few modular powers
     # each, are a few milliseconds of work, far below the cost of starting a
-    # pool; a collision search to bound 1000 is not.
+    # pool; a collision search to bound 2000 (about a second) is not.
     def pool_loaded(argv):
         code = f"import curvecount.cli as cli\nassert cli.main({argv!r}) == 0"
         return _modules_loaded_after(code, ["concurrent.futures"]) == ["concurrent.futures"]
 
     assert not pool_loaded(["ap-table", "--a", "1369", "--b", "0", "--limit", "6020", "--workers", "2"])
     assert not pool_loaded(["lemma-verify", "--lemma", "5", "--limit", "60015", "--workers", "2"])
-    assert pool_loaded(["collisions", "--bound", "1000", "--workers", "2"])
+    assert pool_loaded(["collisions", "--bound", "2000", "--workers", "2"])
 
 
 def test_workers_default_to_the_cpus_this_process_may_use(monkeypatch):
@@ -296,6 +296,49 @@ def test_ap_table_rebuilds_lemma3_cache(tmp_path, capsys):
     assert rc == 0 and out.splitlines()[1:] == fresh
     assert err.count("\n") == 1 and "rebuilding cache" in err and "lemma3_minus" in err
     assert path.read_text().splitlines() == ["curvecount-cache v1 a=-1 b=0 pmin=3 pmax=17"] + fresh
+
+
+def test_ap_table_rebuilds_cache_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "binary.cache"
+    args = ["ap-table", "--a", "-1", "--b", "0", "--limit", "60"]
+    _, cold = run(capsys, args)
+    path.write_bytes(b"\xff\xfe\x00\x00" + bytes(range(256)))
+    rc = cli.main(args + ["--cache", str(path)])
+    out, err = capsys.readouterr()
+    assert rc == 0 and out == cold
+    assert err.count("\n") == 1 and "rebuilding cache" in err and "UTF-8" in err
+    assert cache.read_cache(str(path), Curve(-1, 0))[0].pmax == 60
+
+
+def _no_sweep(*args):
+    raise AssertionError("a sweep ran")
+
+
+@pytest.mark.parametrize("name", [".", "missing/c.cache"])
+def test_ap_table_unusable_cache_path_exits_2_before_any_sweep(tmp_path, capsys, monkeypatch, name):
+    # "." is a directory, so reading it fails; a file in a missing
+    # directory could not be written once the sweep was done.
+    from curvecount import sweep
+
+    monkeypatch.setattr(sweep, "map_chunks", _no_sweep)
+    path = os.path.join(str(tmp_path), name)
+    rc = cli.main(["ap-table", "--a", "-1", "--b", "0", "--limit", "60", "--cache", path])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith(f"curvecount: error: cache {path}: ")
+    assert os.listdir(tmp_path) == []
+
+
+def test_ap_table_cache_write_failure_exits_2(tmp_path, capsys, monkeypatch):
+    def full_disk(*args):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cache, "write_cache", full_disk)
+    path = str(tmp_path / "c.cache")
+    rc = cli.main(["ap-table", "--a", "-1", "--b", "0", "--limit", "60", "--cache", path])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err == f"curvecount: error: cache {path}: No space left on device\n"
 
 
 def test_ap_table_worker_invariance(tmp_path, capsys, pool_forced):
