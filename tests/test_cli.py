@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from curvecount import cache, cli, modmath, point_count, rational_points, residue_lemmas
+from curvecount import cache, cli, modmath, point_count, rational_points, residue_lemmas, sweep
 from curvecount.errors import CacheInvalidError
 from curvecount.lseries import partial_L_exact
 from curvecount.point_count import MINUS, Curve, TwistSpec, ap_table, np_lemma3
@@ -318,8 +318,6 @@ def _no_sweep(*args):
 def test_ap_table_unusable_cache_path_exits_2_before_any_sweep(tmp_path, capsys, monkeypatch, name):
     # "." is a directory, so reading it fails; a file in a missing
     # directory could not be written once the sweep was done.
-    from curvecount import sweep
-
     monkeypatch.setattr(sweep, "map_chunks", _no_sweep)
     path = os.path.join(str(tmp_path), name)
     rc = cli.main(["ap-table", "--a", "-1", "--b", "0", "--limit", "60", "--cache", path])
