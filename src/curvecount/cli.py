@@ -108,114 +108,135 @@ def _positive_float(text: str) -> float:
 
 # ---------------------------------------------------------------- lemma-verify
 #
-# One check per lemma, called once per prime: (items checked, mismatch
-# details).  Per-prime state (the lemma 1 sample of a values) is seeded
-# from (seed, p) alone, never from chunk position, so any partition of
-# the primes yields the same findings.
+# One check per lemma: _lemmaN(d_max, samples, seed) imports what the
+# check needs and returns check(p) -> (items checked, mismatch details),
+# so a chunk imports once and then calls check once per prime.  Per-prime
+# state (the lemma 1 sample of a values) is seeded from (seed, p) alone,
+# never from chunk position, so any partition of the primes yields the
+# same findings.
 
 
-def _check_lemma1(p: int, d_max: int, samples: int, seed: int):
+def _lemma1(d_max: int, samples: int, seed: int):
     import random
 
     from .point_count import Curve, count_affine_points
 
-    rng = random.Random((seed << 32) | p)
-    values = sorted(rng.sample(range(1, p), min(samples, p - 1)))
-    bad = []
-    for a in values:
-        n_p = count_affine_points(Curve(a, 0), p)
-        if n_p != p:
-            bad.append({"a": a, "n_p": n_p, "expected": p})
-    return len(values), bad
+    def check(p):
+        rng = random.Random((seed << 32) | p)
+        values = sorted(rng.sample(range(1, p), min(samples, p - 1)))
+        bad = []
+        for a in values:
+            n_p = count_affine_points(Curve(a, 0), p)
+            if n_p != p:
+                bad.append({"a": a, "n_p": n_p, "expected": p})
+        return len(values), bad
+
+    return check
 
 
-def _check_lemma2(p: int, d_max: int, samples: int, seed: int):
+def _lemma2(d_max: int, samples: int, seed: int):
     from .residue_lemmas import count_lemma2
 
-    count = count_lemma2(p)
-    return 1, [] if count == (p - 5) // 4 else [{"count": count, "expected": (p - 5) // 4}]
+    def check(p):
+        count = count_lemma2(p)
+        return 1, [] if count == (p - 5) // 4 else [{"count": count, "expected": (p - 5) // 4}]
+
+    return check
 
 
-def _check_lemma3(p: int, d_max: int, samples: int, seed: int):
+def _lemma3(d_max: int, samples: int, seed: int):
     from .point_count import MINUS, PLUS, TwistSpec, count_affine_points, np_lemma3
 
-    checked, bad = 0, []
-    for d in range(1, d_max + 1):
-        if d % p == 0:
-            continue
-        for sign in (MINUS, PLUS):
-            spec = TwistSpec(d, sign)
-            claimed = np_lemma3(spec, p).n_p
-            brute = count_affine_points(spec.curve(), p)
-            checked += 1
-            if claimed != brute:
-                bad.append({"d": d, "sign": sign, "claimed": claimed, "brute": brute})
-    return checked, bad
+    def check(p):
+        checked, bad = 0, []
+        for d in range(1, d_max + 1):
+            if d % p == 0:
+                continue
+            for sign in (MINUS, PLUS):
+                spec = TwistSpec(d, sign)
+                claimed = np_lemma3(spec, p).n_p
+                brute = count_affine_points(spec.curve(), p)
+                checked += 1
+                if claimed != brute:
+                    bad.append({"d": d, "sign": sign, "claimed": claimed, "brute": brute})
+        return checked, bad
+
+    return check
 
 
-def _check_lemma4(p: int, d_max: int, samples: int, seed: int):
+def _lemma4(d_max: int, samples: int, seed: int):
     from .residue_lemmas import lemma4_check
 
-    bad = []
-    for y in range(1, p):
-        lhs, rhs = lemma4_check(p, y)
-        if lhs != rhs:
-            bad.append({"y": y, "lhs": lhs, "rhs": rhs})
-    return p - 1, bad
+    def check(p):
+        bad = []
+        for y in range(1, p):
+            lhs, rhs = lemma4_check(p, y)
+            if lhs != rhs:
+                bad.append({"y": y, "lhs": lhs, "rhs": rhs})
+        return p - 1, bad
+
+    return check
 
 
-def _check_lemma5(p: int, d_max: int, samples: int, seed: int):
+def _lemma5(d_max: int, samples: int, seed: int):
     from .residue_lemmas import _lemma5_hit  # the sweep's primes come from the sieve
 
-    return 1, [{}] if _lemma5_hit(p) else []
+    return lambda p: (1, [{}] if _lemma5_hit(p) else [])
 
 
-def _check_lemma6(p: int, d_max: int, samples: int, seed: int):
+def _lemma6(d_max: int, samples: int, seed: int):
     from .residue_lemmas import lemma6_check
 
-    n1, n2, ok = lemma6_check(p)
-    return 1, [] if ok else [{"n1": n1, "n2": n2, "expected_sum": (p - 5) // 4}]
+    def check(p):
+        n1, n2, ok = lemma6_check(p)
+        return 1, [] if ok else [{"n1": n1, "n2": n2, "expected_sum": (p - 5) // 4}]
+
+    return check
 
 
-def _check_lemma7(p: int, d_max: int, samples: int, seed: int):
+def _lemma7(d_max: int, samples: int, seed: int):
     from .point_count import lemma7_check
 
-    checked, bad = 0, []
-    for d in range(1, d_max + 1):
-        if d % p == 0:
-            continue
-        ap_minus, ap_plus, total = lemma7_check(d, p)
-        checked += 1
-        if total != 0:
-            bad.append({"d": d, "ap_minus": ap_minus, "ap_plus": ap_plus, "sum": total})
-    return checked, bad
+    def check(p):
+        checked, bad = 0, []
+        for d in range(1, d_max + 1):
+            if d % p == 0:
+                continue
+            ap_minus, ap_plus, total = lemma7_check(d, p)
+            checked += 1
+            if total != 0:
+                bad.append({"d": d, "ap_minus": ap_minus, "ap_plus": ap_plus, "sum": total})
+        return checked, bad
+
+    return check
 
 
-# lemma -> ((modulus, residue) selecting the odd primes it covers, check,
-# cost(p, d_max, samples)).  The cost estimates the check's in-process
-# work at p for sweep.map_chunks, in elements of a brute-force count, and
-# was fitted to per-prime timings of the check at d_max = samples = 20.
-# Lemma 1 counts `samples` curves and lemma 3 counts 2 d_max curves by
-# brute force; lemmas 2, 4, 6 and 7 build residue tables, and lemma 7
-# then reads its census 2 d_max times.  Lemma 5 takes a few modular powers
-# per prime, about 5 us with the chunk's bookkeeping (limit 60015).
+# lemma -> ((modulus, residue) selecting the odd primes it covers, check
+# factory, cost(p, d_max, samples)).  The cost estimates the check's
+# in-process work at p for sweep.map_chunks, in elements of a brute-force
+# count, and was fitted to per-prime timings of the check at
+# d_max = samples = 20.  Lemma 1 counts `samples` curves and lemma 3
+# counts 2 d_max curves by brute force; lemmas 2, 4, 6 and 7 build residue
+# tables, and lemma 7 then reads its census 2 d_max times.  Lemma 5 takes
+# a few modular powers per prime, about 3 us with the chunk's bookkeeping
+# (limit 60015).
 LEMMAS = {
-    1: ((4, 3), _check_lemma1, lambda p, d_max, samples: min(samples, p - 1) * p),
-    2: ((4, 1), _check_lemma2, lambda p, d_max, samples: 0.6 * p),
-    3: ((4, 1), _check_lemma3, lambda p, d_max, samples: 2.4 * d_max * p),
-    4: ((4, 1), _check_lemma4, lambda p, d_max, samples: 8 * p),
-    5: ((2, 1), _check_lemma5, lambda p, d_max, samples: 20),
-    6: ((8, 5), _check_lemma6, lambda p, d_max, samples: 0.8 * p + 300),
-    7: ((8, 5), _check_lemma7, lambda p, d_max, samples: 0.9 * p + 30 * d_max),
+    1: ((4, 3), _lemma1, lambda p, d_max, samples: min(samples, p - 1) * p),
+    2: ((4, 1), _lemma2, lambda p, d_max, samples: 0.6 * p),
+    3: ((4, 1), _lemma3, lambda p, d_max, samples: 2.4 * d_max * p),
+    4: ((4, 1), _lemma4, lambda p, d_max, samples: 8 * p),
+    5: ((2, 1), _lemma5, lambda p, d_max, samples: 20),
+    6: ((8, 5), _lemma6, lambda p, d_max, samples: 0.8 * p + 300),
+    7: ((8, 5), _lemma7, lambda p, d_max, samples: 0.9 * p + 30 * d_max),
 }
 
 
 def _verify_chunk(lemma: int, d_max: int, samples: int, seed: int, primes: list[int]):
     """(checked, mismatch records) for one prime chunk of one lemma sweep."""
-    _, check, _ = LEMMAS[lemma]
+    check = LEMMAS[lemma][1](d_max, samples, seed)
     checked, mismatches = 0, []
     for p in primes:
-        count, bad = check(p, d_max, samples, seed)
+        count, bad = check(p)
         checked += count
         mismatches.extend({"lemma": lemma, "p": p, **detail} for detail in bad)
     return checked, mismatches
@@ -275,8 +296,8 @@ def _run_ap_table(args) -> int:
     cached, pmax_seen, extends = [], 0, True
     if cache_path:
         try:
-            header, cached = read_cache(cache_path, curve)
-            pmax_seen, extends = header.pmax, args.limit > header.pmax
+            pmax_seen, cached = read_cache(cache_path, curve)
+            extends = args.limit > pmax_seen
         except CacheInvalidError as exc:
             print(f"curvecount: rebuilding cache {cache_path}: {exc}", file=sys.stderr)
         except FileNotFoundError:  # an absent cache is created, but only in a directory that exists

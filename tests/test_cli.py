@@ -22,6 +22,25 @@ def jsonl(text):
     return [json.loads(line) for line in text.splitlines()]
 
 
+def rebuild_reason(err, path):
+    """The reason after the path on the one stderr line of a cache rebuild."""
+    prefix = f"curvecount: rebuilding cache {path}: "
+    assert err.count("\n") == 1 and err.startswith(prefix), err
+    return err[len(prefix):]
+
+
+# The (-1, 0) cache to 13 as write_cache writes it, and files that hold
+# the same values in other text: each is rebuilt.
+CANONICAL_13 = (
+    "curvecount-cache v1 a=-1 b=0 pmin=3 pmax=13\n3,3,0,lemma1\n5,7,-2,gauss\n7,7,0,lemma1\n"
+    "11,11,0,lemma1\n13,7,6,gauss\n"
+)
+FOUND_13 = (
+    "curvecount-cache  v1 a=-1 b=+0 pmin=03 pmax=0013\n03,3,0,lemma1\n5,7,-2,gauss\n7,07,0,lemma1\n"
+    "1_1,11,0,lemma1\r\n13,7,+6,gauss\n\n"
+)
+
+
 def test_profile_example(capsys):
     rc, out = run(capsys, ["profile", "13"])
     assert rc == 0
@@ -207,14 +226,14 @@ def test_ap_table_cache_extends(tmp_path, capsys):
     run(capsys, ["ap-table", "--a", "-1", "--b", "0", "--limit", "40", "--cache", path])
     rc, out = run(capsys, ["ap-table", "--a", "-1", "--b", "0", "--limit", "80", "--cache", path])
     assert rc == 0
-    header, records = cache.read_cache(path, Curve(-1, 0))
-    assert header.pmax == 80
+    pmax, records = cache.read_cache(path, Curve(-1, 0))
+    assert pmax == 80
     assert [r.p for r in records] == [r["p"] for r in jsonl(out)]
     # a shrunk limit serves from cache without rewriting the file
     extended = os.stat(path)
     rc, out = run(capsys, ["ap-table", "--a", "-1", "--b", "0", "--limit", "20", "--cache", path])
     assert [r["p"] for r in jsonl(out)] == [3, 5, 7, 11, 13, 17, 19]
-    assert cache.read_cache(path, Curve(-1, 0))[0].pmax == 80
+    assert cache.read_cache(path, Curve(-1, 0))[0] == 80
     assert (os.stat(path).st_ino, os.stat(path).st_mtime_ns) == (extended.st_ino, extended.st_mtime_ns)
 
 
@@ -241,7 +260,7 @@ def test_ap_table_tampered_cache_recomputes(tmp_path, capsys):
     assert rc == 0
     assert again == fresh
     # the bad file was overwritten with a valid one
-    assert cache.read_cache(path, Curve(-1, 0))[0].pmax == 60
+    assert cache.read_cache(path, Curve(-1, 0))[0] == 60
 
 
 def test_ap_table_incomplete_cache_recomputes(tmp_path, capsys):
@@ -265,8 +284,7 @@ def test_ap_table_rebuild_says_why(tmp_path, capsys):
     rc = cli.main(args + ["--cache", str(path)])
     out, err = capsys.readouterr()
     assert rc == 0 and out == cold
-    assert err.count("\n") == 1
-    assert str(path) in err and "not one per good odd prime" in err
+    assert "not one per good odd prime" in rebuild_reason(err, path)
 
 
 def test_ap_table_cache_pmin_above_3_rebuilt(tmp_path, capsys):
@@ -279,7 +297,8 @@ def test_ap_table_cache_pmin_above_3_rebuilt(tmp_path, capsys):
     rc = cli.main(args + ["--cache", str(path)])
     out, err = capsys.readouterr()
     assert rc == 0 and out == cold and len(jsonl(out)) == 16
-    assert "rebuilding cache" in err and "pmin" in err
+    header = "'curvecount-cache v1 a=-1 b=0 pmin=31 pmax=60\\n'"
+    assert rebuild_reason(err, path).startswith(f"{header} is not what write_cache writes")
     assert path.read_text().startswith("curvecount-cache v1 a=-1 b=0 pmin=3 pmax=60\n")
 
 
@@ -294,8 +313,22 @@ def test_ap_table_rebuilds_lemma3_cache(tmp_path, capsys):
     out, err = capsys.readouterr()
     fresh = ["3,3,0,lemma1", "5,7,-2,gauss", "7,7,0,lemma1", "11,11,0,lemma1", "13,7,6,gauss", "17,15,2,gauss"]
     assert rc == 0 and out.splitlines()[1:] == fresh
-    assert err.count("\n") == 1 and "rebuilding cache" in err and "lemma3_minus" in err
+    assert rebuild_reason(err, path) == "'5,7,-2,lemma3_minus\\n' is not what write_cache writes: '5,7,-2,gauss\\n'\n"
     assert path.read_text().splitlines() == ["curvecount-cache v1 a=-1 b=0 pmin=3 pmax=17"] + fresh
+
+
+def test_ap_table_rebuilds_cache_write_cache_would_not_write(tmp_path, capsys):
+    path, fresh = tmp_path / "found.cache", tmp_path / "fresh.cache"
+    args = ["ap-table", "--a", "-1", "--b", "0", "--limit", "13"]
+    _, cold = run(capsys, args)
+    path.write_bytes(FOUND_13.encode())
+    rc = cli.main(args + ["--cache", str(path)])
+    out, err = capsys.readouterr()
+    assert rc == 0 and out == cold
+    header = "'curvecount-cache  v1 a=-1 b=+0 pmin=03 pmax=0013\\n'"
+    assert rebuild_reason(err, path) == f"{header} is not what write_cache writes: '{CANONICAL_13.splitlines()[0]}\\n'\n"
+    cache.write_cache(str(fresh), Curve(-1, 0), 13, ap_table(Curve(-1, 0), 13))
+    assert path.read_bytes() == fresh.read_bytes() == CANONICAL_13.encode()
 
 
 def test_ap_table_rebuilds_cache_that_is_not_utf8(tmp_path, capsys):
@@ -306,8 +339,8 @@ def test_ap_table_rebuilds_cache_that_is_not_utf8(tmp_path, capsys):
     rc = cli.main(args + ["--cache", str(path)])
     out, err = capsys.readouterr()
     assert rc == 0 and out == cold
-    assert err.count("\n") == 1 and "rebuilding cache" in err and "UTF-8" in err
-    assert cache.read_cache(str(path), Curve(-1, 0))[0].pmax == 60
+    assert rebuild_reason(err, path).startswith("not UTF-8 text")
+    assert cache.read_cache(str(path), Curve(-1, 0))[0] == 60
 
 
 def _no_sweep(*args):
@@ -379,8 +412,7 @@ def test_ap_table_empty_range(tmp_path, capsys):
     rc, out = run(capsys, ["ap-table", "--a", "-1", "--b", "0", "--limit", "2", "--cache", path])
     assert rc == 0
     assert out == ""
-    header, records = cache.read_cache(path, Curve(-1, 0))
-    assert records == [] and header.pmax == 2
+    assert cache.read_cache(path, Curve(-1, 0)) == (2, [])
 
 
 def test_ap_table_csv(capsys):
@@ -410,14 +442,6 @@ def test_cache_thousand_records_byte_identical(tmp_path):
     assert open(first, "rb").read() == open(second, "rb").read()
 
 
-def test_cache_header_line_and_immutability():
-    header = cache.parse_header("curvecount-cache v1 a=-1 b=0 pmin=3 pmax=50")
-    assert header == cache.CacheHeader(-1, 0, 50)
-    assert header.line() == "curvecount-cache v1 a=-1 b=0 pmin=3 pmax=50"
-    with pytest.raises(AttributeError):
-        header.pmax = 60
-
-
 def test_cache_rejects_wrong_curve_and_garbage(tmp_path):
     path = str(tmp_path / "c.cache")
     cache.write_cache(path, Curve(-1, 0), 50, ap_table(Curve(-1, 0), 50))
@@ -429,6 +453,11 @@ def test_cache_rejects_wrong_curve_and_garbage(tmp_path):
         "curvecount-cache v1 a=-1 b=0 pmin=3\n",
         "curvecount-cache v1 a=x b=0 pmin=3 pmax=50\n",
         "",
+        FOUND_13,
+        CANONICAL_13.replace("cache v1", "cache  v1"),
+        CANONICAL_13.replace("b=0", "b=+0"),
+        CANONICAL_13.replace("pmin=3", "pmin=03"),
+        CANONICAL_13.replace("pmax=13", "pmax=0013"),
     ):
         open(path, "w").write(bad)
         with pytest.raises(CacheInvalidError):
@@ -499,7 +528,7 @@ def test_cache_pmax_past_large_discriminant_rebuilt_without_sieving(tmp_path, ca
         captured = capsys.readouterr()
         assert rc == 0
         assert jsonl(captured.out) == [{"p": 3, "n_p": 3, "a_p": 0, "method": "lemma1"}]
-        assert "rebuilding cache" in captured.err and reason in captured.err
+        assert reason in rebuild_reason(captured.err, path)
         assert path.read_text() == f"curvecount-cache v1 a={a} b=0 pmin=3 pmax=3\n3,3,0,lemma1\n"
 
 
@@ -515,7 +544,7 @@ def test_cache_accepts_exactly_what_write_cache_writes(tmp_path):
     for curve in (Curve(-1, 0), Curve(1369, 0), Curve(3, 5), Curve(1000, 0)):
         for pmax in (0, 1, 2, 3, 16, 17, 60, 1000):
             records = ap_table(curve, pmax)
-            assert read_back(curve, pmax, records) == (cache.CacheHeader(curve.a, curve.b, pmax), records)
+            assert read_back(curve, pmax, records) == (pmax, records)
             for i, record in enumerate(records):
                 with pytest.raises(CacheInvalidError):
                     read_back(curve, pmax, records[:i] + records[i + 1:])
@@ -542,6 +571,25 @@ def test_cache_rejects_bad_records(tmp_path):
         open(path, "w").write("\n".join([header] + rows) + "\n")
         with pytest.raises(CacheInvalidError):
             cache.read_cache(path, Curve(-1, 0))
+    # Right values in text write_cache does not write.
+    for text in (
+        CANONICAL_13.replace("\n3,", "\n03,"),
+        CANONICAL_13.replace("7,7,0", "7,07,0"),
+        CANONICAL_13.replace("11,11,0,lemma1\n", "1_1,11,0,lemma1\n"),
+        CANONICAL_13.replace("11,11,0,lemma1\n", "11,11,0,lemma1\r\n"),
+        CANONICAL_13.replace(",6,gauss", ",+6,gauss"),
+        CANONICAL_13.replace("5,7,-2", "5, 7,-2"),
+        CANONICAL_13 + "\n",
+        CANONICAL_13.replace("\n", "\r\n"),
+        CANONICAL_13[:-1],
+    ):
+        with open(path, "w", newline="") as handle:
+            handle.write(text)
+        with pytest.raises(CacheInvalidError):
+            cache.read_cache(path, Curve(-1, 0))
+    with open(path, "w", newline="") as handle:
+        handle.write(CANONICAL_13)
+    assert cache.read_cache(path, Curve(-1, 0)) == (13, ap_table(Curve(-1, 0), 13))
 
 
 def test_cache_rejects_gaps_and_hasse_breaks(tmp_path):
