@@ -110,7 +110,7 @@ def _positive_float(text: str) -> float:
 #
 # One check per lemma: _lemmaN(d_max, samples, seed) imports what the
 # check needs and returns check(p) -> (items checked, mismatch details),
-# so a chunk imports once and then calls check once per prime.  Per-prime
+# so a sweep imports once and then calls check once per prime.  Per-prime
 # state (the lemma 1 sample of a values) is seeded from (seed, p) alone,
 # never from chunk position, so any partition of the primes yields the
 # same findings.
@@ -231,9 +231,8 @@ LEMMAS = {
 }
 
 
-def _verify_chunk(lemma: int, d_max: int, samples: int, seed: int, primes: list[int]):
+def _verify_chunk(lemma: int, check, primes: list[int]):
     """(checked, mismatch records) for one prime chunk of one lemma sweep."""
-    check = LEMMAS[lemma][1](d_max, samples, seed)
     checked, mismatches = 0, []
     for p in primes:
         count, bad = check(p)
@@ -246,9 +245,10 @@ def _run_verify(args) -> int:
     from .modmath import sieve_primes
     from .sweep import map_chunks
 
-    (modulus, residue), _, cost = LEMMAS[args.lemma]
+    (modulus, residue), make_check, cost = LEMMAS[args.lemma]
     primes = [p for p in sieve_primes(args.limit) if p % modulus == residue]
-    chunk = partial(_verify_chunk, args.lemma, args.d_max, args.samples, args.seed)
+    # Built before the fan-out, so forked workers inherit its imports.
+    chunk = partial(_verify_chunk, args.lemma, make_check(args.d_max, args.samples, args.seed))
     results = map_chunks(chunk, primes, args.workers, lambda p: cost(p, args.d_max, args.samples))
     checked = sum(r[0] for r in results)
     mismatches = [record for r in results for record in r[1]]

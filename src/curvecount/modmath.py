@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
+from itertools import compress
 
 from .errors import HypothesisError
 
@@ -34,7 +35,7 @@ def sieve_primes(limit: int) -> list[int]:
     for i in range(2, int(limit**0.5) + 1):
         if flags[i]:
             flags[i * i :: i] = b"\x00" * len(range(i * i, limit + 1, i))
-    return [i for i in range(2, limit + 1) if flags[i]]
+    return list(compress(range(limit + 1), flags))
 
 
 def is_prime(n: int) -> bool:

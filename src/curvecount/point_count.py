@@ -283,7 +283,7 @@ def record_cost(curve: Curve, cross_validate: bool, p: int) -> float:
     A brute count with its residue table costs about 1.2 p elements,
     fitted to per-prime timings up to p = 6000.  A closed-form record
     counts as 0: it takes about as long to compute as its result takes
-    to pickle back from a worker, so no pool can gain on it.
+    to pickle back from a forked worker, so no fan-out can gain on it.
     """
     return 1.2 * p if cross_validate or _auto_method(curve, p) == BRUTE else 0
 

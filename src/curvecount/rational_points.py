@@ -9,10 +9,11 @@ point is either on its curve or the construction is rejected.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from collections import namedtuple
+from bisect import bisect_left, bisect_right
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import partial
+from itertools import compress, count
 from math import gcd, isqrt
 
 from .errors import TangentUndefinedError
@@ -234,16 +235,17 @@ def _collision_groups(bound: int, coprime_only: bool, slices: list[tuple[int, in
 
     V increases in m for fixed e, so next_m[e], the least m with V(e, m)
     in or past the current slice, only moves forward, and a slice is
-    one run of m per e.  A slice first collects its values of V alone;
-    only when one repeats are the runs scanned again for the (e, m)
-    behind the repeated values, e ascending and, V fixed, one m per e.
+    one run of m per e.  A slice collects its values of V alone, e
+    ascending, and ends[e - 1] marks where e's run of values ends.  Only
+    a value that repeats has its pairs found: its e by where it lies in
+    the values, and its m by bisection in e's run.
     """
     ms = range(bound + 1)
     next_m = [bisect_left(ms, slices[0][0], e + 1, key=lambda m: e * m * (m + e) ** 2) for e in range(bound)]
     out = []
     for _, hi in slices:
         starts = next_m.copy()
-        vs = []
+        vs, ends = [], []
         for e in range(1, bound):
             m = next_m[e]
             while m <= bound and (v := e * m * (m + e) ** 2) < hi:
@@ -251,15 +253,15 @@ def _collision_groups(bound: int, coprime_only: bool, slices: list[tuple[int, in
                     vs.append(v)
                 m += 1
             next_m[e] = m
-        if len(set(vs)) == len(vs):
-            continue
-        vs.sort()
-        repeated = {v for v, w in zip(vs, vs[1:]) if v == w}
+            ends.append(len(vs))
+        # Every slice counts its values, whether or not one repeats, so
+        # slices of equal size take equal time.
+        repeated = {v for v, n in Counter(vs).items() if n > 1}
         members = {}
-        for e in range(1, bound):
-            for m in range(starts[e], next_m[e]):
-                if (v := e * m * (m + e) ** 2) in repeated and (not coprime_only or gcd(e, m) == 1):
-                    members.setdefault(v, []).append((e, m))
+        for i in compress(count(), map(repeated.__contains__, vs)):
+            e = bisect_right(ends, i) + 1
+            m = bisect_left(ms, vs[i], starts[e], next_m[e], key=lambda m: e * m * (m + e) ** 2)
+            members.setdefault(vs[i], []).append((e, m))
         for v in sorted(members):
             group = tuple(members[v])
             out.append(CollisionGroup(v, group, tuple(e * m * (m * m - e * e) for e, m in group), v))

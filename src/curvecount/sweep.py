@@ -2,20 +2,20 @@
 
 from __future__ import annotations
 
+import os
 from bisect import bisect_left
 from itertools import accumulate
 
-# What starting a process pool costs, in the unit of every caller's cost
-# model: one element of a brute-force point count (one x of
-# point_count._count_affine; the sweeps ran at 175-320 ns an element).
-# Fitted as the time a pool adds beyond half the in-process sweep, from
-# alternating pairs of fresh CLI calls at --workers 1 and 2 (Python
-# 3.11.7, 2 vCPUs): 16 fits over eight sweeps gave 10-200 ms, with
-# quartiles of 304k, 486k and 651k elements.  They swing with whether the
-# second vCPU is free: a pool at the margin then gains at most about
-# 70 ms, and otherwise loses up to 140 ms, so the constant is the upper
+# What a fork fan-out costs, in the unit of every caller's cost model:
+# one element of a brute-force point count (one x of
+# point_count._count_affine; the sweeps ran at 131-251 ns an element).
+# Fitted as the time a fan-out of two adds beyond half the in-process
+# sweep, from alternating pairs of fresh CLI calls at --workers 1 and 2
+# (Python 3.11.7, 2 vCPUs): 20 fits over the ten benchmark sweeps whose
+# cost is not 0 gave quartiles of 45k, 86k and 104k elements.  They swing
+# with whether the second vCPU is free, so the constant is the upper
 # quartile.
-POOL_START_COST = 650_000
+POOL_START_COST = 100_000
 
 
 def map_chunks(fn, items, workers: int, cost) -> list:
@@ -24,11 +24,16 @@ def map_chunks(fn, items, workers: int, cost) -> list:
     cost(item) estimates the item's in-process work in the unit of
     POOL_START_COST.  With total the summed cost, the items go to k
     chunks, k the largest count up to workers and len(items) for which
-    a pool, at about total/k + POOL_START_COST, beats total in this
-    process.  At k == 1 they run here as one chunk and no pool module is
-    imported; otherwise k chunks of about equal cost (split_by_cost) run
-    in one process pool, so fn and its results must pickle.  Merging the
-    results in list order gives the same answer for every worker count.
+    a fan-out, at about total/k + POOL_START_COST, beats total in this
+    process.  At k == 1, or where the platform has no os.fork, they run
+    here as one chunk.  Otherwise k chunks of about equal cost
+    (split_by_cost) run at once, chunk 0 in this process and each other
+    chunk in a forked child, so fn need not pickle but its results must.
+    An exception raised by fn in a child is raised here; a child that
+    dies without a result raises ChildProcessError.  Either way, and on
+    success, every child has ended and been reaped on return.  Merging
+    the results in list order gives the same answer for every worker
+    count.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -40,12 +45,82 @@ def map_chunks(fn, items, workers: int, cost) -> list:
     # total/k + POOL_START_COST falls as k grows, so if any k beats the
     # in-process total, the largest one does.
     k = min(workers, len(items))
-    if k == 1 or total / k + POOL_START_COST >= total:
+    if k == 1 or total / k + POOL_START_COST >= total or not hasattr(os, "fork"):
         return [fn(items)]
-    import concurrent.futures  # loaded only when a pool starts
+    return _fan_out(fn, split_by_cost(items, costs, k))
 
-    with concurrent.futures.ProcessPoolExecutor(max_workers=k) as pool:
-        return list(pool.map(fn, split_by_cost(items, costs, k)))
+
+def _fan_out(fn, chunks: list[list]) -> list:
+    """[fn(chunk) for chunk in chunks]: chunks[1:] each in a forked child, chunks[0] here."""
+    import signal  # this, and pickle in the helpers, load only when a fan-out starts
+
+    children = []  # (pid, read end of the pipe the child's result comes back on)
+    try:
+        for chunk in chunks[1:]:
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_end)
+                os.close(write_end)
+                raise
+            if pid == 0:
+                _run_child(fn, chunk, write_end)
+            os.close(write_end)
+            children.append((pid, read_end))
+        results = [fn(chunks[0])]
+        while children:
+            pid, read_end = children.pop(0)
+            try:
+                with open(read_end, "rb") as pipe:
+                    payload = pipe.read()
+            finally:
+                status = os.waitpid(pid, 0)[1]
+            results.append(_child_result(pid, status, payload))
+        return results
+    finally:
+        # Left only when fn or a child failed, so the other results are not wanted.
+        for pid, read_end in children:
+            os.close(read_end)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _run_child(fn, chunk, write_end: int):
+    """Send pickle.dumps((True, fn(chunk))), or (False, the exception), and end the process.
+
+    The child leaves by os._exit, so it runs no exit handler and never
+    flushes the stdio buffers it inherited from the parent.
+    """
+    status = 1
+    try:
+        import pickle
+
+        try:
+            payload = pickle.dumps((True, fn(chunk)))
+        except BaseException as exc:  # the parent raises it
+            payload = pickle.dumps((False, exc))
+        with open(write_end, "wb") as pipe:
+            pipe.write(payload)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _child_result(pid: int, status: int, payload: bytes):
+    """The result a child sent, given its wait status and the bytes it wrote."""
+    import pickle
+    import signal
+
+    code = os.waitstatus_to_exitcode(status)
+    if code < 0:
+        raise ChildProcessError(f"sweep worker {pid} was killed by {signal.Signals(-code).name}")
+    if code or not payload:
+        raise ChildProcessError(f"sweep worker {pid} exited with status {code}")
+    ok, value = pickle.loads(payload)  # bytes our own child wrote
+    if not ok:
+        raise value
+    return value
 
 
 def split_by_cost(items: list, costs: list, k: int) -> list[list]:

@@ -1,26 +1,24 @@
-import concurrent.futures
-
 import pytest
 
 from curvecount import sweep
 
 
 @pytest.fixture
-def pool_starts(monkeypatch):
-    """The max_workers of every process pool started during the test, in order."""
+def fan_outs(monkeypatch):
+    """The chunk count k of every fork fan-out map_chunks made during the test, in order."""
     started = []
+    fan_out = sweep._fan_out
 
-    class CountedPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers=None, *args, **kwargs):
-            started.append(max_workers)
-            super().__init__(max_workers, *args, **kwargs)
+    def counted(fn, chunks):
+        started.append(len(chunks))
+        return fan_out(fn, chunks)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+    monkeypatch.setattr(sweep, "_fan_out", counted)
     return started
 
 
 @pytest.fixture
-def pool_forced(monkeypatch, pool_starts):
-    """pool_starts, with map_chunks's gate open to any work of two or more items."""
+def fan_outs_forced(monkeypatch, fan_outs):
+    """fan_outs, with map_chunks's gate open to any work of two or more items."""
     monkeypatch.setattr(sweep, "POOL_START_COST", 0)
-    return pool_starts
+    return fan_outs

@@ -213,7 +213,7 @@ def test_criterion_15_tail_stability():
     report(15, "log partial product stable from 2e4 to 4e4 at s=1.75", ok)
 
 
-def test_criterion_16_collision_search_deterministic(pool_forced):
+def test_criterion_16_collision_search_deterministic(fan_outs_forced):
     def as_bytes(groups):
         payload = [
             [g.v, [list(member) for member in g.members], list(g.d_values), g.shared_x]
@@ -226,5 +226,5 @@ def test_criterion_16_collision_search_deterministic(pool_forced):
     ok = {g.v: list(g.members) for g in base} == oracle
     serialized = as_bytes(base)
     ok = ok and all(as_bytes(collision_search(100, workers=w)) == serialized for w in (4, 8))
-    ok = ok and pool_forced == [4, 7]  # bound 100 cuts the V axis into 7 slices
+    ok = ok and fan_outs_forced == [4, 7]  # bound 100 cuts the V axis into 7 slices
     report(16, "collision search matches oracle, worker invariant", ok)

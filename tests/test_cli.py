@@ -92,15 +92,19 @@ def test_parser_loads_no_library_module():
 
 def test_pool_starts_only_when_it_pays():
     # 783 closed-form traces, or 6057 lemma 5 checks of a few modular powers
-    # each, are a few milliseconds of work, far below the cost of starting a
-    # pool; a collision search to bound 2000 (about a second) is not.
-    def pool_loaded(argv):
-        code = f"import curvecount.cli as cli\nassert cli.main({argv!r}) == 0"
-        return _modules_loaded_after(code, ["concurrent.futures"]) == ["concurrent.futures"]
+    # each, are a few milliseconds of work, far below the cost of forking a
+    # worker; a collision search to bound 2000 (about a second) is not.  No
+    # call loads concurrent.futures.
+    def assert_fan_outs(argv, ks):
+        code = ("import curvecount.cli as cli, curvecount.sweep as sweep\n"
+                "ks, fan_out = [], sweep._fan_out\n"
+                "sweep._fan_out = lambda fn, chunks: ks.append(len(chunks)) or fan_out(fn, chunks)\n"
+                f"assert cli.main({argv!r}) == 0\nassert ks == {ks!r}, ks")
+        assert _modules_loaded_after(code, ["concurrent.futures"]) == []
 
-    assert not pool_loaded(["ap-table", "--a", "1369", "--b", "0", "--limit", "6020", "--workers", "2"])
-    assert not pool_loaded(["lemma-verify", "--lemma", "5", "--limit", "60015", "--workers", "2"])
-    assert pool_loaded(["collisions", "--bound", "2000", "--workers", "2"])
+    assert_fan_outs(["ap-table", "--a", "1369", "--b", "0", "--limit", "6020", "--workers", "2"], [])
+    assert_fan_outs(["lemma-verify", "--lemma", "5", "--limit", "60015", "--workers", "2"], [])
+    assert_fan_outs(["collisions", "--bound", "2000", "--workers", "2"], [2])
 
 
 def test_workers_default_to_the_cpus_this_process_may_use(monkeypatch):
@@ -372,14 +376,14 @@ def test_ap_table_cache_write_failure_exits_2(tmp_path, capsys, monkeypatch):
     assert err == f"curvecount: error: cache {path}: No space left on device\n"
 
 
-def test_ap_table_worker_invariance(tmp_path, capsys, pool_forced):
+def test_ap_table_worker_invariance(tmp_path, capsys, fan_outs_forced):
     # Closed-form records cost nothing to the gate, so each case does brute force.
     for args in (["ap-table", "--a", "1", "--b", "0", "--limit", "300", "--cross-validate"],
                  ["ap-table", "--a", "3", "--b", "5", "--limit", "300", "--cross-validate"]):
         _, one = run(capsys, args + ["--workers", "1"])
         _, three = run(capsys, args + ["--workers", "3"])
         assert one == three
-    assert pool_forced == [3, 3]
+    assert fan_outs_forced == [3, 3]
 
 
 def test_ap_table_cross_validate(capsys):
@@ -615,15 +619,15 @@ def test_lemma_verify_example(capsys):
     assert jsonl(out) == [{"lemma": 7, "limit": 2000, "checked": 1575, "mismatches": 0}]
 
 
-def test_lemma_verify_worker_invariance(capsys, pool_forced):
-    # limit 120 gives every lemma's prime class at least three primes, so a pool of three
+def test_lemma_verify_worker_invariance(capsys, fan_outs_forced):
+    # limit 120 gives every lemma's prime class at least three primes, so a fan-out of three
     for lemma in range(1, 8):
         args = ["lemma-verify", "--lemma", str(lemma), "--limit", "120", "--d-max", "6"]
         _, one = run(capsys, args + ["--workers", "1"])
         _, three = run(capsys, args + ["--workers", "3"])
         assert one == three, lemma
         assert jsonl(one)[-1]["mismatches"] == 0
-    assert pool_forced == [3] * 7
+    assert fan_outs_forced == [3] * 7
 
 
 def test_lemma_verify_sampling_is_seeded(capsys):
@@ -776,11 +780,11 @@ def test_collisions_records(capsys):
     ]
 
 
-def test_collisions_worker_invariance(capsys, pool_forced):
+def test_collisions_worker_invariance(capsys, fan_outs_forced):
     _, one = run(capsys, ["collisions", "--bound", "40", "--workers", "1"])
     _, four = run(capsys, ["collisions", "--bound", "40", "--workers", "4"])
     assert one == four
-    assert pool_forced == [4]
+    assert fan_outs_forced == [4]
 
 
 @pytest.mark.parametrize(

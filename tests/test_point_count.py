@@ -76,7 +76,7 @@ def test_point_count_record_defaults_replace_and_pickle():
     checked = rec._replace(brute_np=8)
     assert checked == PointCountRecord(13, 7, 6, GAUSS, brute_np=8) and checked.mismatch
     assert rec.brute_np is None
-    # Pool workers send records back pickled.
+    # Forked workers send records back pickled.
     back = pickle.loads(pickle.dumps(checked))
     assert type(back) is PointCountRecord and back == checked
 

@@ -73,7 +73,7 @@ def test_records_hold_fractions_and_refuse_assignment():
 
 
 def test_collision_group_survives_pickle():
-    # Pool workers send their groups back pickled.
+    # Forked workers send their groups back pickled.
     group = CollisionGroup(8820, ((1, 20), (5, 9)), (7980, 2520), 8820)
     back = pickle.loads(pickle.dumps(group))
     assert type(back) is CollisionGroup and back == group
@@ -251,36 +251,36 @@ def test_collision_search_first_group():
     assert group.d_values == (7980, 2520)
 
 
-def test_collision_search_matches_oracle(pool_forced):
+def test_collision_search_matches_oracle(fan_outs_forced):
     # Bound 300 cuts the V axis into about 20 slices, so at 3 workers each
     # worker starts mid-axis.
     for bound in (2, 3, 20, 50, 100, 300):
         for workers in (1, 3):
             got = {g.v: list(g.members) for g in collision_search(bound, workers=workers)}
             assert got == collision_groups_by_sorting(bound)
-    assert pool_forced[-3:] == [3, 3, 3]
+    assert fan_outs_forced[-3:] == [3, 3, 3]
 
 
-def test_collision_search_three_member_group(pool_forced):
+def test_collision_search_three_member_group(fan_outs_forced):
     # The first V shared by three coprime pairs; its slice must report
     # all three, not only a repeated pair.
     for workers in (1, 3):
         groups = {g.v: g for g in collision_search(153, workers=workers)}
         group = groups[3628548]
         assert group.members == ((1, 153), (9, 68), (17, 49))
-    assert pool_forced == [3]
+    assert fan_outs_forced == [3]
 
 
-def test_collision_search_worker_invariance(pool_forced):
+def test_collision_search_worker_invariance(fan_outs_forced):
     for bound in (60, 300):
         reference = collision_search(bound)
         assert [g.v for g in reference] == sorted(g.v for g in reference)
         for workers in (2, 3, 4):
             assert collision_search(bound, workers=workers) == reference
-    assert pool_forced[-3:] == [2, 3, 4]
+    assert fan_outs_forced[-3:] == [2, 3, 4]
 
 
-def test_collision_search_non_coprime_lattice(pool_forced):
+def test_collision_search_non_coprime_lattice(fan_outs_forced):
     groups = collision_search(20, coprime_only=False)
     by_v = {g.v: g.members for g in groups}
     assert by_v[8820] == ((1, 20), (5, 9))
@@ -288,7 +288,7 @@ def test_collision_search_non_coprime_lattice(pool_forced):
         for workers in (1, 2):
             got = {g.v: list(g.members) for g in collision_search(bound, workers=workers, coprime_only=False)}
             assert got == collision_groups_by_sorting(bound, coprime=False)
-    assert pool_forced[-1:] == [2]
+    assert fan_outs_forced[-1:] == [2]
 
 
 def test_collision_search_memory_is_bounded():
