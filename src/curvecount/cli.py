@@ -62,12 +62,24 @@ def _fail(message: str) -> int:
     return 2
 
 
-# A sieve to --limit allocates about limit bytes plus the prime list,
-# collision_search sorts about bound/2 values of V (24 MB at 10^6) before
-# it searches, and find-points and lemma11 mark 2 bound + 1 bytes, so
-# larger values are refused before anything is computed.
+# A sieve to --limit allocates about limit bytes plus the prime list, and
+# ap-table holds every record and row too: `ap-table --a -1 --b 0` peaked
+# at 46 MB RSS at limit 10^6 and 285 MB at 10^7 (one run each), about
+# 0.4 KB a prime, so about 2.4 GB at 10^8.  collision_search sorts about
+# bound/2 values of V (24 MB at 10^6) before it searches, and find-points
+# and lemma11 mark 2 bound + 1 bytes.  Larger values are refused before
+# anything is computed.
 LIMIT_CEILING = 10**8
 BOUND_CEILING = 10**6
+# A brute-force count at p holds a table of the (p-1)/2 quadratic
+# residues: `count --a 3 --b 5` peaked at 296 MB RSS and took 14 s at
+# p = 9999991, about 56 bytes a residue, so a larger p is refused.
+BRUTE_P_CEILING = 10**7
+# Each worker past the first is a forked copy of the process holding its
+# own chunk's tables, and a sweep forks as many as --workers allows once
+# its work pays for them.  The fan-out is for the CPUs of one machine, so
+# a larger count is refused rather than forking thousands of processes.
+WORKERS_CEILING = 64
 # An exact product's numerator prod p^(2s-1) has at most
 # (2s - 1) * limit / ln 10 digits, since theta(x) = sum of ln p < x.
 EXACT_DIGITS_CEILING = 10**6
@@ -154,7 +166,7 @@ def _lemma3(d_max: int, samples: int, seed: int):
                 continue
             for sign in (MINUS, PLUS):
                 spec = TwistSpec(d, sign)
-                claimed = np_lemma3(spec, p).n_p
+                claimed = np_lemma3(spec, p)
                 brute = count_affine_points(spec.curve(), p)
                 checked += 1
                 if claimed != brute:
@@ -276,9 +288,13 @@ def _run_profile(args) -> int:
 
 
 def _run_count(args) -> int:
-    from .point_count import Curve, trace_ap
+    from .point_count import BRUTE, Curve, _auto_method, trace_ap
 
-    record = trace_ap(Curve(args.a, args.b), args.p, method=args.method)
+    curve = Curve(args.a, args.b)
+    brute = args.method == BRUTE or _auto_method(curve, args.p) == BRUTE
+    if brute and args.p > BRUTE_P_CEILING:
+        return _fail(f"a brute-force count needs p <= {BRUTE_P_CEILING}, got {args.p}")
+    record = trace_ap(curve, args.p, method=args.method)
     shown = record.n_p + 1 if args.plus_one else record.n_p
     _emit([{"p": record.p, "n_p": shown, "a_p": record.a_p}], args.format)
     return 0
@@ -339,18 +355,12 @@ def _run_lseries(args) -> int:
                      f"above the ceiling of {EXACT_DIGITS_CEILING}")
     if args.exact and args.s >= EXACT_S_CEILING:
         return _fail(f"--exact needs s below 2^53, got {args.s}")
-    record = {"a": args.a, "b": args.b, "s": args.s, "prime_bound": args.limit}
     if args.exact:
         ev = partial_L_exact(curve, int(args.s), args.limit)
-        record["s"] = ev.s
-        record["value"] = _fraction_str(ev.value)
+        ev = ev._replace(value=_fraction_str(ev.value))
     else:
         ev = partial_L(curve, args.s, args.limit)
-        record["log_value"] = ev.log_value
-        record["value"] = ev.value
-    record["factor_count"] = ev.factor_count
-    record["skipped_primes"] = list(ev.skipped_primes)
-    _emit([record], args.format)
+    _emit([{"a": args.a, "b": args.b, **ev._asdict()}], args.format)
     return 0
 
 
@@ -381,7 +391,7 @@ def _run_lemma11(args) -> int:
 
     applicable = lemma11_applicable(args.d)
     hits = lemma11_exhaustive(args.d, args.bound)
-    rows = [{"k": q.k, "j": q.j, "m": q.m, "e": q.e} for q in hits]
+    rows = [q._asdict() for q in hits]
     rows.append(
         {
             "d": args.d,
@@ -399,13 +409,7 @@ def _run_collisions(args) -> int:
     from .rational_points import collision_search
 
     groups = collision_search(args.bound, workers=args.workers, coprime_only=not args.allow_non_coprime)
-    _emit(
-        [
-            {"v": g.v, "members": [list(m) for m in g.members], "d_values": list(g.d_values), "shared_x": g.shared_x}
-            for g in groups
-        ],
-        args.format,
-    )
+    _emit([g._asdict() for g in groups], args.format)
     return 0
 
 
@@ -439,9 +443,11 @@ def build_parser() -> argparse.ArgumentParser:
     curve = argparse.ArgumentParser(add_help=False, parents=[common])
     curve.add_argument("--a", type=int, required=True)
     curve.add_argument("--b", type=int, required=True)
+    workers = argparse.ArgumentParser(add_help=False)
+    cpus = min(_cpus_available(), WORKERS_CEILING)
+    workers.add_argument("--workers", type=_int_in(1, WORKERS_CEILING), default=cpus)
     limit = _int_in(0, LIMIT_CEILING)
     sweep_limit = _int_in(3, LIMIT_CEILING)  # lemma-verify and lemma8 need an odd prime
-    cpus = _cpus_available()
 
     p = sub.add_parser("profile", parents=[common], help="residue classes of -1, 2 and eps at p")
     p.add_argument("p", type=_odd_prime)
@@ -453,22 +459,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plus-one", action="store_true", help="display the projective count n_p + 1")
     p.set_defaults(handler=_run_count)
 
-    p = sub.add_parser("ap-table", parents=[curve], help="a_p records for all good odd primes <= limit")
+    p = sub.add_parser("ap-table", parents=[curve, workers], help="a_p records for all good odd primes <= limit")
     p.add_argument("--limit", type=limit, required=True)
-    p.add_argument("--workers", type=_int_in(1), default=cpus)
     p.add_argument("--cache", help="cache file; relative paths resolve under $CURVECOUNT_CACHE_DIR; "
                    "ignored under --cross-validate")
     p.add_argument("--cross-validate", action="store_true", help="recompute and check every record against brute force")
     p.add_argument("--plus-one", action="store_true")
     p.set_defaults(handler=_run_ap_table)
 
-    p = sub.add_parser("lemma-verify", parents=[common], help="sweep one closed-form claim against brute force")
+    p = sub.add_parser("lemma-verify", parents=[common, workers], help="sweep one closed-form claim against brute force")
     p.add_argument("--lemma", type=int, choices=sorted(LEMMAS), required=True)
     p.add_argument("--limit", type=sweep_limit, required=True)
     p.add_argument("--d-max", type=_int_in(1), default=20)
     p.add_argument("--samples", type=_int_in(1), default=20, help="a values sampled per prime (lemma 1)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=_int_in(1), default=cpus)
     p.set_defaults(handler=_run_verify)
 
     p = sub.add_parser("lseries", parents=[curve], help="truncated Euler product at s")
@@ -496,9 +500,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", type=_int_in(0, BOUND_CEILING), required=True)
     p.set_defaults(handler=_run_lemma11)
 
-    p = sub.add_parser("collisions", parents=[common], help="pairs sharing V = em(m+e)^2")
+    p = sub.add_parser("collisions", parents=[common, workers], help="pairs sharing V = em(m+e)^2")
     p.add_argument("--bound", type=_int_in(2, BOUND_CEILING), required=True)
-    p.add_argument("--workers", type=_int_in(1), default=cpus)
     p.add_argument("--allow-non-coprime", action="store_true")
     p.set_defaults(handler=_run_collisions)
 

@@ -24,8 +24,6 @@ from .residue_lemmas import _quartic_census
 
 BRUTE = "brute"
 LEMMA1 = "lemma1"
-LEMMA3_MINUS = "lemma3_minus"
-LEMMA3_PLUS = "lemma3_plus"
 GAUSS = "gauss"
 
 MINUS = "minus"
@@ -58,12 +56,11 @@ class TwistSpec(namedtuple("TwistSpec", "d sign")):
         return Curve(-dd if self.sign == MINUS else dd, 0)
 
 
-class PointCountRecord(namedtuple("PointCountRecord", "p n_p a_p method n1_used brute_np", defaults=(None, None))):
+class PointCountRecord(namedtuple("PointCountRecord", "p n_p a_p method brute_np", defaults=(None,))):
     """One prime's count: n_p affine solutions, a_p = p - n_p.
 
-    n1_used carries the quartic census behind a closed-form count;
-    brute_np is filled by cross-validation and must equal n_p.  Both
-    default to None.
+    brute_np, None by default, is filled by cross-validation and must
+    equal n_p.
     """
 
     __slots__ = ()
@@ -108,7 +105,7 @@ def np_lemma1(a: int, p: int) -> int:
     return p
 
 
-def np_lemma3(spec: TwistSpec, p: int) -> PointCountRecord:
+def np_lemma3(spec: TwistSpec, p: int) -> int:
     """Closed-form N_p for the twist family at p = 1 (mod 4).
 
     Minus sign: N_p = 8 n1 + 7 when d in QR_p, else 2p - 7 - 8 n1, with
@@ -127,9 +124,7 @@ def np_lemma3(spec: TwistSpec, p: int) -> PointCountRecord:
         raise HypothesisError(f"np_lemma3 needs d nonzero mod p, got d = {spec.d}, p = {p}")
     d_is_qr = pow(spec.d, (p - 1) // 2, p) == 1  # Euler's criterion
     n_used, shift = (n1, 7) if spec.sign == MINUS or p % 8 == 1 else (n2, 3)
-    n_p = 8 * n_used + shift if d_is_qr else 2 * p - shift - 8 * n_used
-    method = LEMMA3_MINUS if spec.sign == MINUS else LEMMA3_PLUS
-    return PointCountRecord(p, n_p, p - n_p, method, n1_used=n_used)
+    return 8 * n_used + shift if d_is_qr else 2 * p - shift - 8 * n_used
 
 
 def _gauss_ap(a: int, p: int) -> int:
@@ -212,8 +207,8 @@ def lemma7_check(d: int, p: int) -> tuple[int, int, int]:
         raise HypothesisError(f"lemma7_check needs p = 5 (mod 8), got {p}")
     if d % p == 0:
         raise HypothesisError(f"lemma7_check needs d nonzero mod p, got d = {d}, p = {p}")
-    ap_minus = np_lemma3(minus, p).a_p  # np_lemma3's census read is the odd-prime check
-    ap_plus = np_lemma3(TwistSpec(d, PLUS), p).a_p
+    ap_minus = p - np_lemma3(minus, p)  # np_lemma3's census read is the odd-prime check
+    ap_plus = p - np_lemma3(TwistSpec(d, PLUS), p)
     return ap_minus, ap_plus, ap_minus + ap_plus
 
 

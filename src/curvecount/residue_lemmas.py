@@ -37,7 +37,7 @@ def count_lemma2(p: int) -> int:
     return sum(1 for t in qr if (t - 1) % p in qr)
 
 
-@lru_cache(maxsize=8192)
+@lru_cache(maxsize=8)
 def _quartic_census(p: int) -> tuple[int, int]:
     """(n1, n2): distinct fourth powers t with t - 1 resp. t + 1 in QR_p.
 

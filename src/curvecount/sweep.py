@@ -15,16 +15,16 @@ from itertools import accumulate
 # cost is not 0 gave quartiles of 45k, 86k and 104k elements.  They swing
 # with whether the second vCPU is free, so the constant is the upper
 # quartile.
-POOL_START_COST = 100_000
+FORK_COST = 100_000
 
 
 def map_chunks(fn, items, workers: int, cost) -> list:
     """[fn(chunk) for each contiguous chunk of items], in chunk order.
 
     cost(item) estimates the item's in-process work in the unit of
-    POOL_START_COST.  With total the summed cost, the items go to k
+    FORK_COST.  With total the summed cost, the items go to k
     chunks, k the largest count up to workers and len(items) for which
-    a fan-out, at about total/k + POOL_START_COST, beats total in this
+    a fan-out, at about total/k + FORK_COST, beats total in this
     process.  At k == 1, or where the platform has no os.fork, they run
     here as one chunk.  Otherwise k chunks of about equal cost
     (split_by_cost) run at once, chunk 0 in this process and each other
@@ -42,10 +42,10 @@ def map_chunks(fn, items, workers: int, cost) -> list:
         return []
     costs = [cost(item) for item in items]
     total = sum(costs)
-    # total/k + POOL_START_COST falls as k grows, so if any k beats the
+    # total/k + FORK_COST falls as k grows, so if any k beats the
     # in-process total, the largest one does.
     k = min(workers, len(items))
-    if k == 1 or total / k + POOL_START_COST >= total or not hasattr(os, "fork"):
+    if k == 1 or total / k + FORK_COST >= total or not hasattr(os, "fork"):
         return [fn(items)]
     return _fan_out(fn, split_by_cost(items, costs, k))
 

@@ -20,5 +20,5 @@ def fan_outs(monkeypatch):
 @pytest.fixture
 def fan_outs_forced(monkeypatch, fan_outs):
     """fan_outs, with map_chunks's gate open to any work of two or more items."""
-    monkeypatch.setattr(sweep, "POOL_START_COST", 0)
+    monkeypatch.setattr(sweep, "FORK_COST", 0)
     return fan_outs

@@ -111,6 +111,8 @@ def test_workers_default_to_the_cpus_this_process_may_use(monkeypatch):
     def default_workers():
         return cli.build_parser().parse_args(["collisions", "--bound", "10"]).workers
 
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(200)), raising=False)
+    assert default_workers() == cli.WORKERS_CEILING == 64
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     assert default_workers() == 3
@@ -202,6 +204,31 @@ def test_count_usage_errors(capsys):
     assert cli.main(["count", "--a", "-1", "--b", "0", "--p", "12"]) == 2
     # 3 divides the discriminant of y^2 = x^3 - 81x
     assert cli.main(["count", "--a", "-9", "--b", "0", "--p", "3"]) == 2
+
+
+def test_count_refuses_a_brute_count_above_its_ceiling(capsys, monkeypatch):
+    # b = 0 under auto is O(log p), so it takes any odd prime.
+    rc, out = run(capsys, ["count", "--a", "-1", "--b", "0", "--p", "999999999989"])
+    assert rc == 0 and jsonl(out) == [{"p": 999999999989, "n_p": 1000000943079, "a_p": -943090}]
+
+    def no_table(p):
+        raise AssertionError(f"residue table mod {p}")
+
+    monkeypatch.setattr(point_count, "_squares", no_table)
+    for argv in (["--a", "3", "--b", "5"], ["--a", "-1", "--b", "0", "--method", "brute"]):
+        rc = cli.main(["count", *argv, "--p", "1000000007"])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err == "curvecount: error: a brute-force count needs p <= 10000000, got 1000000007\n"
+    monkeypatch.undo()
+    assert cli.BRUTE_P_CEILING == 10**7
+    monkeypatch.setattr(cli, "BRUTE_P_CEILING", 101)
+    assert run(capsys, ["count", "--a", "3", "--b", "5", "--p", "101"])[0] == 0
+    assert run(capsys, ["count", "--a", "3", "--b", "5", "--p", "103"]) == (2, "")
+    assert run(capsys, ["count", "--a", "-1", "--b", "0", "--p", "101", "--method", "brute"])[0] == 0
+    assert run(capsys, ["count", "--a", "-1", "--b", "0", "--p", "103", "--method", "brute"]) == (2, "")
+    assert run(capsys, ["count", "--a", "-1", "--b", "0", "--p", "103"])[0] == 0
+    assert run(capsys, ["count", "--a", "-1", "--b", "0", "--p", "109"])[0] == 0
 
 
 def test_unknown_flag_and_subcommand_rejected(capsys):
@@ -425,7 +452,7 @@ def test_ap_table_csv(capsys):
     assert lines[0] == "p,n_p,a_p,method"
     assert lines[1] == "3,3,0,lemma1"
     assert lines[5] == "13,7,6,gauss"
-    assert np_lemma3(TwistSpec(1, MINUS), 13).a_p == 6
+    assert 13 - np_lemma3(TwistSpec(1, MINUS), 13) == 6
 
 
 def test_cache_env_var_resolves_relative_paths(tmp_path, capsys, monkeypatch):
@@ -661,6 +688,10 @@ def test_lseries_exact_example(capsys):
         {"a": -1, "b": 0, "s": 1, "prime_bound": 7, "value": "105/256",
          "factor_count": 3, "skipped_primes": [2]}
     ]
+    rc, out = run(capsys, ["lseries", "--a", "-25", "--b", "0", "--s", "1", "--limit", "13", "--exact", "--format", "csv"])
+    assert rc == 0
+    assert out == ("a,b,s,prime_bound,value,factor_count,skipped_primes\r\n"
+                   '-25,0,1,13,1001/2560,4,"[2, 5]"\r\n')
 
 
 def test_lseries_exact_past_digit_limit(capsys):
@@ -762,6 +793,10 @@ def test_lemma11_applicable_and_control(capsys):
     records = jsonl(out)
     assert records[:-1] == [{"k": 4, "j": 1, "m": 2, "e": 1}, {"k": 3, "j": 1, "m": 3, "e": 1}]
     assert records[-1] == {"d": 6, "bound": 10, "applicable": False, "hits": 2, "violation": False}
+    rc, out = run(capsys, ["lemma11", "--d", "6", "--bound", "10", "--format", "csv"])
+    assert rc == 0
+    assert out == ("k,j,m,e,d,bound,applicable,hits,violation\r\n4,1,2,1,,,,,\r\n3,1,3,1,,,,,\r\n"
+                   ",,,,6,10,False,2,False\r\n")
 
 
 def test_lemma11_violation_exit_code(capsys, monkeypatch):
@@ -778,6 +813,9 @@ def test_collisions_records(capsys):
     assert jsonl(out) == [
         {"v": 8820, "members": [[1, 20], [5, 9]], "d_values": [7980, 2520], "shared_x": 8820}
     ]
+    rc, out = run(capsys, ["collisions", "--bound", "21", "--workers", "1", "--format", "csv"])
+    assert rc == 0
+    assert out == 'v,members,d_values,shared_x\r\n8820,"[[1, 20], [5, 9]]","[7980, 2520]",8820\r\n'
 
 
 def test_collisions_worker_invariance(capsys, fan_outs_forced):
@@ -800,6 +838,31 @@ def test_workers_below_one_rejected(capsys, argv):
     for workers in ("0", "-1"):
         rc, out = run(capsys, argv + ["--workers", workers])
         assert rc == 2 and out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ap-table", "--a", "3", "--b", "5", "--limit", "2000"],
+        ["lemma-verify", "--lemma", "2", "--limit", "5000"],
+        ["collisions", "--bound", "1000"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_largest_accepted_workers_forks_ceiling_minus_one(capsys, monkeypatch, argv):
+    # Each sweep is large enough that the gate takes every worker allowed;
+    # the chunks run here, so nothing forks.
+    chunk_counts = []
+
+    def in_process(fn, chunks):
+        chunk_counts.append(len(chunks))
+        return [fn(chunk) for chunk in chunks]
+
+    monkeypatch.setattr(sweep, "_fan_out", in_process)
+    _, one = run(capsys, argv + ["--workers", "1"])
+    rc, most = run(capsys, argv + ["--workers", str(cli.WORKERS_CEILING)])
+    assert rc == 0 and most == one
+    assert chunk_counts == [cli.WORKERS_CEILING] == [64]
 
 
 @pytest.mark.parametrize(
@@ -861,6 +924,7 @@ RANGED_ARGUMENTS = [
     ("ap-table --a -1 --b 0 --cache c.cache --limit {}", "--limit", "0", "-1"),
     ("ap-table --a -1 --b 0 --cache c.cache --limit {}", "--limit", "100000000", "100000001"),
     ("ap-table --a -1 --b 0 --cache c.cache --limit 60 --workers {}", "--workers", "1", "0"),
+    ("ap-table --a -1 --b 0 --cache c.cache --limit 60 --workers {}", "--workers", "64", "65"),
     ("lemma-verify --limit 60 --lemma {}", "--lemma", "1", "0"),
     ("lemma-verify --limit 60 --lemma {}", "--lemma", "7", "8"),
     ("lemma-verify --lemma 3 --limit {}", "--limit", "3", "2"),
@@ -868,6 +932,8 @@ RANGED_ARGUMENTS = [
     ("lemma-verify --lemma 3 --limit 60 --d-max {}", "--d-max", "1", "0"),
     ("lemma-verify --lemma 1 --limit 60 --samples {}", "--samples", "1", "0"),
     ("lemma-verify --lemma 3 --limit 60 --workers {}", "--workers", "1", "0"),
+    ("lemma-verify --lemma 3 --limit 60 --workers {}", "--workers", "64", "65"),
+    ("lemma-verify --lemma 2 --limit 1000000 --workers {}", "--workers", "64", "100000"),
     ("lseries --a -1 --b 0 --limit 60 --s {}", "--s", "5e-324", "0"),
     ("lseries --a -1 --b 0 --limit 60 --exact --s {}", "--s", "1.7976931348623157e+308", "inf"),
     ("lseries --a -1 --b 0 --s 1 --limit {}", "--limit", "0", "-1"),
@@ -887,6 +953,8 @@ RANGED_ARGUMENTS = [
     ("collisions --bound {}", "--bound", "1000000", "1000001"),
     ("collisions --bound {}", "--bound", "1000000", str(10**9)),
     ("collisions --bound 30 --workers {}", "--workers", "1", "0"),
+    ("collisions --bound 30 --workers {}", "--workers", "64", "65"),
+    ("collisions --bound 2000 --workers {}", "--workers", "64", "1000"),
     ("lemma8 --limit {}", "--limit", "3", "2"),
     ("lemma8 --limit {}", "--limit", "100000000", "100000001"),
 ]

@@ -11,8 +11,6 @@ from curvecount.point_count import (
     BRUTE,
     GAUSS,
     LEMMA1,
-    LEMMA3_MINUS,
-    LEMMA3_PLUS,
     MINUS,
     PLUS,
     Curve,
@@ -72,7 +70,7 @@ def test_records_print_by_field_and_refuse_assignment():
 
 def test_point_count_record_defaults_replace_and_pickle():
     rec = PointCountRecord(13, 7, 6, GAUSS)
-    assert rec.n1_used is None and rec.brute_np is None and not rec.mismatch
+    assert rec.brute_np is None and not rec.mismatch
     checked = rec._replace(brute_np=8)
     assert checked == PointCountRecord(13, 7, 6, GAUSS, brute_np=8) and checked.mismatch
     assert rec.brute_np is None
@@ -96,20 +94,20 @@ def test_np_lemma1_hypothesis_errors():
 
 
 def test_np_lemma3_examples():
-    rec = np_lemma3(TwistSpec(1, MINUS), 13)
-    assert (rec.n_p, rec.a_p, rec.method, rec.n1_used) == (7, 6, LEMMA3_MINUS, 0)
-    rec = np_lemma3(TwistSpec(2, MINUS), 13)
-    assert rec.n_p == 19
-    rec = np_lemma3(TwistSpec(1, PLUS), 13)
-    assert (rec.n_p, rec.n1_used, rec.method) == (19, 2, LEMMA3_PLUS)
+    # The minus count at 13 reads n1 = 0, the plus count n2 = 2.
+    assert (count_quartic(13, -1), count_quartic(13, 1)) == (0, 2)
+    assert np_lemma3(TwistSpec(1, MINUS), 13) == 7
+    assert np_lemma3(TwistSpec(2, MINUS), 13) == 19
+    assert np_lemma3(TwistSpec(1, PLUS), 13) == 19
 
 
 def test_np_lemma3_plus_at_1_mod_8_uses_minus_census():
     # eps in QR identifies the two twist counts at 17; the 5 (mod 8) plus
     # shape 8 n2 + 3 would give 11 here, off by 4.
-    rec = np_lemma3(TwistSpec(1, PLUS), 17)
-    assert rec.n_p == count_affine_points(Curve(1, 0), 17) == 15
-    assert (rec.method, rec.n1_used) == (LEMMA3_PLUS, 1)
+    assert np_lemma3(TwistSpec(1, PLUS), 17) == count_affine_points(Curve(1, 0), 17) == 15
+    for d in range(1, 17):
+        plus = np_lemma3(TwistSpec(d, PLUS), 17)
+        assert plus == np_lemma3(TwistSpec(d, MINUS), 17) == count_affine_points(Curve(d * d, 0), 17), d
 
 
 def test_np_lemma3_hypothesis_errors():
@@ -129,7 +127,7 @@ def test_np_lemma3_matches_brute_small_sweep():
                 continue
             for sign in (MINUS, PLUS):
                 spec = TwistSpec(d, sign)
-                assert np_lemma3(spec, p).n_p == count_affine_points(spec.curve(), p), (p, d, sign)
+                assert np_lemma3(spec, p) == count_affine_points(spec.curve(), p), (p, d, sign)
 
 
 def test_trace_ap_examples_and_dispatch():
@@ -137,10 +135,10 @@ def test_trace_ap_examples_and_dispatch():
     assert (rec.a_p, rec.method) == (0, LEMMA1)
     rec = trace_ap(Curve(-1, 0), 13)
     assert (rec.a_p, rec.method) == (6, GAUSS)
-    assert np_lemma3(TwistSpec(1, MINUS), 13).a_p == 6
+    assert 13 - np_lemma3(TwistSpec(1, MINUS), 13) == 6
     rec = trace_ap(Curve(1, 0), 13)
     assert (rec.a_p, rec.method) == (-6, GAUSS)
-    assert np_lemma3(TwistSpec(1, PLUS), 13).a_p == -6
+    assert 13 - np_lemma3(TwistSpec(1, PLUS), 13) == -6
     rec = trace_ap(Curve(-1, 0), 13, method="brute")
     assert (rec.n_p, rec.a_p, rec.method) == (7, 6, BRUTE)
     # b != 0 has no closed form; auto falls back to brute force.
@@ -170,7 +168,7 @@ def test_np_lemma3_agrees_with_gauss_trace():
                 spec = TwistSpec(d, sign)
                 rec = trace_ap(spec.curve(), p)
                 assert rec.method == GAUSS
-                assert np_lemma3(spec, p).a_p == rec.a_p, (d, sign, p)
+                assert np_lemma3(spec, p) == rec.n_p, (d, sign, p)
 
 
 def _count_is_prime(monkeypatch) -> list[int]:
@@ -333,7 +331,7 @@ def test_ap_table_example():
     assert [r.p for r in records] == [3, 5, 7, 11, 13]
     assert [r.a_p for r in records] == [0, -2, 0, 0, 6]
     assert [r.method for r in records] == [LEMMA1, GAUSS, LEMMA1, LEMMA1, GAUSS]
-    assert [np_lemma3(TwistSpec(1, MINUS), p).a_p for p in (5, 13)] == [-2, 6]
+    assert [p - np_lemma3(TwistSpec(1, MINUS), p) for p in (5, 13)] == [-2, 6]
     assert all(r.a_p == r.p - r.n_p for r in records)
     assert ap_table(Curve(-1, 0), 2) == []
 

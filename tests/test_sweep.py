@@ -11,7 +11,7 @@ import pytest
 from curvecount import sweep
 from curvecount.modmath import sieve_primes
 from curvecount.point_count import Curve, good_odd_primes, record_cost
-from curvecount.sweep import POOL_START_COST, map_chunks, split_by_cost
+from curvecount.sweep import FORK_COST, map_chunks, split_by_cost
 
 
 def test_map_chunks_keeps_chunk_order(fan_outs_forced):
@@ -24,24 +24,24 @@ def test_map_chunks_keeps_chunk_order(fan_outs_forced):
 
 def test_map_chunks_runs_in_process_below_the_gate(fan_outs):
     assert map_chunks(lambda chunk: chunk, [1, 2, 3, 4, 5], 3, lambda i: 1) == [[1, 2, 3, 4, 5]]
-    assert map_chunks(lambda chunk: chunk, range(5), 1, lambda i: 10 * POOL_START_COST) == [[0, 1, 2, 3, 4]]
-    assert map_chunks(lambda chunk: chunk, [7], 4, lambda i: 10 * POOL_START_COST) == [[7]]
+    assert map_chunks(lambda chunk: chunk, range(5), 1, lambda i: 10 * FORK_COST) == [[0, 1, 2, 3, 4]]
+    assert map_chunks(lambda chunk: chunk, [7], 4, lambda i: 10 * FORK_COST) == [[7]]
     assert map_chunks(lambda chunk: chunk, [], 4, lambda i: 1) == []
     assert fan_outs == []
 
 
 def test_map_chunks_gate_threshold(fan_outs):
-    # Two workers pay when total/2 + POOL_START_COST < total, that is when
-    # the total exceeds twice the start cost.
-    assert map_chunks(lambda chunk: chunk, [1, 2], 2, lambda i: POOL_START_COST) == [[1, 2]]
-    assert map_chunks(list, [1, 2], 2, lambda i: POOL_START_COST + 1) == [[1], [2]]
+    # Two workers pay when total/2 + FORK_COST < total, that is when
+    # the total exceeds twice the fork cost.
+    assert map_chunks(lambda chunk: chunk, [1, 2], 2, lambda i: FORK_COST) == [[1, 2]]
+    assert map_chunks(list, [1, 2], 2, lambda i: FORK_COST + 1) == [[1], [2]]
     assert fan_outs == [2]
 
 
 def test_map_chunks_gate_takes_the_largest_worker_count(fan_outs):
-    # A total of 1.8 start costs does not pay at two workers but does at
+    # A total of 1.8 fork costs does not pay at two workers but does at
     # three, so three workers start.
-    cost = 0.6 * POOL_START_COST
+    cost = 0.6 * FORK_COST
     assert map_chunks(lambda chunk: chunk, [1, 2, 3], 2, lambda i: cost) == [[1, 2, 3]]
     assert map_chunks(list, [1, 2, 3], 3, lambda i: cost) == [[1], [2], [3]]
     assert fan_outs == [3]
@@ -133,7 +133,7 @@ def test_fan_out_children_never_flush_inherited_stdout():
     # so "before" is still in the buffer each child inherits at fork.
     src = os.path.dirname(os.path.dirname(sweep.__file__))
     env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
-    code = ("from curvecount import sweep\nsweep.POOL_START_COST = 0\nprint('before')\n"
+    code = ("from curvecount import sweep\nsweep.FORK_COST = 0\nprint('before')\n"
             "print(sweep.map_chunks(sum, range(6), 3, lambda i: 1))")
     done = subprocess.run([sys.executable, "-c", code], env={**env, "PYTHONPATH": src},
                           capture_output=True, text=True, timeout=60)
