@@ -226,20 +226,24 @@ def _lemma7(d_max: int, samples: int, seed: int):
 # lemma -> ((modulus, residue) selecting the odd primes it covers, check
 # factory, cost(p, d_max, samples)).  The cost estimates the check's
 # in-process work at p for sweep.map_chunks, in elements of a brute-force
-# count, and was fitted to per-prime timings of the check at
-# d_max = samples = 20.  Lemma 1 counts `samples` curves and lemma 3
-# counts 2 d_max curves by brute force; lemmas 2, 4, 6 and 7 build residue
-# tables, and lemma 7 then reads its census 2 d_max times.  Lemma 5 takes
+# count, and was fitted to per-prime timings of the check, tables cold,
+# each divided by the time of one x of point_count._count_affine at the
+# same p, taken right after it.  Lemma 1 counts `samples` curves and
+# lemma 3 counts 2 d_max curves by brute force.  Lemmas 2, 4, 6 and 7 read
+# one root_counts table: lemma 2 counts with a few big-int operations on
+# it, lemma 4 builds its chord flags with one modular inverse a unit
+# (fitted at 8.2 p), lemma 6 builds the quartic census, and lemma 7 reads
+# that census 2 d_max times (fitted at d_max = 20 and 40).  Lemma 5 takes
 # a few modular powers per prime, about 3 us with the chunk's bookkeeping
 # (limit 60015).
 LEMMAS = {
     1: ((4, 3), _lemma1, lambda p, d_max, samples: min(samples, p - 1) * p),
-    2: ((4, 1), _lemma2, lambda p, d_max, samples: 0.6 * p),
+    2: ((4, 1), _lemma2, lambda p, d_max, samples: 0.25 * p + 90),
     3: ((4, 1), _lemma3, lambda p, d_max, samples: 2.4 * d_max * p),
     4: ((4, 1), _lemma4, lambda p, d_max, samples: 8 * p),
     5: ((2, 1), _lemma5, lambda p, d_max, samples: 20),
-    6: ((8, 5), _lemma6, lambda p, d_max, samples: 0.8 * p + 300),
-    7: ((8, 5), _lemma7, lambda p, d_max, samples: 0.9 * p + 30 * d_max),
+    6: ((8, 5), _lemma6, lambda p, d_max, samples: 0.65 * p + 90),
+    7: ((8, 5), _lemma7, lambda p, d_max, samples: 0.65 * p + 25 * d_max),
 }
 
 

@@ -2,11 +2,16 @@
 
 All residues are normalized to {0, ..., p-1}.  Public functions that
 take a prime validate it (deterministic Miller-Rabin), so a bad p fails
-loudly instead of producing garbage counts downstream.  The lru-cached
-quadratic_residues proves its prime when its table is built; lru_cache
-never stores a call that raised, so reading the table is itself the
-check, and the identity functions built on it run Miller-Rabin once per
-prime.  The private kernels behind some functions skip the check; sweeps
+loudly instead of producing garbage counts downstream.
+
+Every per-prime table is one `bytes` object of p entries:
+root_counts(p)[t] is the number of y mod p with y^2 = t, so 1 at t = 0,
+2 on QR_p and 0 elsewhere.  It is lru-cached and proves its prime when
+the table is built; lru_cache never stores a call that raised, so
+reading the table is itself the check, and the identity functions built
+on it run Miller-Rabin once per prime.  quadratic_residues and
+quartic_residues are uncached set views of it.  The private kernels
+behind some functions (_root_counts among them) skip the check; sweeps
 call them on primes that came from the sieve.
 """
 
@@ -108,19 +113,35 @@ def _sqrt_of_minus_one(p: int) -> int:
 
 
 @lru_cache(maxsize=8)
-def quadratic_residues(p: int) -> frozenset[int]:
-    """QR_p: the set of nonzero squares mod p."""
+def root_counts(p: int) -> bytes:
+    """The table r of p bytes with r[t] = #{y mod p : y^2 = t}.
+
+    r[0] = 1, r[t] = 2 for t in QR_p and 0 for the nonresidues, so a
+    brute-force count sums r[f(x)] over x.
+    """
     require_odd_prime(p)
-    return _squares(p)
+    return _root_counts(p)
 
 
-@lru_cache(maxsize=8)
-def _squares(p: int) -> frozenset[int]:
-    """quadratic_residues without its check: p must be an odd prime."""
-    return frozenset(y * y % p for y in range(1, (p + 1) // 2))
+def _root_counts(p: int) -> bytes:
+    """root_counts without its check or cache: p must be an odd prime."""
+    r = bytearray(p)
+    r[0] = 1
+    for y in range(1, (p + 1) // 2):
+        r[y * y % p] = 2
+    return bytes(r)
 
 
-@lru_cache(maxsize=8)
+# Translating a root_counts table through this leaves a 1 byte at each
+# t in QR_p and 0 elsewhere: the flags of QR_p, one byte lane per residue.
+_QR_LANE = bytes.maketrans(b"\x01\x02", b"\x00\x01")
+
+
+def quadratic_residues(p: int) -> frozenset[int]:
+    """QR_p: the set of nonzero squares mod p, read off root_counts(p)."""
+    return frozenset(compress(range(p), root_counts(p).translate(_QR_LANE)))
+
+
 def quartic_residues(p: int) -> frozenset[int]:
     """The set of nonzero fourth powers mod p (squares of QR_p)."""
     return frozenset(t * t % p for t in quadratic_residues(p))

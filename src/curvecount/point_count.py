@@ -1,10 +1,11 @@
 """Affine point counts for y^2 = x^3 + a x + b over prime fields.
 
 N_p counts affine solutions only; the projective count is one larger.
-Brute force is O(p) per prime: the Legendre-character sum over x, with
-the character evaluated by table lookup and t = 0 contributing exactly
-one solution y = 0.  Every curve y^2 = x^3 + ax is counted in O(log p)
-instead: N_p = p at p = 3 (mod 4) (Lemma 1), and at p = 1 (mod 4) the
+Brute force is O(p) per prime: the sum over x of the number of square
+roots of t = x^3 + ax + b, read from the table modmath.root_counts (1
+at t = 0, 2 at a nonzero square, 0 elsewhere).  Every curve
+y^2 = x^3 + ax is counted in O(log p) instead: N_p = p at p = 3
+(mod 4) (Lemma 1), and at p = 1 (mod 4) the
 trace comes from p = u^2 + v^2 and one quartic residue symbol (Gauss).
 The paper's closed forms for the twist family y^2 = x^3 +- d^2 x are
 claims under test, so `cross_validate` re-derives traces by brute force
@@ -18,7 +19,7 @@ from math import isqrt
 
 from .errors import BadReductionError, HypothesisError, SingularCurveError, TangentUndefinedError
 from .modmath import (
-    _sqrt_of_minus_one, _squares, mod_inverse, quadratic_residues, require_odd_prime, sieve_primes,
+    _root_counts, _sqrt_of_minus_one, mod_inverse, require_odd_prime, root_counts, sieve_primes,
 )
 from .residue_lemmas import _quartic_census
 
@@ -72,23 +73,14 @@ class PointCountRecord(namedtuple("PointCountRecord", "p n_p a_p method brute_np
 
 def count_affine_points(curve: Curve, p: int) -> int:
     """#{(x, y) in Z_p x Z_p : y^2 = x^3 + ax + b mod p}, by brute force."""
-    quadratic_residues(p)  # reading the table is the odd-prime check
-    return _count_affine(curve, p)
+    return _count_affine(curve, p, root_counts(p))  # reading the table is the odd-prime check
 
 
-def _count_affine(curve: Curve, p: int) -> int:
-    """count_affine_points without its check: p must be an odd prime."""
+def _count_affine(curve: Curve, p: int, r: bytes) -> int:
+    """count_affine_points without its check, given r = root_counts(p)."""
     a = curve.a % p
     b = curve.b % p
-    qr = _squares(p)
-    n = 0
-    for x in range(p):
-        t = (x * x * x + a * x + b) % p
-        if t == 0:
-            n += 1
-        elif t in qr:
-            n += 2
-    return n
+    return sum(r[(x * (x * x + a) + b) % p] for x in range(p))
 
 
 def np_lemma1(a: int, p: int) -> int:
@@ -192,7 +184,7 @@ def _trace_ap(curve: Curve, p: int) -> PointCountRecord:
 
 
 def _brute_record(curve: Curve, p: int) -> PointCountRecord:
-    n_p = _count_affine(curve, p)
+    n_p = _count_affine(curve, p, _root_counts(p))
     return PointCountRecord(p, n_p, p - n_p, BRUTE)
 
 
@@ -267,7 +259,7 @@ def records_for_primes(curve: Curve, primes: list[int], cross_validate: bool = F
     for p in primes:
         rec = _trace_ap(curve, p)
         if cross_validate and rec.method != BRUTE:
-            rec = rec._replace(brute_np=_count_affine(curve, p))
+            rec = rec._replace(brute_np=_count_affine(curve, p, _root_counts(p)))
         out.append(rec)
     return out
 
@@ -275,12 +267,12 @@ def records_for_primes(curve: Curve, primes: list[int], cross_validate: bool = F
 def record_cost(curve: Curve, cross_validate: bool, p: int) -> float:
     """The brute-force work of records_for_primes at p, for sweep.map_chunks.
 
-    A brute count with its residue table costs about 1.2 p elements,
-    fitted to per-prime timings up to p = 6000.  A closed-form record
+    A brute count with its root_counts table costs about 1.25 p elements,
+    fitted to per-prime timings up to p = 2005.  A closed-form record
     counts as 0: it takes about as long to compute as its result takes
     to pickle back from a forked worker, so no fan-out can gain on it.
     """
-    return 1.2 * p if cross_validate or _auto_method(curve, p) == BRUTE else 0
+    return 1.25 * p if cross_validate or _auto_method(curve, p) == BRUTE else 0
 
 
 def ap_table(curve: Curve, limit: int, cross_validate: bool = False) -> list[PointCountRecord]:

@@ -4,19 +4,27 @@ A census counts *distinct* square (or fourth-power) values t in Z_p^*,
 not the y producing them; shifted values that land on 0 are excluded,
 since 0 is neither a residue nor a nonresidue.
 
+The censuses read modmath.root_counts(p), the one per-prime table, as
+byte lanes of a big integer: with QR the integer whose byte t is 1 for
+t in QR_p and 0 elsewhere, and Q4 the same for the fourth powers, a
+shift by 8 bits moves every t by one, so the count of t in Q4 with
+t - 1 in QR_p is (Q4 & (QR << 8)).bit_count().  lemma4_check reads
+root_counts directly, and its chord values are a bytes flag table too.
+
 Each identity proves its prime by first reading a per-prime lru table
-(quadratic_residues, or the census built on it) and makes no
-Miller-Rabin call of its own.  A table is only stored once its prime
-has passed, so a sweep proves each prime once.
+(root_counts, or the census built on it) and makes no Miller-Rabin call
+of its own.  A table is only stored once its prime has passed, so a
+sweep proves each prime once.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
+from itertools import compress
 
 from .errors import HypothesisError
-from .modmath import _sqrt_of_minus_one, quadratic_residues, quartic_residues, require_odd_prime, sieve_primes
+from .modmath import _QR_LANE, _sqrt_of_minus_one, require_odd_prime, root_counts, sieve_primes
 
 
 class ResidueCounts(namedtuple("ResidueCounts", "p lemma2_count n1 n2")):
@@ -31,26 +39,26 @@ def count_lemma2(p: int) -> int:
     For p = 1 (mod 4) the count is exactly (p - 5)/4; the sweep tests
     assert that identity wholesale.
     """
-    qr = quadratic_residues(p)  # reading the table is the odd-prime check
+    r = root_counts(p)  # reading the table is the odd-prime check
     if p % 4 != 1:
         raise HypothesisError(f"count_lemma2 needs p = 1 (mod 4), got {p}")
-    return sum(1 for t in qr if (t - 1) % p in qr)
+    qr = int.from_bytes(r.translate(_QR_LANE), "little")
+    return (qr & (qr << 8)).bit_count()
 
 
 @lru_cache(maxsize=8)
 def _quartic_census(p: int) -> tuple[int, int]:
     """(n1, n2): distinct fourth powers t with t - 1 resp. t + 1 in QR_p.
 
-    Raises ValueError, through quadratic_residues, unless p is an odd prime.
+    Raises ValueError, through root_counts, unless p is an odd prime.
     """
-    qr = quadratic_residues(p)
-    n1 = n2 = 0
-    for t in quartic_residues(p):
-        if (t - 1) % p in qr:
-            n1 += 1
-        if (t + 1) % p in qr:
-            n2 += 1
-    return n1, n2
+    qr_flags = root_counts(p).translate(_QR_LANE)
+    q4_flags = bytearray(p)
+    for t in compress(range(p), qr_flags):
+        q4_flags[t * t % p] = 1
+    qr = int.from_bytes(qr_flags, "little")
+    q4 = int.from_bytes(q4_flags, "little")
+    return (q4 & (qr << 8)).bit_count(), (q4 & (qr >> 8)).bit_count()
 
 
 def count_quartic(p: int, shift: int) -> int:
@@ -70,16 +78,18 @@ def census(p: int) -> ResidueCounts:
 
 
 @lru_cache(maxsize=8)
-def _chord_values(p: int) -> frozenset[int]:
-    """All r + 1/r mod p over units r outside {1, -1, eps, -eps}.
+def _chord_values(p: int) -> bytes:
+    """Flags of p bytes, 1 at each r + 1/r mod p over units r outside {1, -1, eps, -eps}.
 
     Unchecked: lemma4_check has proved p prime and p = 1 (mod 4).
     """
     eps = _sqrt_of_minus_one(p)
     excluded = {1, p - 1, eps, p - eps}
-    return frozenset(
-        (r + pow(r, -1, p)) % p for r in range(2, p - 1) if r not in excluded
-    )
+    flags = bytearray(p)
+    for r in range(2, p - 1):
+        if r not in excluded:
+            flags[(r + pow(r, -1, p)) % p] = 1
+    return bytes(flags)
 
 
 def lemma4_check(p: int, y: int) -> tuple[bool, bool]:
@@ -90,14 +100,14 @@ def lemma4_check(p: int, y: int) -> tuple[bool, bool]:
     degenerate chords (r = +-1 forces y^4 = 1, r = +-eps forces y = 0).
     The contract is lhs = rhs at every y; tests sweep it exhaustively.
     """
-    qr = quadratic_residues(p)  # reading the table is the odd-prime check
+    roots = root_counts(p)  # reading the table is the odd-prime check
     if p % 4 != 1:
         raise HypothesisError(f"lemma4_check needs p = 1 (mod 4), got {p}")
     y %= p
     if y == 0:
         raise ValueError("y must be a unit mod p")
-    lhs = (pow(y, 4, p) - 1) % p in qr
-    rhs = 2 * y * y % p in _chord_values(p)
+    lhs = roots[(pow(y, 4, p) - 1) % p] == 2
+    rhs = _chord_values(p)[2 * y * y % p] == 1
     return lhs, rhs
 
 
@@ -143,7 +153,10 @@ def lemma6_check(p: int) -> tuple[int, int, bool]:
     return n1, n2, n1 + n2 == (p - 5) // 4
 
 
-def lemma8_fraction(limit: int) -> tuple[int, int, Fraction]:
+# The return annotation reaches fractions.Fraction through __import__,
+# which runs only when typing.get_type_hints evaluates it: importing this
+# module, on the path of every counting call, does not load fractions.
+def lemma8_fraction(limit: int) -> tuple[int, int, __import__("fractions").Fraction]:
     """Split the odd primes <= limit by p mod 4.
 
     Returns (#p = 1 mod 4, #p = 3 mod 4, first count over the total) with

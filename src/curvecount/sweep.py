@@ -8,13 +8,15 @@ from itertools import accumulate
 
 # What a fork fan-out costs, in the unit of every caller's cost model:
 # one element of a brute-force point count (one x of
-# point_count._count_affine; the sweeps ran at 131-251 ns an element).
+# point_count._count_affine; the sweeps ran at 206-284 ns an element).
 # Fitted as the time a fan-out of two adds beyond half the in-process
 # sweep, from alternating pairs of fresh CLI calls at --workers 1 and 2
 # (Python 3.11.7, 2 vCPUs): 20 fits over the ten benchmark sweeps whose
-# cost is not 0 gave quartiles of 45k, 86k and 104k elements.  They swing
-# with whether the second vCPU is free, so the constant is the upper
-# quartile.
+# cost is not 0 gave quartiles of 64k, 80k and 117k elements (45k, 86k
+# and 104k before the byte-table kernels).  They swing with whether the
+# second vCPU is free, so the constant sits near the upper quartile; it
+# stays at 100k because a gate of 2 * 117k would keep in process the
+# lemma 7 sweep (236k elements), which won 14 of its 20 pairs at 2 workers.
 FORK_COST = 100_000
 
 

@@ -24,6 +24,30 @@ def squares_by_enumeration(p):
     return {x * x % p for x in range(1, p)}
 
 
+def root_counts_by_enumeration(p):
+    """[#{y : y^2 = t mod p} for t in 0..p-1], by squaring every y mod p."""
+    counts = [0] * p
+    for y in range(p):
+        counts[y * y % p] += 1
+    return counts
+
+
+def census_by_enumeration(p):
+    """(lemma 2 count, n1, n2) at p, from the sets of squares and fourth powers.
+
+    lemma 2 counts the nonzero squares t with t - 1 a nonzero square; n1
+    and n2 count the nonzero fourth powers t with t - 1, resp. t + 1, a
+    nonzero square.
+    """
+    squares = squares_by_enumeration(p)
+    fourths = {pow(y, 4, p) for y in range(1, p)}
+    return (
+        sum(1 for t in squares if (t - 1) % p in squares),
+        sum(1 for t in fourths if (t - 1) % p in squares),
+        sum(1 for t in fourths if (t + 1) % p in squares),
+    )
+
+
 def legendre_by_enumeration(a, p):
     """Legendre symbol from the full square table, no Euler criterion."""
     a %= p

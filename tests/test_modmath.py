@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -12,10 +13,16 @@ from curvecount.modmath import (
     prime_profile,
     quadratic_residues,
     quartic_residues,
+    root_counts,
     sieve_primes,
     sqrt_of_minus_one,
 )
-from oracles import legendre_by_enumeration, primes_by_trial_division, squares_by_enumeration
+from oracles import (
+    legendre_by_enumeration,
+    primes_by_trial_division,
+    root_counts_by_enumeration,
+    squares_by_enumeration,
+)
 
 
 def test_sieve_small_values():
@@ -74,6 +81,38 @@ def test_qr_and_qnr_split_the_units_evenly():
         qr = quadratic_residues(p)
         assert qr == squares_by_enumeration(p)
         assert len(qr) == (p - 1) // 2
+
+
+def test_root_counts_match_enumeration():
+    for p in sieve_primes(2000):
+        if p == 2:
+            continue
+        r = root_counts(p)
+        assert type(r) is bytes and list(r) == root_counts_by_enumeration(p), p
+
+
+def test_root_counts_rejects_non_primes():
+    for bad in (0, 1, 2, 9, 561):
+        with pytest.raises(ValueError):
+            root_counts(bad)
+
+
+def test_root_counts_take_one_byte_a_residue():
+    # The table is the one bytes object of p entries; building it holds
+    # that object and the bytearray it is copied from, nothing more.
+    p = 100003
+    root_counts.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        table = root_counts(p)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(table) == p
+    assert kept - before < 2 * p
+    assert peak - before < 2 * p + 4096
 
 
 def test_quartic_residues_are_squares_of_squares():

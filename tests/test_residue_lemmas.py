@@ -1,3 +1,4 @@
+import typing
 from fractions import Fraction
 
 import pytest
@@ -13,19 +14,7 @@ from curvecount.residue_lemmas import (
     lemma6_check,
     lemma8_fraction,
 )
-from oracles import squares_by_enumeration
-
-
-def quartic_census_by_enumeration(p, shift):
-    """Distinct fourth powers t with t + shift a nonzero square, from scratch."""
-    squares = squares_by_enumeration(p)
-    quartics = {pow(y, 4, p) for y in range(1, p)}
-    return sum(1 for t in quartics if (t + shift) % p in squares)
-
-
-def lemma2_count_by_enumeration(p):
-    squares = squares_by_enumeration(p)
-    return sum(1 for t in squares if (t - 1) % p in squares)
+from oracles import census_by_enumeration
 
 
 def test_count_lemma2_examples():
@@ -40,11 +29,11 @@ def test_count_lemma2_rejects_3_mod_4():
 
 
 def test_count_lemma2_against_enumeration_and_formula():
-    for p in sieve_primes(400):
+    for p in sieve_primes(2000):
         if p % 4 != 1:
             continue
         got = count_lemma2(p)
-        assert got == lemma2_count_by_enumeration(p)
+        assert got == census_by_enumeration(p)[0]
         assert got == (p - 5) // 4, p
 
 
@@ -62,11 +51,11 @@ def test_count_quartic_rejects_other_shifts():
 
 
 def test_count_quartic_against_enumeration():
-    for p in sieve_primes(300):
+    for p in sieve_primes(2000):
         if p == 2:
             continue
-        for shift in (-1, 1):
-            assert count_quartic(p, shift) == quartic_census_by_enumeration(p, shift), (p, shift)
+        _, n1, n2 = census_by_enumeration(p)
+        assert (count_quartic(p, -1), count_quartic(p, 1)) == (n1, n2), p
 
 
 def test_census_bundle():
@@ -137,3 +126,7 @@ def test_lemma8_examples():
     assert lemma8_fraction(100) == (11, 13, Fraction(11, 24))
     with pytest.raises(ValueError):
         lemma8_fraction(2)
+
+
+def test_lemma8_annotations_resolve():
+    assert typing.get_type_hints(lemma8_fraction) == {"limit": int, "return": tuple[int, int, Fraction]}
