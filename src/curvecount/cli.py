@@ -71,9 +71,9 @@ def _fail(message: str) -> int:
 # anything is computed.
 LIMIT_CEILING = 10**8
 BOUND_CEILING = 10**6
-# A brute-force count at p holds a table of the (p-1)/2 quadratic
-# residues: `count --a 3 --b 5` peaked at 296 MB RSS and took 14 s at
-# p = 9999991, about 56 bytes a residue, so a larger p is refused.
+# A brute-force count at p holds one table of p bytes: `count --a 3 --b 5`
+# peaked at 24 MB RSS and took 5.1-5.7 s at p = 9999991 (two runs, Python
+# 3.11.7, 2 vCPUs).  Its time grows linearly, so a larger p is refused.
 BRUTE_P_CEILING = 10**7
 # Each worker past the first is a forked copy of the process holding its
 # own chunk's tables, and a sweep forks as many as --workers allows once
@@ -118,162 +118,16 @@ def _positive_float(text: str) -> float:
     return value
 
 
-# ---------------------------------------------------------------- lemma-verify
-#
-# One check per lemma: _lemmaN(d_max, samples, seed) imports what the
-# check needs and returns check(p) -> (items checked, mismatch details),
-# so a sweep imports once and then calls check once per prime.  Per-prime
-# state (the lemma 1 sample of a values) is seeded from (seed, p) alone,
-# never from chunk position, so any partition of the primes yields the
-# same findings.
-
-
-def _lemma1(d_max: int, samples: int, seed: int):
-    import random
-
-    from .point_count import Curve, count_affine_points
-
-    def check(p):
-        rng = random.Random((seed << 32) | p)
-        values = sorted(rng.sample(range(1, p), min(samples, p - 1)))
-        bad = []
-        for a in values:
-            n_p = count_affine_points(Curve(a, 0), p)
-            if n_p != p:
-                bad.append({"a": a, "n_p": n_p, "expected": p})
-        return len(values), bad
-
-    return check
-
-
-def _lemma2(d_max: int, samples: int, seed: int):
-    from .residue_lemmas import count_lemma2
-
-    def check(p):
-        count = count_lemma2(p)
-        return 1, [] if count == (p - 5) // 4 else [{"count": count, "expected": (p - 5) // 4}]
-
-    return check
-
-
-def _lemma3(d_max: int, samples: int, seed: int):
-    from .point_count import MINUS, PLUS, TwistSpec, count_affine_points, np_lemma3
-
-    def check(p):
-        checked, bad = 0, []
-        for d in range(1, d_max + 1):
-            if d % p == 0:
-                continue
-            for sign in (MINUS, PLUS):
-                spec = TwistSpec(d, sign)
-                claimed = np_lemma3(spec, p)
-                brute = count_affine_points(spec.curve(), p)
-                checked += 1
-                if claimed != brute:
-                    bad.append({"d": d, "sign": sign, "claimed": claimed, "brute": brute})
-        return checked, bad
-
-    return check
-
-
-def _lemma4(d_max: int, samples: int, seed: int):
-    from .residue_lemmas import lemma4_check
-
-    def check(p):
-        bad = []
-        for y in range(1, p):
-            lhs, rhs = lemma4_check(p, y)
-            if lhs != rhs:
-                bad.append({"y": y, "lhs": lhs, "rhs": rhs})
-        return p - 1, bad
-
-    return check
-
-
-def _lemma5(d_max: int, samples: int, seed: int):
-    from .residue_lemmas import _lemma5_hit  # the sweep's primes come from the sieve
-
-    return lambda p: (1, [{}] if _lemma5_hit(p) else [])
-
-
-def _lemma6(d_max: int, samples: int, seed: int):
-    from .residue_lemmas import lemma6_check
-
-    def check(p):
-        n1, n2, ok = lemma6_check(p)
-        return 1, [] if ok else [{"n1": n1, "n2": n2, "expected_sum": (p - 5) // 4}]
-
-    return check
-
-
-def _lemma7(d_max: int, samples: int, seed: int):
-    from .point_count import lemma7_check
-
-    def check(p):
-        checked, bad = 0, []
-        for d in range(1, d_max + 1):
-            if d % p == 0:
-                continue
-            ap_minus, ap_plus, total = lemma7_check(d, p)
-            checked += 1
-            if total != 0:
-                bad.append({"d": d, "ap_minus": ap_minus, "ap_plus": ap_plus, "sum": total})
-        return checked, bad
-
-    return check
-
-
-# lemma -> ((modulus, residue) selecting the odd primes it covers, check
-# factory, cost(p, d_max, samples)).  The cost estimates the check's
-# in-process work at p for sweep.map_chunks, in elements of a brute-force
-# count, and was fitted to per-prime timings of the check, tables cold,
-# each divided by the time of one x of point_count._count_affine at the
-# same p, taken right after it.  Lemma 1 counts `samples` curves and
-# lemma 3 counts 2 d_max curves by brute force.  Lemmas 2, 4, 6 and 7 read
-# one root_counts table: lemma 2 counts with a few big-int operations on
-# it, lemma 4 builds its chord flags with one modular inverse a unit
-# (fitted at 8.2 p), lemma 6 builds the quartic census, and lemma 7 reads
-# that census 2 d_max times (fitted at d_max = 20 and 40).  Lemma 5 takes
-# a few modular powers per prime, about 3 us with the chunk's bookkeeping
-# (limit 60015).
-LEMMAS = {
-    1: ((4, 3), _lemma1, lambda p, d_max, samples: min(samples, p - 1) * p),
-    2: ((4, 1), _lemma2, lambda p, d_max, samples: 0.25 * p + 90),
-    3: ((4, 1), _lemma3, lambda p, d_max, samples: 2.4 * d_max * p),
-    4: ((4, 1), _lemma4, lambda p, d_max, samples: 8 * p),
-    5: ((2, 1), _lemma5, lambda p, d_max, samples: 20),
-    6: ((8, 5), _lemma6, lambda p, d_max, samples: 0.65 * p + 90),
-    7: ((8, 5), _lemma7, lambda p, d_max, samples: 0.65 * p + 25 * d_max),
-}
-
-
-def _verify_chunk(lemma: int, check, primes: list[int]):
-    """(checked, mismatch records) for one prime chunk of one lemma sweep."""
-    checked, mismatches = 0, []
-    for p in primes:
-        count, bad = check(p)
-        checked += count
-        mismatches.extend({"lemma": lemma, "p": p, **detail} for detail in bad)
-    return checked, mismatches
+# ------------------------------------------------------------------- handlers
 
 
 def _run_verify(args) -> int:
-    from .modmath import sieve_primes
-    from .sweep import map_chunks
+    from .residue_lemmas import verify_lemma
 
-    (modulus, residue), make_check, cost = LEMMAS[args.lemma]
-    primes = [p for p in sieve_primes(args.limit) if p % modulus == residue]
-    # Built before the fan-out, so forked workers inherit its imports.
-    chunk = partial(_verify_chunk, args.lemma, make_check(args.d_max, args.samples, args.seed))
-    results = map_chunks(chunk, primes, args.workers, lambda p: cost(p, args.d_max, args.samples))
-    checked = sum(r[0] for r in results)
-    mismatches = [record for r in results for record in r[1]]
+    checked, mismatches = verify_lemma(args.lemma, args.limit, args.d_max, args.samples, args.seed, args.workers)
     summary = {"lemma": args.lemma, "limit": args.limit, "checked": checked, "mismatches": len(mismatches)}
     _emit(mismatches + [summary], args.format)
     return 1 if mismatches else 0
-
-
-# ------------------------------------------------------------------- handlers
 
 
 def _run_profile(args) -> int:
@@ -393,7 +247,10 @@ def _run_find_points(args) -> int:
 def _run_lemma11(args) -> int:
     from .rational_points import lemma11_applicable, lemma11_exhaustive
 
-    applicable = lemma11_applicable(args.d)
+    try:
+        applicable = lemma11_applicable(args.d)
+    except ValueError as exc:  # a d too large for is_prime to decide
+        return _fail(str(exc))
     hits = lemma11_exhaustive(args.d, args.bound)
     rows = [q._asdict() for q in hits]
     rows.append(
@@ -472,7 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_run_ap_table)
 
     p = sub.add_parser("lemma-verify", parents=[common, workers], help="sweep one closed-form claim against brute force")
-    p.add_argument("--lemma", type=int, choices=sorted(LEMMAS), required=True)
+    # residue_lemmas.LEMMAS's keys, written out so that building the parser loads no library module
+    p.add_argument("--lemma", type=int, choices=range(1, 8), required=True)
     p.add_argument("--limit", type=sweep_limit, required=True)
     p.add_argument("--d-max", type=_int_in(1), default=20)
     p.add_argument("--samples", type=_int_in(1), default=20, help="a values sampled per prime (lemma 1)")

@@ -26,9 +26,12 @@ from .errors import HypothesisError
 QR = "QR"
 QNR = "QNR"
 
-# Deterministic witness set, valid far beyond any bound used here
-# (covers n < 3.3 * 10^24).
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin to the first 13 prime bases is deterministic below psi_13,
+# the least strong pseudoprime to all of them; the first 12 stop at psi_12
+# = 318665857834031151167461 (Sorenson and Webster, Math. Comp. 86 (2017)
+# 985-1003).  is_prime refuses n >= psi_13 = 1287836182261 * 2575672364521.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_CEILING = 3317044064679887385961981
 
 
 def sieve_primes(limit: int) -> list[int]:
@@ -44,9 +47,11 @@ def sieve_primes(limit: int) -> list[int]:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for the sizes this package sweeps."""
+    """Deterministic Miller-Rabin; ValueError at n >= _MR_CEILING, where it could be wrong."""
     if n < 2:
         return False
+    if n >= _MR_CEILING:
+        raise ValueError(f"primality is decided only below {_MR_CEILING}, got {n}")
     for q in _MR_BASES:
         if n % q == 0:
             return n == q
@@ -120,16 +125,16 @@ def root_counts(p: int) -> bytes:
     brute-force count sums r[f(x)] over x.
     """
     require_odd_prime(p)
-    return _root_counts(p)
+    return bytes(_root_counts(p))  # cached and shared, so immutable
 
 
-def _root_counts(p: int) -> bytes:
+def _root_counts(p: int) -> bytearray:
     """root_counts without its check or cache: p must be an odd prime."""
     r = bytearray(p)
     r[0] = 1
     for y in range(1, (p + 1) // 2):
         r[y * y % p] = 2
-    return bytes(r)
+    return r  # the caller's own table, so not copied into bytes
 
 
 # Translating a root_counts table through this leaves a 1 byte at each

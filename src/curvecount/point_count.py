@@ -5,11 +5,14 @@ Brute force is O(p) per prime: the sum over x of the number of square
 roots of t = x^3 + ax + b, read from the table modmath.root_counts (1
 at t = 0, 2 at a nonzero square, 0 elsewhere).  Every curve
 y^2 = x^3 + ax is counted in O(log p) instead: N_p = p at p = 3
-(mod 4) (Lemma 1), and at p = 1 (mod 4) the
-trace comes from p = u^2 + v^2 and one quartic residue symbol (Gauss).
-The paper's closed forms for the twist family y^2 = x^3 +- d^2 x are
-claims under test, so `cross_validate` re-derives traces by brute force
-and any disagreement is surfaced as data, never patched over.
+(mod 4) (identity 1), and at p = 1 (mod 4) the trace comes from
+p = u^2 + v^2 and one quartic residue symbol (Gauss).  `cross_validate`
+re-derives those traces by brute force, and any disagreement is
+surfaced as data, never patched over.
+
+This module only counts.  The paper's closed forms for the twist family
+y^2 = x^3 -+ d^2 x, and the sweep that checks them against these
+counts, live in residue_lemmas, which imports from here.
 """
 
 from __future__ import annotations
@@ -17,18 +20,14 @@ from __future__ import annotations
 from collections import namedtuple
 from math import isqrt
 
-from .errors import BadReductionError, HypothesisError, SingularCurveError, TangentUndefinedError
+from .errors import BadReductionError, SingularCurveError, TangentUndefinedError
 from .modmath import (
     _root_counts, _sqrt_of_minus_one, mod_inverse, require_odd_prime, root_counts, sieve_primes,
 )
-from .residue_lemmas import _quartic_census
 
 BRUTE = "brute"
 LEMMA1 = "lemma1"
 GAUSS = "gauss"
-
-MINUS = "minus"
-PLUS = "plus"
 
 
 class Curve(namedtuple("Curve", "a b")):
@@ -38,23 +37,6 @@ class Curve(namedtuple("Curve", "a b")):
 
     def discriminant(self) -> int:
         return -16 * (4 * self.a**3 + 27 * self.b**2)
-
-
-class TwistSpec(namedtuple("TwistSpec", "d sign")):
-    """One member of the twist family: y^2 = x^3 - d^2 x or + d^2 x."""
-
-    __slots__ = ()
-
-    def __new__(cls, d: int, sign: str):
-        if d < 1:
-            raise ValueError(f"d must be a positive integer, got {d}")
-        if sign not in (MINUS, PLUS):
-            raise ValueError(f"sign must be {MINUS!r} or {PLUS!r}, got {sign!r}")
-        return super().__new__(cls, d, sign)
-
-    def curve(self) -> Curve:
-        dd = self.d * self.d
-        return Curve(-dd if self.sign == MINUS else dd, 0)
 
 
 class PointCountRecord(namedtuple("PointCountRecord", "p n_p a_p method brute_np", defaults=(None,))):
@@ -81,42 +63,6 @@ def _count_affine(curve: Curve, p: int, r: bytes) -> int:
     a = curve.a % p
     b = curve.b % p
     return sum(r[(x * (x * x + a) + b) % p] for x in range(p))
-
-
-def np_lemma1(a: int, p: int) -> int:
-    """N_p = p for y^2 = x^3 + ax when -1 is a nonresidue mod p.
-
-    x -> -x pairs the nonzero x with rhs values t and -t, exactly one of
-    which is a square; no census is needed.
-    """
-    require_odd_prime(p)
-    if p % 4 == 1:
-        raise HypothesisError(f"np_lemma1 needs -1 in QNR_p, got p = {p} = 1 (mod 4)")
-    if a % p == 0:
-        raise HypothesisError(f"np_lemma1 needs a nonzero a mod p, got a = {a}, p = {p}")
-    return p
-
-
-def np_lemma3(spec: TwistSpec, p: int) -> int:
-    """Closed-form N_p for the twist family at p = 1 (mod 4).
-
-    Minus sign: N_p = 8 n1 + 7 when d in QR_p, else 2p - 7 - 8 n1, with
-    n1 the (-1)-shift quartic census.  Plus sign at p = 5 (mod 8): the
-    same shape with 3 in place of 7 and the (+1)-shift census n2.  That
-    3-shape is specific to eps in QNR_p: at p = 1 (mod 8) the
-    substitution x -> eps x rescales y^2 by the square -eps and turns
-    the plus curve into the minus curve for eps d, whose class equals
-    d's, so the plus count there IS the minus count.  (At p = 5 (mod 8)
-    the two routes agree exactly because n1 + n2 = (p-5)/4.)
-    """
-    n1, n2 = _quartic_census(p)  # reading the census is the odd-prime check
-    if p % 4 != 1:
-        raise HypothesisError(f"np_lemma3 needs p = 1 (mod 4), got {p}")
-    if spec.d % p == 0:
-        raise HypothesisError(f"np_lemma3 needs d nonzero mod p, got d = {spec.d}, p = {p}")
-    d_is_qr = pow(spec.d, (p - 1) // 2, p) == 1  # Euler's criterion
-    n_used, shift = (n1, 7) if spec.sign == MINUS or p % 8 == 1 else (n2, 3)
-    return 8 * n_used + shift if d_is_qr else 2 * p - shift - 8 * n_used
 
 
 def _gauss_ap(a: int, p: int) -> int:
@@ -186,22 +132,6 @@ def _trace_ap(curve: Curve, p: int) -> PointCountRecord:
 def _brute_record(curve: Curve, p: int) -> PointCountRecord:
     n_p = _count_affine(curve, p, _root_counts(p))
     return PointCountRecord(p, n_p, p - n_p, BRUTE)
-
-
-def lemma7_check(d: int, p: int) -> tuple[int, int, int]:
-    """(a_p minus, a_p plus, their sum) for the twist pair at p = 5 (mod 8).
-
-    The sum vanishes exactly when the n1 + n2 census identity holds, so
-    this is a cross-lemma consistency check, not a tautology.
-    """
-    minus = TwistSpec(d, MINUS)  # raises ValueError unless d >= 1
-    if p % 8 != 5:
-        raise HypothesisError(f"lemma7_check needs p = 5 (mod 8), got {p}")
-    if d % p == 0:
-        raise HypothesisError(f"lemma7_check needs d nonzero mod p, got d = {d}, p = {p}")
-    ap_minus = p - np_lemma3(minus, p)  # np_lemma3's census read is the odd-prime check
-    ap_plus = p - np_lemma3(TwistSpec(d, PLUS), p)
-    return ap_minus, ap_plus, ap_minus + ap_plus
 
 
 def double_point_mod(curve: Curve, p: int, point: tuple[int, int]) -> tuple[int, int]:

@@ -13,16 +13,7 @@ from fractions import Fraction
 import pytest
 
 from curvecount.lseries import partial_L, partial_L_exact, ratio_partial
-from curvecount.point_count import (
-    MINUS,
-    PLUS,
-    Curve,
-    TwistSpec,
-    count_affine_points,
-    double_point_mod,
-    np_lemma1,
-    np_lemma3,
-)
+from curvecount.point_count import Curve, count_affine_points, double_point_mod
 from curvecount.rational_points import (
     RationalPoint,
     collision_search,
@@ -31,11 +22,16 @@ from curvecount.rational_points import (
     lemma11_exhaustive,
 )
 from curvecount.residue_lemmas import (
+    MINUS,
+    PLUS,
+    TwistSpec,
     census,
     count_lemma2,
     lemma4_check,
     lemma5_scan,
     lemma8_fraction,
+    np_lemma1,
+    np_lemma3,
 )
 from curvecount.modmath import sieve_primes
 

@@ -9,7 +9,8 @@ import pytest
 from curvecount import cache, cli, modmath, point_count, rational_points, residue_lemmas, sweep
 from curvecount.errors import CacheInvalidError
 from curvecount.lseries import partial_L_exact
-from curvecount.point_count import MINUS, Curve, TwistSpec, ap_table, np_lemma3
+from curvecount.point_count import Curve, ap_table
+from curvecount.residue_lemmas import MINUS, TwistSpec, np_lemma3
 from oracles import primes_by_trial_division
 
 
@@ -122,13 +123,44 @@ def test_workers_default_to_the_cpus_this_process_may_use(monkeypatch):
     assert default_workers() == 1
 
 
+# What the counting calls may load: no call loads residue_lemmas, the
+# home of the closed forms, since point_count imports nothing from it.
+_LIBRARY = ["curvecount.cache", "curvecount.lseries", "curvecount.point_count", "curvecount.rational_points",
+            "curvecount.residue_lemmas", "concurrent.futures", "fractions"]
+
+
 def test_ap_table_at_one_worker_loads_only_its_modules():
     code = ("import curvecount.cli as cli\n"
             "assert cli.main(['ap-table', '--a', '-1', '--b', '0', '--limit', '200', '--workers', '1']) == 0")
-    used = ["curvecount.cache", "curvecount.point_count"]
-    # residue_lemmas names Fraction in an annotation only, so fractions stays unloaded.
-    unused = ["curvecount.rational_points", "curvecount.lseries", "concurrent.futures", "fractions"]
-    assert _modules_loaded_after(code, used + unused) == used
+    assert _modules_loaded_after(code, _LIBRARY) == ["curvecount.cache", "curvecount.point_count"]
+
+
+@pytest.mark.parametrize(
+    "argv, used",
+    [
+        (["lseries", "--a", "-1", "--b", "0", "--s", "1", "--limit", "200"], ["lseries", "point_count"]),
+        (["ratio", "--a1", "-1", "--b1", "0", "--a2", "1", "--b2", "0", "--s", "1", "--limit", "200"],
+         ["lseries", "point_count"]),
+        (["count", "--a", "3", "--b", "5", "--p", "101"], ["point_count"]),
+    ],
+    ids=["lseries", "ratio", "count"],
+)
+def test_counting_commands_load_no_identities(argv, used):
+    code = f"import curvecount.cli as cli\nassert cli.main({argv!r}) == 0"
+    assert _modules_loaded_after(code, _LIBRARY) == [f"curvecount.{name}" for name in used]
+
+
+def test_lemma_choices_are_the_identities_residue_lemmas_sweeps(capsys):
+    parser = cli.build_parser()
+    accepted = []
+    for lemma in range(-1, 10):
+        try:
+            parser.parse_args(["lemma-verify", "--lemma", str(lemma), "--limit", "3"])
+        except SystemExit:
+            continue
+        accepted.append(lemma)
+    assert "invalid choice" in capsys.readouterr().err
+    assert accepted == sorted(residue_lemmas.LEMMAS) == [1, 2, 3, 4, 5, 6, 7]
 
 
 @pytest.mark.parametrize(
@@ -181,6 +213,25 @@ def test_float_commands_load_no_fractions(argv):
 def test_profile_usage_errors(capsys):
     assert cli.main(["profile", "12"]) == 2
     assert cli.main(["profile", "2"]) == 2
+
+
+def test_primes_past_what_is_prime_decides_exit_2(capsys):
+    # psi_12 passes Miller-Rabin to the first 12 prime bases; psi_13 to the first 13.
+    psi_12, psi_13 = "318665857834031151167461", "3317044064679887385961981"
+    for argv in (["profile", psi_12], ["count", "--a", "-1", "--b", "0", "--p", psi_12]):
+        rc = cli.main(argv)
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert f"expected an odd prime, got {psi_12}\n" in captured.err
+    refusal = f"primality is decided only below {psi_13}, got {psi_13}\n"
+    for name, argv in (("p", ["profile", psi_13]), ("--p", ["count", "--a", "-1", "--b", "0", "--p", psi_13])):
+        rc = cli.main(argv)
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err.endswith(f"error: argument {name}: {refusal}")
+    rc = cli.main(["lemma11", "--d", psi_13, "--bound", "10"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == "" and captured.err == f"curvecount: error: {refusal}"
 
 
 def test_count_example(capsys):
@@ -669,12 +720,25 @@ def test_lemma_verify_sampling_is_seeded(capsys):
 
 def test_lemma_verify_reports_findings(capsys, monkeypatch):
     # no real mismatch exists, so break the oracle to exercise the path
-    monkeypatch.setattr(point_count, "count_affine_points", lambda curve, p: p + 2)
+    monkeypatch.setattr(residue_lemmas, "count_affine_points", lambda curve, p: p + 2)
     rc, out = run(capsys, ["lemma-verify", "--lemma", "1", "--limit", "20", "--workers", "1"])
     assert rc == 1
     records = jsonl(out)
     assert records[0] == {"lemma": 1, "p": 3, "a": 1, "n_p": 5, "expected": 3}
     assert records[-1]["mismatches"] == records[-1]["checked"] > 0
+
+
+def test_lemma5_scan_and_lemma_verify_share_one_sweep(capsys, monkeypatch):
+    argv = ["lemma-verify", "--lemma", "5", "--limit", "100000", "--workers", "1"]
+    rc, out = run(capsys, argv)
+    assert rc == 0 and jsonl(out) == [{"lemma": 5, "limit": 100000, "checked": 9591, "mismatches": 0}]
+    assert residue_lemmas.lemma5_scan(10**5) == []
+    # With the class test broken, both report the same primes.
+    monkeypatch.setattr(residue_lemmas, "_lemma5_hit", lambda p: p % 8 == 1)
+    rc, out = run(capsys, argv)
+    hits = [record["p"] for record in jsonl(out)[:-1]]
+    assert rc == 1 and hits == residue_lemmas.lemma5_scan(10**5)
+    assert hits == [p for p in primes_by_trial_division(10**5) if p % 8 == 1]
 
 
 def test_lemma_verify_usage(capsys):

@@ -7,6 +7,7 @@ from curvecount.errors import HypothesisError
 from curvecount.modmath import (
     QNR,
     QR,
+    _root_counts,
     is_prime,
     legendre_symbol,
     mod_inverse,
@@ -41,6 +42,21 @@ def test_is_prime_agrees_with_sieve():
     flags = set(sieve_primes(3000))
     for n in range(3000):
         assert is_prime(n) == (n in flags)
+
+
+# The least strong pseudoprimes to the first 12 and the first 13 prime bases.
+PSI_12 = 318665857834031151167461
+PSI_13 = 3317044064679887385961981
+
+
+def test_is_prime_is_right_below_psi_13_and_refuses_the_rest():
+    assert PSI_12 == 399165290221 * 798330580441 and not is_prime(PSI_12)
+    assert is_prime(399165290221) and is_prime(798330580441)
+    assert is_prime(2**61 - 1) and is_prime(2**64 - 59)  # a Mersenne prime; the largest prime below 2^64
+    assert PSI_13 == 1287836182261 * 2575672364521
+    for n in (PSI_13, PSI_13 + 2, 10**30):
+        with pytest.raises(ValueError, match="^primality is decided only below 3317044064679887385961981, got "):
+            is_prime(n)
 
 
 def test_legendre_examples():
@@ -113,6 +129,22 @@ def test_root_counts_take_one_byte_a_residue():
     assert len(table) == p
     assert kept - before < 2 * p
     assert peak - before < 2 * p + 4096
+
+
+def test_root_counts_kernel_hands_over_its_one_table():
+    # Sweeps and brute-force counts own the kernel's table, so it is not
+    # copied: building it holds p bytes, not 2p.
+    p = 100003
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        table = _root_counts(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table == root_counts(p)
+    assert peak - before < p + 4096
 
 
 def test_quartic_residues_are_squares_of_squares():

@@ -11,22 +11,28 @@ from curvecount.point_count import (
     BRUTE,
     GAUSS,
     LEMMA1,
-    MINUS,
-    PLUS,
     Curve,
     PointCountRecord,
-    TwistSpec,
     ap_table,
     count_affine_points,
     double_point_mod,
     good_odd_primes,
-    lemma7_check,
-    np_lemma1,
-    np_lemma3,
     prime_split,
     trace_ap,
 )
-from curvecount.residue_lemmas import count_lemma2, count_quartic, lemma4_check, lemma5_hit, lemma6_check
+from curvecount.residue_lemmas import (
+    MINUS,
+    PLUS,
+    TwistSpec,
+    count_lemma2,
+    count_quartic,
+    lemma4_check,
+    lemma5_hit,
+    lemma6_check,
+    lemma7_check,
+    np_lemma1,
+    np_lemma3,
+)
 from oracles import count_points_double_loop, primes_by_trial_division, singular_by_shared_root
 
 
@@ -200,13 +206,13 @@ def _clear_prime_tables():
         table.cache_clear()
 
 
-@pytest.mark.parametrize("lemma", sorted(cli.LEMMAS))
+@pytest.mark.parametrize("lemma", sorted(residue_lemmas.LEMMAS))
 def test_lemma_sweeps_prove_each_prime_once(monkeypatch, capsys, lemma):
     _clear_prime_tables()
     calls = _count_is_prime(monkeypatch)
     rc = cli.main(["lemma-verify", "--lemma", str(lemma), "--limit", "400", "--workers", "1"])
     assert rc == 0, capsys.readouterr()
-    (modulus, residue), _, _ = cli.LEMMAS[lemma]
+    (modulus, residue), _, _ = residue_lemmas.LEMMAS[lemma]
     # Lemma 5 reads no per-prime table, so the sieve's proof is the only one.
     assert calls == ([] if lemma == 5 else [p for p in sieve_primes(400) if p % modulus == residue])
 

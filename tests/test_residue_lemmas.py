@@ -13,6 +13,7 @@ from curvecount.residue_lemmas import (
     lemma5_scan,
     lemma6_check,
     lemma8_fraction,
+    verify_lemma,
 )
 from oracles import census_by_enumeration
 
@@ -86,6 +87,15 @@ def test_lemma4_equivalence_small_sweep():
         for y in range(1, p):
             lhs, rhs = lemma4_check(p, y)
             assert lhs == rhs, (p, y)
+
+
+def test_verify_lemma_sweeps_one_class_and_refuses_other_lemmas():
+    # The 13 primes = 5 (mod 8) below 200, one census identity each.
+    assert verify_lemma(6, 200) == (13, [])
+    assert verify_lemma(7, 200, d_max=3) == (39, [])
+    for lemma in (0, 8, 11):
+        with pytest.raises(ValueError, match="^lemma must be one of"):
+            verify_lemma(lemma, 200)
 
 
 def test_lemma5_scan_empty_and_validates():
