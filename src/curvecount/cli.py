@@ -71,6 +71,13 @@ def _fail(message: str) -> int:
 # anything is computed.
 LIMIT_CEILING = 10**8
 BOUND_CEILING = 10**6
+# Lemmas 3 and 7 check every d <= --d-max at every prime of their sweep,
+# so their time grows linearly in it: `lemma-verify --lemma 3 --d-max
+# 10^5` took 0.82 s at --limit 5 (one prime) and 11.4 s at --limit 50,
+# and --d-max 10^6 took 8.2 s at --limit 5 (one run each, Python 3.11.7,
+# --workers 1).  A check sees d only mod p, so 10^5 already covers every
+# class at every prime up to it; a larger value is refused.
+D_MAX_CEILING = 10**5
 # A brute-force count at p holds one table of p bytes: `count --a 3 --b 5`
 # peaked at 24 MB RSS and took 5.1-5.7 s at p = 9999991 (two runs, Python
 # 3.11.7, 2 vCPUs).  Its time grows linearly, so a larger p is refused.
@@ -332,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     # residue_lemmas.LEMMAS's keys, written out so that building the parser loads no library module
     p.add_argument("--lemma", type=int, choices=range(1, 8), required=True)
     p.add_argument("--limit", type=sweep_limit, required=True)
-    p.add_argument("--d-max", type=_int_in(1), default=20)
+    p.add_argument("--d-max", type=_int_in(1, D_MAX_CEILING), default=20)
     p.add_argument("--samples", type=_int_in(1), default=20, help="a values sampled per prime (lemma 1)")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=_run_verify)

@@ -9,10 +9,11 @@ root_counts(p)[t] is the number of y mod p with y^2 = t, so 1 at t = 0,
 2 on QR_p and 0 elsewhere.  It is lru-cached and proves its prime when
 the table is built; lru_cache never stores a call that raised, so
 reading the table is itself the check, and the identity functions built
-on it run Miller-Rabin once per prime.  quadratic_residues and
-quartic_residues are uncached set views of it.  The private kernels
-behind some functions (_root_counts among them) skip the check; sweeps
-call them on primes that came from the sieve.
+on it run Miller-Rabin once per prime.  A single symbol is decided by
+_is_qr, the one Euler criterion; bulk questions read root_counts.  The
+private kernels behind some functions (_is_qr and _root_counts among
+them) skip the check; sweeps call them on primes that came from the
+sieve, and a public function proves its prime once before it calls them.
 """
 
 from __future__ import annotations
@@ -78,21 +79,17 @@ def require_odd_prime(p: int) -> None:
         raise ValueError(f"expected an odd prime, got {p}")
 
 
+def _is_qr(a: int, p: int) -> bool:
+    """Whether a is a nonzero square mod p, by Euler's criterion; p must be an odd prime."""
+    return pow(a, (p - 1) // 2, p) == 1
+
+
 def legendre_symbol(a: int, p: int) -> int:
-    """Legendre symbol (a|p) in {-1, 0, +1}, by Euler's criterion."""
-    require_odd_prime(p)
-    a %= p
-    if a == 0:
-        return 0
-    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
-
-
-def mod_inverse(a: int, p: int) -> int:
-    """Inverse of a mod p, normalized to {1, ..., p-1}."""
+    """Legendre symbol (a|p) in {-1, 0, +1}."""
     require_odd_prime(p)
     if a % p == 0:
-        raise ZeroDivisionError(f"{a} is not invertible mod {p}")
-    return pow(a, -1, p)
+        return 0
+    return 1 if _is_qr(a, p) else -1
 
 
 def sqrt_of_minus_one(p: int) -> int:
@@ -111,7 +108,7 @@ def sqrt_of_minus_one(p: int) -> int:
 def _sqrt_of_minus_one(p: int) -> int:
     """sqrt_of_minus_one without its checks: p must be a prime = 1 (mod 4)."""
     n = 2
-    while pow(n, (p - 1) // 2, p) != p - 1:  # first quadratic nonresidue
+    while _is_qr(n, p):  # to the first quadratic nonresidue
         n += 1
     eps = pow(n, (p - 1) // 4, p)
     return min(eps, p - eps)
@@ -137,21 +134,6 @@ def _root_counts(p: int) -> bytearray:
     return r  # the caller's own table, so not copied into bytes
 
 
-# Translating a root_counts table through this leaves a 1 byte at each
-# t in QR_p and 0 elsewhere: the flags of QR_p, one byte lane per residue.
-_QR_LANE = bytes.maketrans(b"\x01\x02", b"\x00\x01")
-
-
-def quadratic_residues(p: int) -> frozenset[int]:
-    """QR_p: the set of nonzero squares mod p, read off root_counts(p)."""
-    return frozenset(compress(range(p), root_counts(p).translate(_QR_LANE)))
-
-
-def quartic_residues(p: int) -> frozenset[int]:
-    """The set of nonzero fourth powers mod p (squares of QR_p)."""
-    return frozenset(t * t % p for t in quadratic_residues(p))
-
-
 # A namedtuple, not a dataclass: functools already loads collections,
 # while dataclasses pulls in inspect and ast, and the CLI parser imports
 # this module.  This is the package's one record idiom: every record is
@@ -169,15 +151,15 @@ class PrimeProfile(namedtuple("PrimeProfile", "p p_mod_8 class_minus_one class_t
 def prime_profile(p: int) -> PrimeProfile:
     """Classify -1, 2 and (when present) eps = sqrt(-1) mod p.
 
-    The classes are computed from Legendre symbols, not read off p mod 8;
+    The classes are computed by Euler's criterion, not read off p mod 8;
     the classical mod-8 shortcuts are asserted as a cross-check.
     """
     require_odd_prime(p)
-    class_minus_one = QR if legendre_symbol(-1, p) == 1 else QNR
-    class_two = QR if legendre_symbol(2, p) == 1 else QNR
+    class_minus_one = QR if _is_qr(-1, p) else QNR
+    class_two = QR if _is_qr(2, p) else QNR
     if p % 4 == 1:
-        epsilon = sqrt_of_minus_one(p)
-        class_epsilon = QR if legendre_symbol(epsilon, p) == 1 else QNR
+        epsilon = _sqrt_of_minus_one(p)
+        class_epsilon = QR if _is_qr(epsilon, p) else QNR
     else:
         epsilon = None
         class_epsilon = None

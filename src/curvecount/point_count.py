@@ -21,9 +21,7 @@ from collections import namedtuple
 from math import isqrt
 
 from .errors import BadReductionError, SingularCurveError, TangentUndefinedError
-from .modmath import (
-    _root_counts, _sqrt_of_minus_one, mod_inverse, require_odd_prime, root_counts, sieve_primes,
-)
+from .modmath import _root_counts, _sqrt_of_minus_one, require_odd_prime, root_counts, sieve_primes
 
 BRUTE = "brute"
 LEMMA1 = "lemma1"
@@ -147,7 +145,7 @@ def double_point_mod(curve: Curve, p: int, point: tuple[int, int]) -> tuple[int,
         raise ValueError(f"({point[0]}, {point[1]}) is not on {curve} mod {p}")
     if y == 0:
         raise TangentUndefinedError(f"tangent undefined at two-torsion point x = {x} mod {p}")
-    s = (curve.a + 3 * x * x) * mod_inverse(2 * y, p) % p
+    s = (curve.a + 3 * x * x) * pow(2 * y, -1, p) % p
     x2 = (s * s - 2 * x) % p
     y2 = (y + s * (x2 - x)) % p
     assert (y2 * y2 - (x2 * x2 * x2 + curve.a * x2 + curve.b)) % p == 0

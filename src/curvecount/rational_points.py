@@ -17,7 +17,7 @@ from itertools import compress, count
 from math import gcd, isqrt
 
 from .errors import TangentUndefinedError
-from .modmath import is_prime, legendre_symbol
+from .modmath import _is_qr, is_prime
 from .sweep import map_chunks
 
 
@@ -182,7 +182,7 @@ def lemma11_applicable(d: int) -> bool:
     """
     if not is_prime(d) or d == 2:
         return False
-    return legendre_symbol(-1, d) == -1 and legendre_symbol(2, d) == -1
+    return not _is_qr(-1, d) and not _is_qr(2, d)
 
 
 def lemma11_exhaustive(d: int, bound: int) -> list[ParamQuadruple]:

@@ -30,12 +30,16 @@ from functools import lru_cache, partial
 from itertools import compress
 
 from .errors import HypothesisError
-from .modmath import _QR_LANE, _sqrt_of_minus_one, require_odd_prime, root_counts, sieve_primes
+from .modmath import _is_qr, _sqrt_of_minus_one, require_odd_prime, root_counts, sieve_primes
 from .point_count import Curve, count_affine_points
 from .sweep import map_chunks
 
 MINUS = "minus"
 PLUS = "plus"
+
+# Translating a root_counts table through this leaves a 1 byte at each
+# t in QR_p and 0 elsewhere: the flags of QR_p, one byte lane per residue.
+_QR_LANE = bytes.maketrans(b"\x01\x02", b"\x00\x01")
 
 
 class TwistSpec(namedtuple("TwistSpec", "d sign")):
@@ -136,9 +140,8 @@ def np_lemma3(spec: TwistSpec, p: int) -> int:
         raise HypothesisError(f"np_lemma3 needs p = 1 (mod 4), got {p}")
     if spec.d % p == 0:
         raise HypothesisError(f"np_lemma3 needs d nonzero mod p, got d = {spec.d}, p = {p}")
-    d_is_qr = pow(spec.d, (p - 1) // 2, p) == 1  # Euler's criterion
     n_used, shift = (n1, 7) if spec.sign == MINUS or p % 8 == 1 else (n2, 3)
-    return 8 * n_used + shift if d_is_qr else 2 * p - shift - 8 * n_used
+    return 8 * n_used + shift if _is_qr(spec.d, p) else 2 * p - shift - 8 * n_used
 
 
 @lru_cache(maxsize=8)
@@ -191,10 +194,7 @@ def _lemma5_hit(p: int) -> bool:
     The sweep calls this on primes from one sieve, so it runs no
     Miller-Rabin per prime.
     """
-    half = (p - 1) // 2  # Euler's criterion: t in QR_p iff t^half = 1
-    if pow(-1, half, p) != 1 or pow(2, half, p) == 1:
-        return False
-    return pow(_sqrt_of_minus_one(p), half, p) == 1
+    return _is_qr(-1, p) and not _is_qr(2, p) and _is_qr(_sqrt_of_minus_one(p), p)
 
 
 def lemma5_scan(limit: int) -> list[int]:

@@ -24,12 +24,12 @@ def map_chunks(fn, items, workers: int, cost) -> list:
     """[fn(chunk) for each contiguous chunk of items], in chunk order.
 
     cost(item) estimates the item's in-process work in the unit of
-    FORK_COST.  With total the summed cost, the items go to k
-    chunks, k the largest count up to workers and len(items) for which
-    a fan-out, at about total/k + FORK_COST, beats total in this
-    process.  At k == 1, or where the platform has no os.fork, they run
-    here as one chunk.  Otherwise k chunks of about equal cost
-    (split_by_cost) run at once, chunk 0 in this process and each other
+    FORK_COST.  With k = min(workers, len(items)), the items run here as
+    one chunk, unpriced, at k == 1 or where the platform has no os.fork.
+    Otherwise, with total the summed cost, they go to k chunks if a
+    fan-out, at about total/k + FORK_COST, beats total in this process,
+    and run here as one chunk if not.  The k chunks, of about equal cost
+    (split_by_cost), run at once, chunk 0 in this process and each other
     chunk in a forked child, so fn need not pickle but its results must.
     An exception raised by fn in a child is raised here; a child that
     dies without a result raises ChildProcessError.  Either way, and on
@@ -42,12 +42,14 @@ def map_chunks(fn, items, workers: int, cost) -> list:
     items = list(items)
     if not items:
         return []
+    k = min(workers, len(items))
+    if k == 1 or not hasattr(os, "fork"):
+        return [fn(items)]
     costs = [cost(item) for item in items]
     total = sum(costs)
     # total/k + FORK_COST falls as k grows, so if any k beats the
     # in-process total, the largest one does.
-    k = min(workers, len(items))
-    if k == 1 or total / k + FORK_COST >= total or not hasattr(os, "fork"):
+    if total / k + FORK_COST >= total:
         return [fn(items)]
     return _fan_out(fn, split_by_cost(items, costs, k))
 

@@ -995,6 +995,8 @@ RANGED_ARGUMENTS = [
     ("lemma-verify --lemma 3 --limit {}", "--limit", "3", "2"),
     ("lemma-verify --lemma 3 --limit {}", "--limit", "100000000", "100000001"),
     ("lemma-verify --lemma 3 --limit 60 --d-max {}", "--d-max", "1", "0"),
+    ("lemma-verify --lemma 3 --limit 60 --d-max {}", "--d-max", "100000", "100001"),
+    ("lemma-verify --lemma 7 --limit 60 --d-max {}", "--d-max", "100000", str(10**8)),
     ("lemma-verify --lemma 1 --limit 60 --samples {}", "--samples", "1", "0"),
     ("lemma-verify --lemma 3 --limit 60 --workers {}", "--workers", "1", "0"),
     ("lemma-verify --lemma 3 --limit 60 --workers {}", "--workers", "64", "65"),

@@ -7,13 +7,11 @@ from curvecount.errors import HypothesisError
 from curvecount.modmath import (
     QNR,
     QR,
+    _is_qr,
     _root_counts,
     is_prime,
     legendre_symbol,
-    mod_inverse,
     prime_profile,
-    quadratic_residues,
-    quartic_residues,
     root_counts,
     sieve_primes,
     sqrt_of_minus_one,
@@ -73,6 +71,15 @@ def test_legendre_against_enumeration():
             assert legendre_symbol(a, p) == legendre_by_enumeration(a, p), (a, p)
 
 
+def test_euler_kernel_against_enumeration():
+    for p in primes_by_trial_division(200):
+        if p == 2:
+            continue
+        squares = squares_by_enumeration(p)
+        for a in range(1, p):
+            assert _is_qr(a, p) == (a in squares), (a, p)
+
+
 def test_legendre_rejects_non_primes():
     for bad in (0, 1, 2, 4, 9, 15, 561):
         with pytest.raises(ValueError):
@@ -94,7 +101,7 @@ def test_qr_and_qnr_split_the_units_evenly():
     for p in sieve_primes(10**4):
         if p == 2:
             continue
-        qr = quadratic_residues(p)
+        qr = {t for t, n in enumerate(root_counts(p)) if n == 2}
         assert qr == squares_by_enumeration(p)
         assert len(qr) == (p - 1) // 2
 
@@ -145,34 +152,6 @@ def test_root_counts_kernel_hands_over_its_one_table():
         tracemalloc.stop()
     assert table == root_counts(p)
     assert peak - before < p + 4096
-
-
-def test_quartic_residues_are_squares_of_squares():
-    for p in (13, 17, 29, 101):
-        expected = {pow(y, 4, p) for y in range(1, p)}
-        assert quartic_residues(p) == expected
-    assert quartic_residues(17) == {1, 4, 13, 16}
-
-
-def test_mod_inverse_examples():
-    assert mod_inverse(1, 13) == 1
-    assert mod_inverse(2, 13) == 7
-    assert mod_inverse(5, 13) == 8
-
-
-def test_mod_inverse_range_and_property():
-    for p in (3, 7, 13, 101):
-        for a in range(1, p):
-            r = mod_inverse(a, p)
-            assert 1 <= r <= p - 1
-            assert a * r % p == 1
-
-
-def test_mod_inverse_of_zero_raises():
-    with pytest.raises(ZeroDivisionError):
-        mod_inverse(0, 13)
-    with pytest.raises(ZeroDivisionError):
-        mod_inverse(26, 13)
 
 
 def test_sqrt_of_minus_one_examples():

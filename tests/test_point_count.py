@@ -3,10 +3,10 @@ import random
 
 import pytest
 
-from curvecount import cli, modmath, residue_lemmas
+from curvecount import cli, modmath, rational_points, residue_lemmas
 from curvecount.errors import BadReductionError, HypothesisError, SingularCurveError, TangentUndefinedError
 from curvecount.lseries import partial_L, partial_L_exact, ratio_partial
-from curvecount.modmath import sieve_primes, sqrt_of_minus_one
+from curvecount.modmath import legendre_symbol, prime_profile, sieve_primes, sqrt_of_minus_one
 from curvecount.point_count import (
     BRUTE,
     GAUSS,
@@ -186,7 +186,8 @@ def _count_is_prime(monkeypatch) -> list[int]:
         calls.append(n)
         return real(n)
 
-    monkeypatch.setattr(modmath, "is_prime", counting)
+    for module in (modmath, rational_points):  # every module that binds is_prime
+        monkeypatch.setattr(module, "is_prime", counting)
     return calls
 
 
@@ -256,6 +257,33 @@ def test_public_functions_still_validate_their_prime(monkeypatch):
                 # 21, 45 and 77 pass every class check; 33 may fail one instead.
                 with pytest.raises(ValueError, match="expected an odd prime" if composite % 8 == 5 else None):
                     identity(composite)
+
+
+# Every public function that takes a prime, with that prime and a
+# composite of the same residue class mod 8.
+ONE_PROOF_CALLS = (
+    (prime_profile, 13, 21),  # p = 1 (mod 4)
+    (prime_profile, 19, 35),  # p = 3 (mod 4)
+    (lambda p: legendre_symbol(2, p), 13, 21),
+    (sqrt_of_minus_one, 13, 21),
+    (rational_points.lemma11_applicable, 19, 35),
+    (lambda p: double_point_mod(Curve(-1, 0), p, (5, 4)), 13, 21),
+    (lambda p: trace_ap(Curve(-1, 0), p), 13, 21),
+    *((identity, 13, 21) for identity in IDENTITIES),
+)
+
+
+@pytest.mark.parametrize("call, p, composite", ONE_PROOF_CALLS)
+def test_public_functions_prove_their_prime_once(monkeypatch, call, p, composite):
+    _clear_prime_tables()
+    calls = _count_is_prime(monkeypatch)
+    call(p)
+    assert calls == [p]
+    if call is rational_points.lemma11_applicable:  # a question about d, not a check of it
+        assert call(composite) is False
+    else:
+        with pytest.raises(ValueError, match="expected an odd prime"):
+            call(composite)
 
 
 def test_discriminant_vanishes_exactly_at_shared_roots():

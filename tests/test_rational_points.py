@@ -7,6 +7,7 @@ from math import gcd
 import pytest
 
 from curvecount.errors import TangentUndefinedError
+from curvecount.modmath import QNR, prime_profile, sieve_primes
 from curvecount.point_count import Curve
 from curvecount.rational_points import (
     CollisionGroup,
@@ -194,6 +195,12 @@ def test_lemma11_applicable():
     assert not lemma11_applicable(9)
     assert not lemma11_applicable(1)
     assert not lemma11_applicable(-3)
+
+
+def test_lemma11_applicable_agrees_with_prime_profile():
+    for d in sieve_primes(10**5)[1:]:
+        prof = prime_profile(d)
+        assert lemma11_applicable(d) == ((prof.class_minus_one, prof.class_two) == (QNR, QNR)), d
 
 
 def test_lemma11_exhaustive_control():

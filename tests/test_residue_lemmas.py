@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 
 from curvecount.errors import HypothesisError
-from curvecount.modmath import legendre_symbol, sieve_primes
+from curvecount.modmath import QNR, QR, legendre_symbol, prime_profile, sieve_primes
 from curvecount.residue_lemmas import (
+    _lemma5_hit,
     census,
     count_lemma2,
     count_quartic,
@@ -105,6 +106,15 @@ def test_lemma5_scan_empty_and_validates():
         lemma5_scan(2)
     # 17 stays out because 2 is a residue there (6^2 = 36 = 2 mod 17).
     assert legendre_symbol(2, 17) == 1
+
+
+def test_lemma5_class_agrees_with_prime_profile():
+    # The sweep's kernel and the public classification of -1, 2 and eps
+    # answer the same membership question at every odd prime to 10^5.
+    for p in sieve_primes(10**5)[1:]:
+        prof = prime_profile(p)
+        in_class = (prof.class_minus_one, prof.class_two, prof.class_epsilon) == (QR, QNR, QR)
+        assert _lemma5_hit(p) == in_class, p
 
 
 def test_lemma6_examples():

@@ -47,6 +47,23 @@ def test_map_chunks_gate_takes_the_largest_worker_count(fan_outs):
     assert fan_outs == [3]
 
 
+def test_map_chunks_prices_items_only_when_it_can_fan_out(monkeypatch, fan_outs):
+    priced = []
+
+    def cost(item):
+        priced.append(item)
+        return 10 * FORK_COST
+
+    assert map_chunks(lambda chunk: chunk, range(5), 1, cost) == [[0, 1, 2, 3, 4]]
+    assert map_chunks(lambda chunk: chunk, [7], 4, cost) == [[7]]
+    with monkeypatch.context() as patched:
+        patched.delattr(os, "fork")
+        assert map_chunks(lambda chunk: chunk, range(4), 2, cost) == [[0, 1, 2, 3]]
+    assert priced == [] and fan_outs == []
+    assert map_chunks(list, range(4), 2, cost) == [[0, 1], [2, 3]]
+    assert priced == [0, 1, 2, 3] and fan_outs == [2]
+
+
 def test_closed_form_traces_start_no_pool(fan_outs):
     # A closed-form record takes about as long to compute as to pickle back
     # from a worker, so 78,497 of them cost nothing to the gate.
