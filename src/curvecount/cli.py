@@ -73,14 +73,16 @@ LIMIT_CEILING = 10**8
 BOUND_CEILING = 10**6
 # Lemmas 3 and 7 check every d <= --d-max at every prime of their sweep,
 # so their time grows linearly in it: `lemma-verify --lemma 3 --d-max
-# 10^5` took 0.82 s at --limit 5 (one prime) and 11.4 s at --limit 50,
-# and --d-max 10^6 took 8.2 s at --limit 5 (one run each, Python 3.11.7,
-# --workers 1).  A check sees d only mod p, so 10^5 already covers every
-# class at every prime up to it; a larger value is refused.
+# 10^5` took 0.47 s at --limit 5 (one prime) and 2.1 s at --limit 50,
+# and the sweep at --d-max 10^6 took 5.2 s in process at --limit 5 (one
+# run each, Python 3.11.7, --workers 1).  A check sees d only mod p, so
+# 10^5 already covers every class at every prime up to it; a larger
+# value is refused.
 D_MAX_CEILING = 10**5
-# A brute-force count at p holds one table of p bytes: `count --a 3 --b 5`
-# peaked at 24 MB RSS and took 5.1-5.7 s at p = 9999991 (two runs, Python
-# 3.11.7, 2 vCPUs).  Its time grows linearly, so a larger p is refused.
+# A brute-force count at p holds two tables of p bytes, the root counts
+# and their pair table: `count --a 3 --b 5` peaked at 34 MB RSS and took
+# 3.6-3.7 s at p = 9999991 (two runs, Python 3.11.7, 2 vCPUs).  Its time
+# grows linearly, so a larger p is refused.
 BRUTE_P_CEILING = 10**7
 # Each worker past the first is a forked copy of the process holding its
 # own chunk's tables, and a sweep forks as many as --workers allows once

@@ -2,8 +2,12 @@
 
 N_p counts affine solutions only; the projective count is one larger.
 Brute force is O(p) per prime: the sum over x of the number of square
-roots of t = x^3 + ax + b, read from the table modmath.root_counts (1
-at t = 0, 2 at a nonzero square, 0 elsewhere).  Every curve
+roots of t = f(x) = x^3 + ax + b, read from the table
+modmath.root_counts (r: 1 at t = 0, 2 at a nonzero square, 0
+elsewhere).  Since f(-x) = 2b - f(x), the pair x, -x has
+c[f(x)] = r[f(x)] + r[2b - f(x)] roots together, so one pass over
+x = 1 .. (p-1)/2 with the pair table c (_pair_table), plus the roots
+at x = 0, counts every x; nothing about QR_p is assumed.  Every curve
 y^2 = x^3 + ax is counted in O(log p) instead: N_p = p at p = 3
 (mod 4) (identity 1), and at p = 1 (mod 4) the trace comes from
 p = u^2 + v^2 and one quartic residue symbol (Gauss).  `cross_validate`
@@ -53,14 +57,41 @@ class PointCountRecord(namedtuple("PointCountRecord", "p n_p a_p method brute_np
 
 def count_affine_points(curve: Curve, p: int) -> int:
     """#{(x, y) in Z_p x Z_p : y^2 = x^3 + ax + b mod p}, by brute force."""
-    return _count_affine(curve, p, root_counts(p))  # reading the table is the odd-prime check
+    r = root_counts(p)  # reading the table is the odd-prime check
+    return _count_affine(curve, p, _pair_table(r, curve.b))
 
 
-def _count_affine(curve: Curve, p: int, r: bytes) -> int:
-    """count_affine_points without its check, given r = root_counts(p)."""
+def _count_affine(curve: Curve, p: int, c: bytes) -> int:
+    """count_affine_points without its check, given c = _pair_table(root_counts(p), curve.b).
+
+    x = 0 has c[b] / 2 roots, and each x in 1 .. (p-1)/2 counts itself
+    and p - x at once.
+    """
     a = curve.a % p
     b = curve.b % p
-    return sum(r[(x * (x * x + a) + b) % p] for x in range(p))
+    return c[b] // 2 + sum(c[(x * (x * x + a) + b) % p] for x in range(1, (p + 1) // 2))
+
+
+def _pair_table(r: bytes, b: int) -> bytearray:
+    """c[t] = r[t] + r[(2b - t) mod p], for r = root_counts(p) and p = len(r).
+
+    Each block of c is one big-int add of byte lanes: r's lanes, and the
+    run of r that descends from 2b - t, read big-endian so that its
+    first byte lands in the top lane.  Lanes stay <= 4, so none carries.
+    Blocks of 64 KiB keep c itself the only memory the count adds.
+    """
+    p = len(r)
+    c = bytearray(p)
+    block = 1 << 16
+    for lo in range(0, p, block):
+        n = min(block, p - lo)
+        top = (2 * b - lo) % p + 1  # r[top - 1 - j] pairs with t = lo + j
+        run = r[max(top - n, 0) : top]
+        if n > top:  # the run wraps from r[0] round to r[p - 1]
+            run = r[p - (n - top) :] + run
+        lanes = int.from_bytes(r[lo : lo + n], "little") + int.from_bytes(run, "big")
+        c[lo : lo + n] = lanes.to_bytes(n, "little")
+    return c
 
 
 def _gauss_ap(a: int, p: int) -> int:
@@ -128,7 +159,7 @@ def _trace_ap(curve: Curve, p: int) -> PointCountRecord:
 
 
 def _brute_record(curve: Curve, p: int) -> PointCountRecord:
-    n_p = _count_affine(curve, p, _root_counts(p))
+    n_p = _count_affine(curve, p, _pair_table(_root_counts(p), curve.b))
     return PointCountRecord(p, n_p, p - n_p, BRUTE)
 
 
@@ -187,7 +218,7 @@ def records_for_primes(curve: Curve, primes: list[int], cross_validate: bool = F
     for p in primes:
         rec = _trace_ap(curve, p)
         if cross_validate and rec.method != BRUTE:
-            rec = rec._replace(brute_np=_count_affine(curve, p, _root_counts(p)))
+            rec = rec._replace(brute_np=_brute_record(curve, p).n_p)
         out.append(rec)
     return out
 
@@ -195,12 +226,16 @@ def records_for_primes(curve: Curve, primes: list[int], cross_validate: bool = F
 def record_cost(curve: Curve, cross_validate: bool, p: int) -> float:
     """The brute-force work of records_for_primes at p, for sweep.map_chunks.
 
-    A brute count with its root_counts table costs about 1.25 p elements,
-    fitted to per-prime timings up to p = 2005.  A closed-form record
+    An element is one pass of _count_affine's loop, one pair x, -x.  A
+    brute count with its root_counts and pair tables costs about 0.8 p
+    elements: (p - 1)/2 passes, the root table (about 0.25 p) and the
+    pair table (0.03 p), fitted to per-prime timings up to p = 2100,
+    tables cold, each divided by the time of one pass at the same p,
+    taken right after it.  A closed-form record
     counts as 0: it takes about as long to compute as its result takes
     to pickle back from a forked worker, so no fan-out can gain on it.
     """
-    return 1.25 * p if cross_validate or _auto_method(curve, p) == BRUTE else 0
+    return 0.8 * p if cross_validate or _auto_method(curve, p) == BRUTE else 0
 
 
 def ap_table(curve: Curve, limit: int, cross_validate: bool = False) -> list[PointCountRecord]:

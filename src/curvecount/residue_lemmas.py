@@ -31,7 +31,7 @@ from itertools import compress
 
 from .errors import HypothesisError
 from .modmath import _is_qr, _sqrt_of_minus_one, require_odd_prime, root_counts, sieve_primes
-from .point_count import Curve, count_affine_points
+from .point_count import Curve, _count_affine, _pair_table
 from .sweep import map_chunks
 
 MINUS = "minus"
@@ -153,9 +153,11 @@ def _chord_values(p: int) -> bytes:
     eps = _sqrt_of_minus_one(p)
     excluded = {1, p - 1, eps, p - eps}
     flags = bytearray(p)
+    inverse = [0, 1]  # inverse[r] = 1/r mod p, from p = (p // r) r + p % r
     for r in range(2, p - 1):
+        inverse.append(-(p // r) * inverse[p % r] % p)
         if r not in excluded:
-            flags[(r + pow(r, -1, p)) % p] = 1
+            flags[(r + inverse[r]) % p] = 1
     return bytes(flags)
 
 
@@ -269,9 +271,10 @@ def _verify1(p: int, d_max: int, samples: int, seed: int):
 
     rng = random.Random((seed << 32) | p)
     values = sorted(rng.sample(range(1, p), min(samples, p - 1)))
+    pairs = _pair_table(root_counts(p), 0)  # every curve here has b = 0
     bad = []
     for a in values:
-        n_p = count_affine_points(Curve(a, 0), p)
+        n_p = _count_affine(Curve(a, 0), p, pairs)
         if n_p != p:
             bad.append({"a": a, "n_p": n_p, "expected": p})
     return len(values), bad
@@ -283,6 +286,9 @@ def _verify2(p: int, d_max: int, samples: int, seed: int):
 
 
 def _verify3(p: int, d_max: int, samples: int, seed: int):
+    # The curve mod p is y^2 = x^3 + (a mod p) x, so each a mod p is counted once.
+    pairs = _pair_table(root_counts(p), 0)
+    counts = {}
     checked, bad = 0, []
     for d in range(1, d_max + 1):
         if d % p == 0:
@@ -290,7 +296,10 @@ def _verify3(p: int, d_max: int, samples: int, seed: int):
         for sign in (MINUS, PLUS):
             spec = TwistSpec(d, sign)
             claimed = np_lemma3(spec, p)
-            brute = count_affine_points(spec.curve(), p)
+            a = spec.curve().a % p
+            if a not in counts:
+                counts[a] = _count_affine(Curve(a, 0), p, pairs)
+            brute = counts[a]
             checked += 1
             if claimed != brute:
                 bad.append({"d": d, "sign": sign, "claimed": claimed, "brute": brute})
@@ -329,22 +338,27 @@ def _verify7(p: int, d_max: int, samples: int, seed: int):
 
 # lemma -> ((modulus, residue) selecting the odd primes it covers, check,
 # cost(p, d_max, samples)).  The cost estimates the check's in-process
-# work at p for sweep.map_chunks, in elements of a brute-force count, and
-# was fitted to per-prime timings of the check, tables cold, each divided
-# by the time of one x of point_count._count_affine at the same p, taken
-# right after it.  Lemma 1 counts `samples` curves and lemma 3 counts
-# 2 d_max curves by brute force.  Lemmas 2, 4, 6 and 7 read one
-# root_counts table: lemma 2 counts with a few big-int operations on it,
-# lemma 4 builds its chord flags with one modular inverse a unit (fitted
-# at 8.2 p), lemma 6 builds the quartic census, and lemma 7 reads that
-# census 2 d_max times (fitted at d_max = 20 and 40).  Lemma 5 takes a
-# few modular powers per prime, about 3 us with the chunk's bookkeeping
-# (limit 60015).
+# work at p for sweep.map_chunks, in elements of a brute-force count (one
+# pass of point_count._count_affine's loop, one pair x, -x), and was
+# fitted to per-prime timings of the check, tables cold, each divided by
+# the time of one pass at the same p, taken right after it.  A brute
+# count is (p - 1)/2 passes over one pair table per prime.  Lemma 1
+# counts `samples` curves, and its root and pair tables and its sample
+# cost about 0.6 p.  Lemma 3 counts each curve mod p once, at most
+# min(2 d_max, (p - 1)/2) of them, on top of its root, pair and census
+# tables (about 0.8 p) and about 25 elements for each d (fitted at
+# d_max = 3, 20, 300 and 2000).  Lemmas 2, 4, 6
+# and 7 read one root_counts table: lemma 2 counts with a few big-int
+# operations on it, lemma 4 builds its chord flags in about 1.5 p and
+# checks every y, lemma 6 builds the quartic census, and lemma 7 reads
+# that census 2 d_max times (fitted at d_max = 20 and 40).  Lemma 5 takes
+# a few modular powers per prime, about 3 us with the chunk's
+# bookkeeping (limit 60015).
 LEMMAS = {
-    1: ((4, 3), _verify1, lambda p, d_max, samples: min(samples, p - 1) * p),
+    1: ((4, 3), _verify1, lambda p, d_max, samples: (0.5 * min(samples, p - 1) + 0.6) * p),
     2: ((4, 1), _verify2, lambda p, d_max, samples: 0.25 * p + 90),
-    3: ((4, 1), _verify3, lambda p, d_max, samples: 2.4 * d_max * p),
-    4: ((4, 1), _verify4, lambda p, d_max, samples: 8 * p),
+    3: ((4, 1), _verify3, lambda p, d_max, samples: (0.5 * min(2 * d_max, p // 2) + 0.8) * p + 25 * d_max),
+    4: ((4, 1), _verify4, lambda p, d_max, samples: 6 * p),
     5: ((2, 1), _verify5, lambda p, d_max, samples: 20),
     6: ((8, 5), _verify6, lambda p, d_max, samples: 0.65 * p + 90),
     7: ((8, 5), _verify7, lambda p, d_max, samples: 0.65 * p + 25 * d_max),

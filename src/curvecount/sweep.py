@@ -7,8 +7,10 @@ from bisect import bisect_left
 from itertools import accumulate
 
 # What a fork fan-out costs, in the unit of every caller's cost model:
-# one element of a brute-force point count (one x of
-# point_count._count_affine; the sweeps ran at 206-284 ns an element).
+# one element of a brute-force point count (one pass of
+# point_count._count_affine's loop, which counts a pair x, -x and takes
+# 0.95-0.99 times as long as one x of the single loop it replaced; the
+# sweeps ran at 206-284 ns an element).
 # Fitted as the time a fan-out of two adds beyond half the in-process
 # sweep, from alternating pairs of fresh CLI calls at --workers 1 and 2
 # (Python 3.11.7, 2 vCPUs): 20 fits over the ten benchmark sweeps whose

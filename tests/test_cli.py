@@ -720,7 +720,7 @@ def test_lemma_verify_sampling_is_seeded(capsys):
 
 def test_lemma_verify_reports_findings(capsys, monkeypatch):
     # no real mismatch exists, so break the oracle to exercise the path
-    monkeypatch.setattr(residue_lemmas, "count_affine_points", lambda curve, p: p + 2)
+    monkeypatch.setattr(residue_lemmas, "_count_affine", lambda curve, p, pairs: p + 2)
     rc, out = run(capsys, ["lemma-verify", "--lemma", "1", "--limit", "20", "--workers", "1"])
     assert rc == 1
     records = jsonl(out)

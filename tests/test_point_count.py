@@ -33,7 +33,8 @@ from curvecount.residue_lemmas import (
     np_lemma1,
     np_lemma3,
 )
-from oracles import count_points_double_loop, primes_by_trial_division, singular_by_shared_root
+from curvecount.point_count import _pair_table
+from oracles import count_points_double_loop, primes_by_trial_division, root_counts_by_enumeration, singular_by_shared_root
 
 
 def test_count_affine_examples():
@@ -54,6 +55,28 @@ def test_count_affine_against_double_loop():
         a = rng.randrange(-20, 21)
         b = rng.randrange(-20, 21)
         assert count_affine_points(Curve(a, b), p) == count_points_double_loop(a, b, p), (a, b, p)
+
+
+def test_count_affine_every_curve_at_small_primes():
+    # Every (a, b) mod p: b = 0, 2b wrapping past p, and roots at x = 0 among them.
+    for p in (3, 5, 7, 11, 13):
+        for a in range(p):
+            for b in range(p):
+                assert count_affine_points(Curve(a, b), p) == count_points_double_loop(a, b, p), (a, b, p)
+
+
+def _count_by_single_loop(r, a, b, p):
+    return sum(r[(x * x * x + a * x + b) % p] for x in range(p))
+
+
+@pytest.mark.parametrize("p", [65537, 100003])
+def test_pair_table_past_one_block(p):
+    # Past one block of the pair table; the last b puts the split at
+    # 2b = 70000 (mod p) inside a block rather than at its edge.
+    r = root_counts_by_enumeration(p)
+    for b in (0, 1, (p - 1) // 2, p - 1, 70000 * pow(2, -1, p) % p):
+        assert list(_pair_table(modmath.root_counts(p), b)) == [r[t] + r[(2 * b - t) % p] for t in range(p)], b
+        assert count_affine_points(Curve(3, b), p) == _count_by_single_loop(r, 3, b, p), b
 
 
 def test_twistspec_validation():

@@ -3,9 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from curvecount import residue_lemmas
 from curvecount.errors import HypothesisError
-from curvecount.modmath import QNR, QR, legendre_symbol, prime_profile, sieve_primes
+from curvecount.modmath import QNR, QR, legendre_symbol, prime_profile, sieve_primes, sqrt_of_minus_one
 from curvecount.residue_lemmas import (
+    MINUS,
+    PLUS,
+    TwistSpec,
+    _chord_values,
     _lemma5_hit,
     census,
     count_lemma2,
@@ -16,7 +21,7 @@ from curvecount.residue_lemmas import (
     lemma8_fraction,
     verify_lemma,
 )
-from oracles import census_by_enumeration
+from oracles import census_by_enumeration, count_points_double_loop
 
 
 def test_count_lemma2_examples():
@@ -88,6 +93,52 @@ def test_lemma4_equivalence_small_sweep():
         for y in range(1, p):
             lhs, rhs = lemma4_check(p, y)
             assert lhs == rhs, (p, y)
+
+
+def test_chord_values_match_modular_inverse_definition():
+    for p in sieve_primes(2000):
+        if p % 4 != 1:
+            continue
+        eps = sqrt_of_minus_one(p)
+        flags = bytearray(p)
+        for r in range(2, p - 1):
+            if r not in (eps, p - eps):
+                flags[(r + pow(r, -1, p)) % p] = 1
+        assert _chord_values(p) == bytes(flags), p
+
+
+def test_lemma3_sweep_counts_each_curve_mod_p_once(monkeypatch):
+    # d_max past every prime, and a claim broken at every third d, so the
+    # sweep's per-d records are compared with a per-d double-loop sweep.
+    real_np, real_count = residue_lemmas.np_lemma3, residue_lemmas._count_affine
+    brute_calls = []
+
+    def claim(spec, p):
+        return real_np(spec, p) + (spec.d % 3 == 0)
+
+    def count(curve, p, pairs):
+        brute_calls.append((p, curve.a))
+        return real_count(curve, p, pairs)
+
+    monkeypatch.setattr(residue_lemmas, "np_lemma3", claim)
+    monkeypatch.setattr(residue_lemmas, "_count_affine", count)
+    primes = [p for p in sieve_primes(30) if p % 4 == 1]
+    expected, checked = [], 0
+    for p in primes:
+        for d in range(1, 71):
+            if d % p == 0:
+                continue
+            for sign in (MINUS, PLUS):
+                spec = TwistSpec(d, sign)
+                claimed = claim(spec, p)
+                brute = count_points_double_loop(spec.curve().a, 0, p)
+                checked += 1
+                if claimed != brute:
+                    expected.append({"lemma": 3, "p": p, "d": d, "sign": sign, "claimed": claimed, "brute": brute})
+    assert verify_lemma(3, 30, d_max=70) == (checked, expected)
+    assert len(expected) > 0
+    # -1 is a square at every p = 1 (mod 4), so the curves mod p are the (p - 1)/2 squares a.
+    assert sorted(brute_calls) == sorted((p, a) for p in primes for a in {d * d % p for d in range(1, p)})
 
 
 def test_verify_lemma_sweeps_one_class_and_refuses_other_lemmas():
