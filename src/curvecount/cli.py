@@ -85,8 +85,8 @@ D_MAX_CEILING = 10**5
 # grows linearly, so a larger p is refused.
 BRUTE_P_CEILING = 10**7
 # Each worker past the first is a forked copy of the process holding its
-# own chunk's tables, and a sweep forks as many as --workers allows once
-# its work pays for them.  The fan-out is for the CPUs of one machine, so
+# own batches' tables, and a sweep forks as many as --workers allows once
+# it has run longer than sweep.TAU.  The fan-out is for the CPUs of one machine, so
 # a larger count is refused rather than forking thousands of processes.
 WORKERS_CEILING = 64
 # An exact product's numerator prod p^(2s-1) has at most
@@ -169,7 +169,7 @@ def _run_count(args) -> int:
 
 def _run_ap_table(args) -> int:
     from .cache import read_cache, resolve_cache_path, write_cache
-    from .point_count import Curve, good_odd_primes, record_cost, records_for_primes
+    from .point_count import Curve, good_odd_primes, records_for_primes
     from .sweep import map_chunks
 
     curve = Curve(args.a, args.b)
@@ -189,8 +189,7 @@ def _run_ap_table(args) -> int:
         except OSError as exc:
             return _fail(f"cache {cache_path}: {exc.strerror or exc}")
     chunk = partial(records_for_primes, curve, cross_validate=args.cross_validate)
-    cost = partial(record_cost, curve, args.cross_validate)
-    parts = map_chunks(chunk, [p for p in primes if p > pmax_seen], args.workers, cost)
+    parts = map_chunks(chunk, [p for p in primes if p > pmax_seen], args.workers)
     fresh = [r for part in parts for r in part]
     records = [r for r in cached if r.p <= args.limit] + fresh
     if cache_path and extends:  # a valid cache is rewritten only past its pmax

@@ -137,7 +137,7 @@ def trace_ap(curve: Curve, p: int, method: str = "auto") -> PointCountRecord:
 
 
 def _auto_method(curve: Curve, p: int) -> str:
-    """The method trace_ap's "auto" uses at p; its cost model and the cache check ask here too."""
+    """The method trace_ap's "auto" uses at p; the cache check asks here too."""
     if curve.b != 0:
         return BRUTE
     return LEMMA1 if p % 4 == 3 else GAUSS
@@ -221,21 +221,6 @@ def records_for_primes(curve: Curve, primes: list[int], cross_validate: bool = F
             rec = rec._replace(brute_np=_brute_record(curve, p).n_p)
         out.append(rec)
     return out
-
-
-def record_cost(curve: Curve, cross_validate: bool, p: int) -> float:
-    """The brute-force work of records_for_primes at p, for sweep.map_chunks.
-
-    An element is one pass of _count_affine's loop, one pair x, -x.  A
-    brute count with its root_counts and pair tables costs about 0.8 p
-    elements: (p - 1)/2 passes, the root table (about 0.25 p) and the
-    pair table (0.03 p), fitted to per-prime timings up to p = 2100,
-    tables cold, each divided by the time of one pass at the same p,
-    taken right after it.  A closed-form record
-    counts as 0: it takes about as long to compute as its result takes
-    to pickle back from a forked worker, so no fan-out can gain on it.
-    """
-    return 0.8 * p if cross_validate or _auto_method(curve, p) == BRUTE else 0
 
 
 def ap_table(curve: Curve, limit: int, cross_validate: bool = False) -> list[PointCountRecord]:

@@ -230,6 +230,22 @@ class CollisionGroup(namedtuple("CollisionGroup", "v members d_values shared_x")
         return super().__new__(cls, v, members, d_values, shared_x)
 
 
+def _first_ms(bound: int, lo: int) -> list[int]:
+    """first[e] = the least m in (e, bound] with V(e, m) >= lo, else bound + 1, for 1 <= e < bound.
+
+    first[0] is unused.  The least m >= 1 with V(e, m) >= lo never grows
+    with e, since V grows in e and in m, so one walk down e, moving m
+    up, finds every start.
+    """
+    first = [0] * bound
+    m = 1
+    for e in range(bound - 1, 0, -1):
+        while m <= bound and e * m * (m + e) ** 2 < lo:
+            m += 1
+        first[e] = max(m, e + 1)
+    return first
+
+
 def _collision_groups(bound: int, coprime_only: bool, slices: list[tuple[int, int]]) -> list[CollisionGroup]:
     """The groups with V in the given ascending, contiguous [lo, hi) slices; the unit of worker work.
 
@@ -241,7 +257,7 @@ def _collision_groups(bound: int, coprime_only: bool, slices: list[tuple[int, in
     the values, and its m by bisection in e's run.
     """
     ms = range(bound + 1)
-    next_m = [bisect_left(ms, slices[0][0], e + 1, key=lambda m: e * m * (m + e) ** 2) for e in range(bound)]
+    next_m = _first_ms(bound, slices[0][0])
     out = []
     for _, hi in slices:
         starts = next_m.copy()
@@ -276,19 +292,16 @@ def collision_search(bound: int, workers: int = 1, coprime_only: bool = True) ->
     value of a grid sample of V (steps of isqrt(bound) in e and m), so a
     slice holds 8 points of the sample; the pairs it holds vary (26 to
     6,254 coprime pairs over the 71 slices at bound 1000).  One slice's
-    values of V are held at a time, and workers take contiguous runs of
-    about equally many slices, which balance because each run spans many
-    slices: the two runs at bound 1000 hold 154,633 and 149,558 pairs.
-    No group straddles a cut, so the output is sorted by V, members in
-    (e, m) order, for any workers.
+    values of V are held at a time.  Workers take contiguous batches of
+    about equally many slices off one queue, each the next batch as soon
+    as it is free, so slices of uneven size still balance.  No group
+    straddles a cut, so the output is sorted by V, members in (e, m)
+    order, for any workers.
     """
     if bound < 2:
         raise ValueError(f"bound must be >= 2, got {bound}")
     step = isqrt(bound)
     cuts = sorted(e * m * (m + e) ** 2 for e in range(1, bound, step) for m in range(e + 1, bound + 1, step))[8::8]
     slices = list(zip([0] + cuts, cuts + [(2 * bound) ** 4]))  # V < bound^2 (2 bound)^2
-    # Slices are priced alike, since a run of many of them evens out their
-    # sizes: 10-13 brute-force count elements per unit of bound, 12-25
-    # without coprime_only (per-slice timings at bounds 100 to 2000).
-    parts = map_chunks(partial(_collision_groups, bound, coprime_only), slices, workers, lambda _: 15 * bound)
+    parts = map_chunks(partial(_collision_groups, bound, coprime_only), slices, workers)
     return [group for part in parts for group in part]

@@ -336,32 +336,15 @@ def _verify7(p: int, d_max: int, samples: int, seed: int):
     return checked, bad
 
 
-# lemma -> ((modulus, residue) selecting the odd primes it covers, check,
-# cost(p, d_max, samples)).  The cost estimates the check's in-process
-# work at p for sweep.map_chunks, in elements of a brute-force count (one
-# pass of point_count._count_affine's loop, one pair x, -x), and was
-# fitted to per-prime timings of the check, tables cold, each divided by
-# the time of one pass at the same p, taken right after it.  A brute
-# count is (p - 1)/2 passes over one pair table per prime.  Lemma 1
-# counts `samples` curves, and its root and pair tables and its sample
-# cost about 0.6 p.  Lemma 3 counts each curve mod p once, at most
-# min(2 d_max, (p - 1)/2) of them, on top of its root, pair and census
-# tables (about 0.8 p) and about 25 elements for each d (fitted at
-# d_max = 3, 20, 300 and 2000).  Lemmas 2, 4, 6
-# and 7 read one root_counts table: lemma 2 counts with a few big-int
-# operations on it, lemma 4 builds its chord flags in about 1.5 p and
-# checks every y, lemma 6 builds the quartic census, and lemma 7 reads
-# that census 2 d_max times (fitted at d_max = 20 and 40).  Lemma 5 takes
-# a few modular powers per prime, about 3 us with the chunk's
-# bookkeeping (limit 60015).
+# lemma -> ((modulus, residue) selecting the odd primes it covers, check).
 LEMMAS = {
-    1: ((4, 3), _verify1, lambda p, d_max, samples: (0.5 * min(samples, p - 1) + 0.6) * p),
-    2: ((4, 1), _verify2, lambda p, d_max, samples: 0.25 * p + 90),
-    3: ((4, 1), _verify3, lambda p, d_max, samples: (0.5 * min(2 * d_max, p // 2) + 0.8) * p + 25 * d_max),
-    4: ((4, 1), _verify4, lambda p, d_max, samples: 6 * p),
-    5: ((2, 1), _verify5, lambda p, d_max, samples: 20),
-    6: ((8, 5), _verify6, lambda p, d_max, samples: 0.65 * p + 90),
-    7: ((8, 5), _verify7, lambda p, d_max, samples: 0.65 * p + 25 * d_max),
+    1: ((4, 3), _verify1),
+    2: ((4, 1), _verify2),
+    3: ((4, 1), _verify3),
+    4: ((4, 1), _verify4),
+    5: ((2, 1), _verify5),
+    6: ((8, 5), _verify6),
+    7: ((8, 5), _verify7),
 }
 
 
@@ -386,8 +369,8 @@ def verify_lemma(lemma: int, limit: int, d_max: int = 20, samples: int = 20, see
     """
     if lemma not in LEMMAS:
         raise ValueError(f"lemma must be one of {sorted(LEMMAS)}, got {lemma}")
-    (modulus, residue), check, cost = LEMMAS[lemma]
+    (modulus, residue), check = LEMMAS[lemma]
     primes = [p for p in sieve_primes(limit) if p % modulus == residue]
     chunk = partial(_verify_chunk, lemma, check, d_max, samples, seed)
-    results = map_chunks(chunk, primes, workers, lambda p: cost(p, d_max, samples))
+    results = map_chunks(chunk, primes, workers)
     return sum(r[0] for r in results), [record for r in results for record in r[1]]

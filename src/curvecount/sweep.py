@@ -3,66 +3,76 @@
 from __future__ import annotations
 
 import os
-from bisect import bisect_left
-from itertools import accumulate
+from time import perf_counter
 
-# What a fork fan-out costs, in the unit of every caller's cost model:
-# one element of a brute-force point count (one pass of
-# point_count._count_affine's loop, which counts a pair x, -x and takes
-# 0.95-0.99 times as long as one x of the single loop it replaced; the
-# sweeps ran at 206-284 ns an element).
-# Fitted as the time a fan-out of two adds beyond half the in-process
-# sweep, from alternating pairs of fresh CLI calls at --workers 1 and 2
-# (Python 3.11.7, 2 vCPUs): 20 fits over the ten benchmark sweeps whose
-# cost is not 0 gave quartiles of 64k, 80k and 117k elements (45k, 86k
-# and 104k before the byte-table kernels).  They swing with whether the
-# second vCPU is free, so the constant sits near the upper quartile; it
-# stays at 100k because a gate of 2 * 117k would keep in process the
-# lemma 7 sweep (236k elements), which won 14 of its 20 pairs at 2 workers.
-FORK_COST = 100_000
+# Seconds a sweep runs in this process before the rest fans out: about
+# what a fan-out that does no work costs (rent for as long as buying
+# would cost, then buy).  A fan-out of two over 16 trivial batches took
+# 4.3-7.0 ms, median 4.7, in 15 fresh processes that had loaded the CLI
+# and lemma modules and sieved to 60000 (Python 3.11.7, 2 vCPUs).
+TAU = 0.005
+
+# Batches per worker: each process takes the next batch when it is free,
+# so more batches even out items of unequal cost.  At 2 workers
+# `collisions --bound 1000` swept in 174, 146, 125, 113 and 114 ms at 1,
+# 2, 4, 8 and 16 batches a worker (medians of 8 fresh runs); the lemma
+# and brute ap-table sweeps moved less than their run-to-run spread.
+BATCHES_PER_WORKER = 8
 
 
-def map_chunks(fn, items, workers: int, cost) -> list:
-    """[fn(chunk) for each contiguous chunk of items], in chunk order.
+def map_chunks(fn, items, workers: int) -> list:
+    """[fn(batch) for each contiguous batch of items], in batch order.
 
-    cost(item) estimates the item's in-process work in the unit of
-    FORK_COST.  With k = min(workers, len(items)), the items run here as
-    one chunk, unpriced, at k == 1 or where the platform has no os.fork.
-    Otherwise, with total the summed cost, they go to k chunks if a
-    fan-out, at about total/k + FORK_COST, beats total in this process,
-    and run here as one chunk if not.  The k chunks, of about equal cost
-    (split_by_cost), run at once, chunk 0 in this process and each other
-    chunk in a forked child, so fn need not pickle but its results must.
-    An exception raised by fn in a child is raised here; a child that
-    dies without a result raises ChildProcessError.  Either way, and on
-    success, every child has ended and been reaped on return.  Merging
-    the results in list order gives the same answer for every worker
-    count.
+    With k = min(workers, len(items)), the items run here as one batch
+    at k == 1 or where the platform has no os.fork.  Otherwise they are
+    cut into min(len(items), BATCHES_PER_WORKER * workers) contiguous
+    batches of near-equal count, and the batches run here, in order,
+    until TAU seconds have passed.  What is left goes to min(workers,
+    left) processes, this one and forked children, which each take the
+    next batch off one shared queue until it is empty, so fn need not
+    pickle but its results must.  An exception raised by fn in a child
+    is raised here; a child that dies without a result raises
+    ChildProcessError.  Either way, and on success, every child has
+    ended and been reaped on return.  Merging the results in list order
+    gives the same answer for every worker count.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     items = list(items)
     if not items:
         return []
-    k = min(workers, len(items))
-    if k == 1 or not hasattr(os, "fork"):
+    if min(workers, len(items)) == 1 or not hasattr(os, "fork"):
         return [fn(items)]
-    costs = [cost(item) for item in items]
-    total = sum(costs)
-    # total/k + FORK_COST falls as k grows, so if any k beats the
-    # in-process total, the largest one does.
-    if total / k + FORK_COST >= total:
-        return [fn(items)]
-    return _fan_out(fn, split_by_cost(items, costs, k))
+    n, count = len(items), min(len(items), BATCHES_PER_WORKER * workers)
+    batches = [items[n * j // count : n * (j + 1) // count] for j in range(count)]
+    results = []
+    deadline = perf_counter() + TAU
+    while len(results) < count and perf_counter() < deadline:
+        results.append(fn(batches[len(results)]))
+    left = batches[len(results) :]
+    if len(left) > 1:
+        return results + _fan_out(fn, left, min(workers, len(left)))
+    return results + [fn(batch) for batch in left]
 
 
-def _fan_out(fn, chunks: list[list]) -> list:
-    """[fn(chunk) for chunk in chunks]: chunks[1:] each in a forked child, chunks[0] here."""
-    import signal  # this, and pickle in the helpers, load only when a fan-out starts
+def _fan_out(fn, batches: list[list], processes: int) -> list:
+    """[fn(batch) for batch in batches], run by this process and processes - 1 forked children.
 
-    children = []  # (pid, read end of the pipe the child's result comes back on)
+    Every process takes batch indices off one queue pipe until it is
+    empty.  The indices, 2 bytes each, are written in one write before
+    the first fork and the write end is closed, so the write never
+    blocks (1 KiB at 64 workers, far below a pipe's buffer), each
+    2-byte read takes one whole index, and every process reads EOF once
+    the queue is empty.
+    """
+    import pickle  # here, before the first fork, so that no child spends its time loading it
+
+    queue, write_end = os.pipe()
+    with open(write_end, "wb") as pipe:
+        pipe.write(b"".join(i.to_bytes(2, "little") for i in range(len(batches))))
+    children = []  # (pid, read end of the pipe the child's results come back on)
     try:
-        for chunk in chunks[1:]:
+        for _ in range(processes - 1):
             read_end, write_end = os.pipe()
             try:
                 pid = os.fork()
@@ -71,10 +81,10 @@ def _fan_out(fn, chunks: list[list]) -> list:
                 os.close(write_end)
                 raise
             if pid == 0:
-                _run_child(fn, chunk, write_end)
+                _run_child(fn, batches, queue, write_end)
             os.close(write_end)
             children.append((pid, read_end))
-        results = [fn(chunks[0])]
+        results = _take_batches(fn, batches, queue)
         while children:
             pid, read_end = children.pop(0)
             try:
@@ -82,18 +92,30 @@ def _fan_out(fn, chunks: list[list]) -> list:
                     payload = pipe.read()
             finally:
                 status = os.waitpid(pid, 0)[1]
-            results.append(_child_result(pid, status, payload))
-        return results
+            results.update(_child_result(pid, status, payload))
+        return [results[i] for i in range(len(batches))]
     finally:
+        os.close(queue)
         # Left only when fn or a child failed, so the other results are not wanted.
         for pid, read_end in children:
+            import signal
+
             os.close(read_end)
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
 
 
-def _run_child(fn, chunk, write_end: int):
-    """Send pickle.dumps((True, fn(chunk))), or (False, the exception), and end the process.
+def _take_batches(fn, batches: list[list], queue: int) -> dict:
+    """{index: fn(batches[index])} for each index this process reads off the queue pipe."""
+    results = {}
+    while index := os.read(queue, 2):
+        i = int.from_bytes(index, "little")
+        results[i] = fn(batches[i])
+    return results
+
+
+def _run_child(fn, batches: list[list], queue: int, write_end: int):
+    """Send pickle.dumps((True, _take_batches(...))), or (False, the exception), and end the process.
 
     The child leaves by os._exit, so it runs no exit handler and never
     flushes the stdio buffers it inherited from the parent.
@@ -103,7 +125,7 @@ def _run_child(fn, chunk, write_end: int):
         import pickle
 
         try:
-            payload = pickle.dumps((True, fn(chunk)))
+            payload = pickle.dumps((True, _take_batches(fn, batches, queue)))
         except BaseException as exc:  # the parent raises it
             payload = pickle.dumps((False, exc))
         with open(write_end, "wb") as pipe:
@@ -114,7 +136,7 @@ def _run_child(fn, chunk, write_end: int):
 
 
 def _child_result(pid: int, status: int, payload: bytes):
-    """The result a child sent, given its wait status and the bytes it wrote."""
+    """The results a child sent, given its wait status and the bytes it wrote."""
     import pickle
     import signal
 
@@ -127,23 +149,3 @@ def _child_result(pid: int, status: int, payload: bytes):
     if not ok:
         raise value
     return value
-
-
-def split_by_cost(items: list, costs: list, k: int) -> list[list]:
-    """items cut into k contiguous, nonempty chunks of about equal cost.
-
-    costs[i] is the cost of items[i], and 1 <= k <= len(items).  The cut
-    before chunk j lands at the prefix whose cost is nearest j/k of the
-    total, moved only as far as keeping every chunk nonempty needs.
-    """
-    prefix = list(accumulate(costs, initial=0))
-    n = len(items)
-    bounds = [0]
-    for j in range(1, k):
-        target = prefix[-1] * j / k
-        i = bisect_left(prefix, target)  # the first prefix reaching the target
-        if i > 0 and target - prefix[i - 1] < prefix[i] - target:
-            i -= 1
-        bounds.append(min(max(i, bounds[-1] + 1), n - k + j))
-    bounds.append(n)
-    return [items[lo:hi] for lo, hi in zip(bounds, bounds[1:])]

@@ -5,13 +5,13 @@ from curvecount import sweep
 
 @pytest.fixture
 def fan_outs(monkeypatch):
-    """The chunk count k of every fork fan-out map_chunks made during the test, in order."""
+    """The process count of every fork fan-out map_chunks made during the test, in order."""
     started = []
     fan_out = sweep._fan_out
 
-    def counted(fn, chunks):
-        started.append(len(chunks))
-        return fan_out(fn, chunks)
+    def counted(fn, batches, processes):
+        started.append(processes)
+        return fan_out(fn, batches, processes)
 
     monkeypatch.setattr(sweep, "_fan_out", counted)
     return started
@@ -19,6 +19,6 @@ def fan_outs(monkeypatch):
 
 @pytest.fixture
 def fan_outs_forced(monkeypatch, fan_outs):
-    """fan_outs, with map_chunks's gate open to any work of two or more items."""
-    monkeypatch.setattr(sweep, "FORK_COST", 0)
+    """fan_outs, with TAU at 0, so that any sweep of two or more items fans out from its first batch."""
+    monkeypatch.setattr(sweep, "TAU", 0)
     return fan_outs

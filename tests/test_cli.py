@@ -92,19 +92,17 @@ def test_parser_loads_no_library_module():
 
 
 def test_pool_starts_only_when_it_pays():
-    # 783 closed-form traces, or 6057 lemma 5 checks of a few modular powers
-    # each, are a few milliseconds of work, far below the cost of forking a
-    # worker; a collision search to bound 2000 (about a second) is not.  No
-    # call loads concurrent.futures.
-    def assert_fan_outs(argv, ks):
+    # 783 closed-form traces are done within sweep.TAU, so they never fork;
+    # a collision search to bound 2000 (about a second) runs past it and
+    # fans out to both workers.  No call loads concurrent.futures.
+    def assert_fan_outs(argv, processes):
         code = ("import curvecount.cli as cli, curvecount.sweep as sweep\n"
-                "ks, fan_out = [], sweep._fan_out\n"
-                "sweep._fan_out = lambda fn, chunks: ks.append(len(chunks)) or fan_out(fn, chunks)\n"
-                f"assert cli.main({argv!r}) == 0\nassert ks == {ks!r}, ks")
+                "started, fan_out = [], sweep._fan_out\n"
+                "sweep._fan_out = lambda fn, batches, n: started.append(n) or fan_out(fn, batches, n)\n"
+                f"assert cli.main({argv!r}) == 0\nassert started == {processes!r}, started")
         assert _modules_loaded_after(code, ["concurrent.futures"]) == []
 
     assert_fan_outs(["ap-table", "--a", "1369", "--b", "0", "--limit", "6020", "--workers", "2"], [])
-    assert_fan_outs(["lemma-verify", "--lemma", "5", "--limit", "60015", "--workers", "2"], [])
     assert_fan_outs(["collisions", "--bound", "2000", "--workers", "2"], [2])
 
 
@@ -456,7 +454,7 @@ def test_ap_table_cache_write_failure_exits_2(tmp_path, capsys, monkeypatch):
 
 
 def test_ap_table_worker_invariance(tmp_path, capsys, fan_outs_forced):
-    # Closed-form records cost nothing to the gate, so each case does brute force.
+    # One closed-form curve and one brute-force curve, each cross-validated.
     for args in (["ap-table", "--a", "1", "--b", "0", "--limit", "300", "--cross-validate"],
                  ["ap-table", "--a", "3", "--b", "5", "--limit", "300", "--cross-validate"]):
         _, one = run(capsys, args + ["--workers", "1"])
@@ -915,19 +913,20 @@ def test_workers_below_one_rejected(capsys, argv):
     ids=lambda argv: argv[0],
 )
 def test_largest_accepted_workers_forks_ceiling_minus_one(capsys, monkeypatch, argv):
-    # Each sweep is large enough that the gate takes every worker allowed;
-    # the chunks run here, so nothing forks.
-    chunk_counts = []
+    # With TAU at 0 each sweep has more batches than workers, so the
+    # fan-out takes every worker allowed; the batches run here, so nothing forks.
+    process_counts = []
 
-    def in_process(fn, chunks):
-        chunk_counts.append(len(chunks))
-        return [fn(chunk) for chunk in chunks]
+    def in_process(fn, batches, processes):
+        process_counts.append(processes)
+        return [fn(batch) for batch in batches]
 
+    monkeypatch.setattr(sweep, "TAU", 0)
     monkeypatch.setattr(sweep, "_fan_out", in_process)
     _, one = run(capsys, argv + ["--workers", "1"])
     rc, most = run(capsys, argv + ["--workers", str(cli.WORKERS_CEILING)])
     assert rc == 0 and most == one
-    assert chunk_counts == [cli.WORKERS_CEILING] == [64]
+    assert process_counts == [cli.WORKERS_CEILING] == [64]
 
 
 @pytest.mark.parametrize(

@@ -236,7 +236,7 @@ def test_lemma_sweeps_prove_each_prime_once(monkeypatch, capsys, lemma):
     calls = _count_is_prime(monkeypatch)
     rc = cli.main(["lemma-verify", "--lemma", str(lemma), "--limit", "400", "--workers", "1"])
     assert rc == 0, capsys.readouterr()
-    (modulus, residue), _, _ = residue_lemmas.LEMMAS[lemma]
+    (modulus, residue), _ = residue_lemmas.LEMMAS[lemma]
     # Lemma 5 reads no per-prime table, so the sieve's proof is the only one.
     assert calls == ([] if lemma == 5 else [p for p in sieve_primes(400) if p % modulus == residue])
 

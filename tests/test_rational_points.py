@@ -8,6 +8,7 @@ import pytest
 
 from curvecount.errors import TangentUndefinedError
 from curvecount.modmath import QNR, prime_profile, sieve_primes
+from curvecount import rational_points
 from curvecount.point_count import Curve
 from curvecount.rational_points import (
     CollisionGroup,
@@ -296,6 +297,23 @@ def test_collision_search_non_coprime_lattice(fan_outs_forced):
             got = {g.v: list(g.members) for g in collision_search(bound, workers=workers, coprime_only=False)}
             assert got == collision_groups_by_sorting(bound, coprime=False)
     assert fan_outs_forced[-1:] == [2]
+
+
+def test_first_ms_match_a_least_m_scan(monkeypatch):
+    # Every slice start collision_search cuts, at every bound from 2 to 60:
+    # the walk down e gives the least m in (e, bound] reaching the slice
+    # start, as a scan up m from e + 1 finds it, or bound + 1 past bound.
+    starts = []
+    monkeypatch.setattr(rational_points, "map_chunks", lambda fn, slices, workers: starts.append(slices) or [])
+    for bound in range(2, 61):
+        collision_search(bound)
+        for lo, _ in starts.pop():
+            first = rational_points._first_ms(bound, lo)
+            for e in range(1, bound):
+                m = e + 1
+                while m <= bound and e * m * (m + e) ** 2 < lo:
+                    m += 1
+                assert first[e] == m, (bound, lo, e)
 
 
 def test_collision_search_memory_is_bounded():
