@@ -17,16 +17,5 @@ class TangentUndefinedError(ZeroDivisionError):
     """Doubling attempted at a two-torsion point (y = 0)."""
 
 
-class VanishingFactorError(ArithmeticError):
-    """An Euler factor's denominator vanished (or turned nonpositive)."""
-
-    def __init__(self, p: int, detail: str = ""):
-        self.p = p
-        message = f"degenerate Euler factor at p = {p}"
-        if detail:
-            message += f": {detail}"
-        super().__init__(message)
-
-
 class CacheInvalidError(Exception):
     """An a_p cache file failed validation; callers recompute instead."""

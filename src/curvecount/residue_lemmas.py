@@ -20,7 +20,8 @@ root_counts directly, and its chord values are a bytes flag table too.
 Each identity proves its prime by first reading a per-prime lru table
 (root_counts, or the census built on it) and makes no Miller-Rabin call
 of its own.  A table is only stored once its prime has passed, so a
-sweep proves each prime once.
+sweep proves each prime once.  The lemma 1 check trusts the sweep's
+sieve and builds its uncached table with _root_counts.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from functools import lru_cache, partial
 from itertools import compress
 
 from .errors import HypothesisError
-from .modmath import _is_qr, _sqrt_of_minus_one, require_odd_prime, root_counts, sieve_primes
+from .modmath import _is_qr, _root_counts, _sqrt_of_minus_one, require_odd_prime, root_counts, sieve_primes
 from .point_count import Curve, _count_affine, _pair_table
 from .sweep import map_chunks
 
@@ -271,7 +272,7 @@ def _verify1(p: int, d_max: int, samples: int, seed: int):
 
     rng = random.Random((seed << 32) | p)
     values = sorted(rng.sample(range(1, p), min(samples, p - 1)))
-    pairs = _pair_table(root_counts(p), 0)  # every curve here has b = 0
+    pairs = _pair_table(_root_counts(p), 0)  # every curve here has b = 0
     bad = []
     for a in values:
         n_p = _count_affine(Curve(a, 0), p, pairs)

@@ -91,7 +91,7 @@ def test_parser_loads_no_library_module():
     assert _modules_loaded_after("import curvecount.cli as cli\ncli.build_parser()", heavy) == []
 
 
-def test_pool_starts_only_when_it_pays():
+def test_sweeps_fork_only_once_past_tau():
     # 783 closed-form traces are done within sweep.TAU, so they never fork;
     # a collision search to bound 2000 (about a second) runs past it and
     # fans out to both workers.  No call loads concurrent.futures.

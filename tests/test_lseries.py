@@ -3,11 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from curvecount.errors import SingularCurveError, VanishingFactorError
-from curvecount.lseries import euler_factor, partial_L, partial_L_exact, ratio_partial
+from curvecount.errors import SingularCurveError
+from curvecount.lseries import _denominator, euler_factor, partial_L, partial_L_exact, ratio_partial
 from curvecount.point_count import Curve, good_odd_primes, trace_ap
 
-from oracles import exact_euler_product
+from oracles import exact_euler_product, primes_by_trial_division
 
 MINUS_ONE = Curve(-1, 0)
 PLUS_ONE = Curve(1, 0)
@@ -43,13 +43,36 @@ def test_euler_factor_examples():
     assert euler_factor(13, 6, 2) == pytest.approx(1.036321, abs=1e-6)
 
 
-def test_euler_factor_degenerate_denominator():
-    # 1 - 6/5 + 1/5 = 0 at s = 1; a_p = 6 is far outside the Hasse range
-    with pytest.raises(VanishingFactorError) as info:
-        euler_factor(5, 6, 1)
-    assert info.value.p == 5
-    with pytest.raises(VanishingFactorError):
-        euler_factor(5, 9, 1)
+def test_euler_factor_refuses_a_p_outside_the_hasse_range():
+    # 1 - 6/5 + 1/5 = 0 at s = 1; 1 - 5/5 + 1/5 and 1 - 4.0/5 + 1/5 are
+    # positive, and 4.472... (about 2 sqrt(5)) nearly zeroes it at s = 1/2,
+    # but none of these is an integer with a_p^2 < 4p.
+    for a_p, s in ((6, 1), (9, 1), (5, 1), (-5, 1), (4.0, 1), (4.472135954999579, 0.5)):
+        with pytest.raises(ValueError, match=r"at p = 5 "):
+            euler_factor(5, a_p, s)
+
+
+def test_euler_factor_at_the_hasse_edge():
+    # 5^2 = 25 < 28: the largest |a_p| at p = 7, at s = 1/2, where the
+    # denominator is 2 - |a_p| / sqrt(p), about 0.11.
+    for a_p in (5, -5):
+        value = euler_factor(7, a_p, 0.5)
+        assert math.isfinite(value) and value > 0
+
+
+def test_denominator_keeps_its_hasse_margin():
+    # 1 - a x + p x^2 >= (4p - a^2)/(4p) >= 3/(4p) for x = p^-s, so the
+    # float denominator stays far above 1/(4p) and needs no guard.
+    for p in primes_by_trial_division(500)[1:]:
+        for a in range(-math.isqrt(4 * p - 1), math.isqrt(4 * p - 1) + 1):
+            for s in (5e-324, 1e-3, 0.5, 1, 2, 1e300):
+                assert _denominator(p, a, s) >= 1 / (4 * p), (p, a, s)
+    p = 99999989  # the largest prime below the CLI's 10^8 ceiling
+    a = math.isqrt(4 * p - 1)
+    bound = (4 * p - a * a) / (4 * p)
+    at_minimum = math.log(2 * p / a) / math.log(p)  # p^-s = a / (2p)
+    assert _denominator(p, a, 0.5) >= 1 / (4 * p)
+    assert _denominator(p, a, at_minimum) == pytest.approx(bound, rel=1e-6)
 
 
 def test_partial_l_exact_matches_sequential_fraction_oracle():
