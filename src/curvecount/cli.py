@@ -65,12 +65,16 @@ def _fail(message: str) -> int:
 # A sieve to --limit allocates about limit bytes plus the prime list, and
 # ap-table holds every record and row too: `ap-table --a -1 --b 0` peaked
 # at 46 MB RSS at limit 10^6 and 285 MB at 10^7 (one run each), about
-# 0.4 KB a prime, so about 2.4 GB at 10^8.  collision_search sorts about
-# bound/2 values of V (24 MB at 10^6) before it searches, and find-points
-# and lemma11 mark 2 bound + 1 bytes.  Larger values are refused before
-# anything is computed.
+# 0.4 KB a prime, so about 2.4 GB at 10^8.  find-points and lemma11 mark
+# 2 bound + 1 bytes.  Larger values are refused before anything is computed.
 LIMIT_CEILING = 10**8
 BOUND_CEILING = 10**6
+# A collision search visits every pair e < m <= --bound, so its time grows
+# as bound^2: `collisions --bound 10000` took 17.4 s at --workers 1 and
+# 9.8 s at 2, peaking at 29 MB RSS (one run each, Python 3.11.7, 2 vCPUs),
+# so 10^5 would take about half an hour and 10^6 about two days.  A larger
+# bound is refused.
+COLLISION_BOUND_CEILING = 10**4
 # Lemmas 3 and 7 check every d <= --d-max at every prime of their sweep,
 # so their time grows linearly in it: `lemma-verify --lemma 3 --d-max
 # 10^5` took 0.47 s at --limit 5 (one prime) and 2.1 s at --limit 50,
@@ -275,7 +279,7 @@ def _run_lemma11(args) -> int:
 
 
 def _run_collisions(args) -> int:
-    from .rational_points import collision_search
+    from .collisions import collision_search
 
     groups = collision_search(args.bound, workers=args.workers, coprime_only=not args.allow_non_coprime)
     _emit([g._asdict() for g in groups], args.format)
@@ -371,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_run_lemma11)
 
     p = sub.add_parser("collisions", parents=[common, workers], help="pairs sharing V = em(m+e)^2")
-    p.add_argument("--bound", type=_int_in(2, BOUND_CEILING), required=True)
+    p.add_argument("--bound", type=_int_in(2, COLLISION_BOUND_CEILING), required=True)
     p.add_argument("--allow-non-coprime", action="store_true")
     p.set_defaults(handler=_run_collisions)
 

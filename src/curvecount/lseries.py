@@ -6,9 +6,9 @@ denominators and forms one Fraction at the end.  The prime 2 never
 contributes: the discriminant -16(4a^3 + 27b^2) is even for every
 curve, so 2 is a bad prime throughout.
 
-euler_factor, the one public factor, refuses an a_p outside the Hasse
-range.  The products trust their own traces, which lie inside it, and
-check no factor.
+euler_factor, the one public factor, refuses a p that is not an odd
+prime, an s the products refuse and an a_p outside the Hasse range.
+The products trust their own primes and traces and check no factor.
 """
 
 from __future__ import annotations
@@ -16,7 +16,14 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
+from .modmath import require_odd_prime
 from .point_count import Curve, _nonsingular_discriminant, _trace_ap, prime_split
+
+
+def _require_positive(s: float) -> None:
+    """The one check on a float s: ValueError unless s > 0, so nan and every s <= 0 are refused."""
+    if not s > 0:
+        raise ValueError(f"s must be positive, got {s}")
 
 
 def _denominator(p: int, a_p: int, s: float) -> float:
@@ -33,9 +40,11 @@ def _denominator(p: int, a_p: int, s: float) -> float:
 def euler_factor(p: int, a_p: int, s: float) -> float:
     """One local factor (1 - a_p p^-s + p^(1-2s))^-1 as a float.
 
-    Raises ValueError unless a_p is an int with a_p^2 < 4p, the Hasse
-    range that keeps the denominator positive.
+    Raises ValueError unless p is an odd prime, s > 0 and a_p is an int
+    with a_p^2 < 4p, the Hasse range that keeps the denominator positive.
     """
+    require_odd_prime(p)
+    _require_positive(s)
     if not isinstance(a_p, int) or a_p * a_p >= 4 * p:
         raise ValueError(f"a_p = {a_p!r} at p = {p} is not an integer with a_p^2 < 4p")
     return 1.0 / _denominator(p, a_p, s)
@@ -60,8 +69,7 @@ def partial_L(curve: Curve, s: float, limit: int) -> EulerEvaluation:
     reproduce bit-identical results no matter how the underlying a_p
     were obtained.  An empty prime range gives the empty product 1.
     """
-    if not s > 0:
-        raise ValueError(f"s must be positive, got {s}")
+    _require_positive(s)
     primes, skipped = prime_split(curve, limit)
     log_value = 0.0
     for p in primes:
@@ -120,8 +128,7 @@ def ratio_partial(top: Curve, bottom: Curve, s: float, limit: int) -> RatioEvalu
     factor is pinned to 1.0: both traces vanish there, so the quotient
     carries information only at p = 1 (mod 4).
     """
-    if not s > 0:
-        raise ValueError(f"s must be positive, got {s}")
+    _require_positive(s)
     delta_bottom = _nonsingular_discriminant(bottom)
     primes = tuple(p for p in prime_split(top, limit)[0] if delta_bottom % p != 0)
     factors = []

@@ -9,16 +9,12 @@ point is either on its curve or the construction is rejected.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from collections import Counter, namedtuple
+from collections import namedtuple
 from fractions import Fraction
-from functools import partial
-from itertools import compress, count
 from math import gcd, isqrt
 
 from .errors import TangentUndefinedError
 from .modmath import _is_qr, is_prime
-from .sweep import map_chunks
 
 
 class RationalPoint(namedtuple("RationalPoint", "x y")):
@@ -197,111 +193,3 @@ def lemma11_exhaustive(d: int, bound: int) -> list[ParamQuadruple]:
     return [
         ParamQuadruple(beta.numerator, beta.denominator, m, e) for m, e, beta in _qualifying_pairs(d, bound)
     ]
-
-
-class CollisionGroup(namedtuple("CollisionGroup", "v members d_values shared_x")):
-    """Distinct coprime pairs sharing V = em(m+e)^2.
-
-    members holds the (e, m) pairs and d_values their d, in the same
-    order.  The shared value is one x coordinate sitting on every
-    member's curve y^2 = x^3 - d_i^2 x at once, with d_i = e_i m_i
-    (m_i^2 - e_i^2): x = d_i (m_i+e_i)/(m_i-e_i) collapses to V member
-    by member, and y_i = 2 e_i^2 m_i^2 (m_i+e_i)^2 closes the equation.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, v: int, members: tuple, d_values: tuple, shared_x: int):
-        if len(members) < 2:
-            raise ValueError("a collision group needs at least two members")
-        if len(set(members)) != len(members):
-            raise ValueError("members must be distinct")
-        if shared_x != v:
-            raise ValueError(f"shared_x {shared_x} != v {v}")
-        if len(d_values) != len(members):
-            raise ValueError("d_values and members must pair up")
-        for (e, m), d in zip(members, d_values):
-            if e * m * (m + e) ** 2 != v:
-                raise ValueError(f"({e}, {m}) does not share v = {v}")
-            if d != e * m * (m * m - e * e):
-                raise ValueError(f"wrong d for ({e}, {m}): {d}")
-            y = 2 * e * e * m * m * (m + e) ** 2
-            assert y * y == v**3 - d * d * v
-        return super().__new__(cls, v, members, d_values, shared_x)
-
-
-def _first_ms(bound: int, lo: int) -> list[int]:
-    """first[e] = the least m in (e, bound] with V(e, m) >= lo, else bound + 1, for 1 <= e < bound.
-
-    first[0] is unused.  The least m >= 1 with V(e, m) >= lo never grows
-    with e, since V grows in e and in m, so one walk down e, moving m
-    up, finds every start.
-    """
-    first = [0] * bound
-    m = 1
-    for e in range(bound - 1, 0, -1):
-        while m <= bound and e * m * (m + e) ** 2 < lo:
-            m += 1
-        first[e] = max(m, e + 1)
-    return first
-
-
-def _collision_groups(bound: int, coprime_only: bool, slices: list[tuple[int, int]]) -> list[CollisionGroup]:
-    """The groups with V in the given ascending, contiguous [lo, hi) slices; the unit of worker work.
-
-    V increases in m for fixed e, so next_m[e], the least m with V(e, m)
-    in or past the current slice, only moves forward, and a slice is
-    one run of m per e.  A slice collects its values of V alone, e
-    ascending, and ends[e - 1] marks where e's run of values ends.  Only
-    a value that repeats has its pairs found: its e by where it lies in
-    the values, and its m by bisection in e's run.
-    """
-    ms = range(bound + 1)
-    next_m = _first_ms(bound, slices[0][0])
-    out = []
-    for _, hi in slices:
-        starts = next_m.copy()
-        vs, ends = [], []
-        for e in range(1, bound):
-            m = next_m[e]
-            while m <= bound and (v := e * m * (m + e) ** 2) < hi:
-                if not coprime_only or gcd(e, m) == 1:
-                    vs.append(v)
-                m += 1
-            next_m[e] = m
-            ends.append(len(vs))
-        # Every slice counts its values, whether or not one repeats, so
-        # slices of equal size take equal time.
-        repeated = {v for v, n in Counter(vs).items() if n > 1}
-        members = {}
-        for i in compress(count(), map(repeated.__contains__, vs)):
-            e = bisect_right(ends, i) + 1
-            m = bisect_left(ms, vs[i], starts[e], next_m[e], key=lambda m: e * m * (m + e) ** 2)
-            members.setdefault(vs[i], []).append((e, m))
-        for v in sorted(members):
-            group = tuple(members[v])
-            out.append(CollisionGroup(v, group, tuple(e * m * (m * m - e * e) for e, m in group), v))
-    return out
-
-
-def collision_search(bound: int, workers: int = 1, coprime_only: bool = True) -> list[CollisionGroup]:
-    """All V = em(m+e)^2 values hit by >= 2 pairs with 1 <= e < m <= bound.
-
-    coprime_only keeps the gcd(e, m) = 1 normalization; pass False to
-    search the unrestricted lattice.  The V axis is cut at every eighth
-    value of a grid sample of V (steps of isqrt(bound) in e and m), so a
-    slice holds 8 points of the sample; the pairs it holds vary (26 to
-    6,254 coprime pairs over the 71 slices at bound 1000).  One slice's
-    values of V are held at a time.  Workers take contiguous batches of
-    about equally many slices off one queue, each the next batch as soon
-    as it is free, so slices of uneven size still balance.  No group
-    straddles a cut, so the output is sorted by V, members in (e, m)
-    order, for any workers.
-    """
-    if bound < 2:
-        raise ValueError(f"bound must be >= 2, got {bound}")
-    step = isqrt(bound)
-    cuts = sorted(e * m * (m + e) ** 2 for e in range(1, bound, step) for m in range(e + 1, bound + 1, step))[8::8]
-    slices = list(zip([0] + cuts, cuts + [(2 * bound) ** 4]))  # V < bound^2 (2 bound)^2
-    parts = map_chunks(partial(_collision_groups, bound, coprime_only), slices, workers)
-    return [group for part in parts for group in part]

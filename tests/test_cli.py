@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from curvecount import cache, cli, modmath, point_count, rational_points, residue_lemmas, sweep
+from curvecount import cache, cli, collisions, modmath, point_count, rational_points, residue_lemmas, sweep
 from curvecount.errors import CacheInvalidError
 from curvecount.lseries import partial_L_exact
 from curvecount.point_count import Curve, ap_table
@@ -86,7 +86,7 @@ def _modules_loaded_after(code, names):
 
 
 def test_parser_loads_no_library_module():
-    heavy = ["curvecount.cache", "curvecount.lseries", "curvecount.rational_points",
+    heavy = ["curvecount.cache", "curvecount.collisions", "curvecount.lseries", "curvecount.rational_points",
              "curvecount.residue_lemmas", "concurrent.futures", "fractions", "dataclasses"]
     assert _modules_loaded_after("import curvecount.cli as cli\ncli.build_parser()", heavy) == []
 
@@ -171,9 +171,15 @@ def test_lemma_choices_are_the_identities_residue_lemmas_sweeps(capsys):
     ids=lambda argv: argv[0],
 )
 def test_rational_point_commands_load_no_counting_module(argv):
+    # The collision search is integer arithmetic in its own module, and of
+    # the three searches only it fans out, so the Fraction ones load no sweep.
     code = f"import curvecount.cli as cli\nassert cli.main({argv!r}) == 0"
     counting = ["curvecount.point_count", "curvecount.residue_lemmas"]
-    assert _modules_loaded_after(code, counting + ["curvecount.rational_points"]) == ["curvecount.rational_points"]
+    if argv[0] == "collisions":
+        home, others = "curvecount.collisions", ["fractions", "decimal", "curvecount.rational_points"]
+    else:
+        home, others = "curvecount.rational_points", ["curvecount.sweep"]
+    assert _modules_loaded_after(code, counting + others + [home]) == [home]
 
 
 # Records are namedtuples: dataclasses would pull in inspect, ast and dis
@@ -882,8 +888,9 @@ def test_collisions_records(capsys):
 
 
 def test_collisions_worker_invariance(capsys, fan_outs_forced):
-    _, one = run(capsys, ["collisions", "--bound", "40", "--workers", "1"])
-    _, four = run(capsys, ["collisions", "--bound", "40", "--workers", "4"])
+    # Bound 60 cuts the V axis into 5 slices, enough for all 4 workers.
+    _, one = run(capsys, ["collisions", "--bound", "60", "--workers", "1"])
+    _, four = run(capsys, ["collisions", "--bound", "60", "--workers", "4"])
     assert one == four
     assert fan_outs_forced == [4]
 
@@ -908,13 +915,14 @@ def test_workers_below_one_rejected(capsys, argv):
     [
         ["ap-table", "--a", "3", "--b", "5", "--limit", "2000"],
         ["lemma-verify", "--lemma", "2", "--limit", "5000"],
-        ["collisions", "--bound", "1000"],
+        ["collisions", "--bound", "1300"],
     ],
     ids=lambda argv: argv[0],
 )
 def test_largest_accepted_workers_forks_ceiling_minus_one(capsys, monkeypatch, argv):
-    # With TAU at 0 each sweep has more batches than workers, so the
-    # fan-out takes every worker allowed; the batches run here, so nothing forks.
+    # With TAU at 0 each sweep has more batches than workers (bound 1300
+    # cuts the V axis into 71 slices), so the fan-out takes every worker
+    # allowed; the batches run here, so nothing forks.
     process_counts = []
 
     def in_process(fn, batches, processes):
@@ -1015,9 +1023,11 @@ RANGED_ARGUMENTS = [
     ("lemma11 --d 3 --bound {}", "--bound", "0", "-1"),
     ("lemma11 --d 3 --bound {}", "--bound", "1000000", "1000001"),
     ("lemma11 --d 3 --bound {}", "--bound", "1000000", str(10**12)),
+    # Collision work grows as bound^2: bound 10^4 took 17.4 s at one worker
+    # (9.8 s at two), so the former ceiling of 10^6, about two days, is refused.
     ("collisions --bound {}", "--bound", "2", "1"),
-    ("collisions --bound {}", "--bound", "1000000", "1000001"),
-    ("collisions --bound {}", "--bound", "1000000", str(10**9)),
+    ("collisions --bound {}", "--bound", "10000", "10001"),
+    ("collisions --bound {}", "--bound", "10000", str(10**6)),
     ("collisions --bound 30 --workers {}", "--workers", "1", "0"),
     ("collisions --bound 30 --workers {}", "--workers", "64", "65"),
     ("collisions --bound 2000 --workers {}", "--workers", "64", "1000"),
@@ -1038,7 +1048,7 @@ def test_argument_out_of_range_rejected_at_parse_time(tmp_path, capsys, monkeypa
     for module in (point_count, residue_lemmas, modmath):
         monkeypatch.setattr(module, "sieve_primes", no_work)
     for module, function in (
-        (rational_points, "collision_search"),
+        (collisions, "collision_search"),
         (rational_points, "find_points_for_d"),
         (rational_points, "lemma11_exhaustive"),
         (modmath, "prime_profile"),

@@ -52,6 +52,29 @@ def test_euler_factor_refuses_a_p_outside_the_hasse_range():
             euler_factor(5, a_p, s)
 
 
+def test_euler_factor_refuses_a_p_that_is_not_an_odd_prime():
+    # 5^2 = 25 < 36, so only the composite 9 is wrong here; 1.8 came back.
+    with pytest.raises(ValueError, match="^expected an odd prime, got 9$"):
+        euler_factor(9, 5, 1)
+
+
+def test_euler_factor_refuses_nan_s():
+    with pytest.raises(ValueError, match="^s must be positive, got nan$"):
+        euler_factor(5, 1, float("nan"))
+
+
+def test_euler_factor_refuses_negative_s():
+    # 1/121 came back: (1 - 5 + 125)^-1.
+    with pytest.raises(ValueError, match="^s must be positive, got -1$"):
+        euler_factor(5, 1, -1)
+
+
+def test_euler_factor_refuses_s_whose_powers_overflow():
+    # 5^(1 + 2e300) overflows a float; the OverflowError it raised is now a ValueError.
+    with pytest.raises(ValueError, match="^s must be positive, got -1e\\+300$"):
+        euler_factor(5, 1, -1e300)
+
+
 def test_euler_factor_at_the_hasse_edge():
     # 5^2 = 25 < 28: the largest |a_p| at p = 7, at s = 1/2, where the
     # denominator is 2 - |a_p| / sqrt(p), about 0.11.

@@ -8,13 +8,12 @@ import pytest
 
 from curvecount.errors import TangentUndefinedError
 from curvecount.modmath import QNR, prime_profile, sieve_primes
-from curvecount import rational_points
+from curvecount import collisions
+from curvecount.collisions import CollisionGroup, collision_search
 from curvecount.point_count import Curve
 from curvecount.rational_points import (
-    CollisionGroup,
     ParamQuadruple,
     RationalPoint,
-    collision_search,
     d_from_param,
     double_point_rational,
     find_points_for_d,
@@ -260,7 +259,7 @@ def test_collision_search_first_group():
 
 
 def test_collision_search_matches_oracle(fan_outs_forced):
-    # Bound 300 cuts the V axis into about 20 slices, so at 3 workers each
+    # Bound 300 cuts the V axis into 18 slices, so at 3 workers each
     # worker starts mid-axis.
     for bound in (2, 3, 20, 50, 100, 300):
         for workers in (1, 3):
@@ -301,19 +300,53 @@ def test_collision_search_non_coprime_lattice(fan_outs_forced):
 
 def test_first_ms_match_a_least_m_scan(monkeypatch):
     # Every slice start collision_search cuts, at every bound from 2 to 60:
-    # the walk down e gives the least m in (e, bound] reaching the slice
-    # start, as a scan up m from e + 1 finds it, or bound + 1 past bound.
+    # moving the unstarted runs up to it gives the least m in (e, bound]
+    # reaching it, as a scan up m from e + 1 finds it, or bound + 1 past
+    # bound, and the window ends at the first e whose least value reaches it.
     starts = []
-    monkeypatch.setattr(rational_points, "map_chunks", lambda fn, slices, workers: starts.append(slices) or [])
+    monkeypatch.setattr(collisions, "map_chunks", lambda fn, slices, workers: starts.append(slices) or [])
     for bound in range(2, 61):
         collision_search(bound)
         for lo, _ in starts.pop():
-            first = rational_points._first_ms(bound, lo)
+            first = list(range(1, bound + 1))
+            low, top, _ = collisions._advance(first, bound, 1, 1, lo)
+            assert low == 1
             for e in range(1, bound):
                 m = e + 1
                 while m <= bound and e * m * (m + e) ** 2 < lo:
                     m += 1
                 assert first[e] == m, (bound, lo, e)
+                assert (e < top) == (e * (e + 1) * (2 * e + 1) ** 2 < lo), (bound, lo, e)
+
+
+def test_slice_worker_emits_a_group_on_a_cut_once():
+    # A cut at a group's V opens the slice above it with the group and
+    # closes the one below just short of it; batches of slices split
+    # around the cut the way workers take them.
+    for bound, v, members in ((20, 8820, ((1, 20), (5, 9))), (153, 3628548, ((1, 153), (9, 68), (17, 49)))):
+        primes = collisions._distinct_primes(bound)
+        end = (2 * bound) ** 4
+        for slices in (
+            [(0, v), (v, end)],
+            [(0, v - 1), (v - 1, v), (v, v + 1), (v + 1, end)],
+            [(v - 1, v), (v, v + 1)],
+            [(v, end)],
+            [(v, v + 1)],
+            [(0, v)],
+            [(v + 1, end)],
+        ):
+            found = [g.members for g in collisions._collision_groups(bound, primes, slices) if g.v == v]
+            assert found == ([members] if slices[0][0] <= v < slices[-1][1] else []), (bound, slices)
+
+
+def test_collision_search_matches_oracle_at_every_bound_to_200(fan_outs_forced):
+    for bound in range(2, 201):
+        for coprime in (True, False):
+            want = collision_groups_by_sorting(bound, coprime=coprime)
+            for workers in (1, 2):
+                got = collision_search(bound, workers=workers, coprime_only=coprime)
+                assert {g.v: list(g.members) for g in got} == want, (bound, coprime, workers)
+    assert fan_outs_forced and set(fan_outs_forced) == {2}
 
 
 def test_collision_search_memory_is_bounded():
