@@ -21,11 +21,9 @@ from .sweep import map_chunks
 # The V axis is cut at every SLICE_SAMPLES-th value of a grid sample of V.
 # Fewer, larger slices cost less per run of m but hold more values at
 # once.  Cut at every 8th, 10th, 12th and 16th value, `collisions --bound
-# 1000` took 305, 291, 279 and 257 ms at --workers 1 (372 ms for the
-# former search, a Python loop with a gcd per pair), and peaked at 16.00,
-# 15.93, 16.06 and 16.10 MB RSS at --workers 2 (15.98 MB for the former
-# search; medians of 20 and 30 fresh runs, Python 3.11.7, 2 vCPUs).  10 is
-# the largest count whose peak is no higher than the former search's.
+# 1000` took 305, 291, 279 and 257 ms at --workers 1, and peaked at 16.00,
+# 15.93, 16.06 and 16.10 MB RSS at --workers 2 (medians of 20 and 30 fresh
+# runs, Python 3.11.7, 2 vCPUs).  10 has the lowest peak of the four.
 SLICE_SAMPLES = 10
 
 

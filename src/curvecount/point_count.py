@@ -2,17 +2,19 @@
 
 N_p counts affine solutions only; the projective count is one larger.
 Brute force is O(p) per prime: the sum over x of the number of square
-roots of t = f(x) = x^3 + ax + b, read from the table
-modmath.root_counts (r: 1 at t = 0, 2 at a nonzero square, 0
-elsewhere).  Since f(-x) = 2b - f(x), the pair x, -x has
-c[f(x)] = r[f(x)] + r[2b - f(x)] roots together, so one pass over
-x = 1 .. (p-1)/2 with the pair table c (_pair_table), plus the roots
-at x = 0, counts every x; nothing about QR_p is assumed.  Every curve
-y^2 = x^3 + ax is counted in O(log p) instead: N_p = p at p = 3
-(mod 4) (identity 1), and at p = 1 (mod 4) the trace comes from
-p = u^2 + v^2 and one quartic residue symbol (Gauss).  `cross_validate`
-re-derives those traces by brute force, and any disagreement is
-surfaced as data, never patched over.
+roots of t = f(x) = x^3 + ax + b, read from a root table r (1 at t = 0,
+2 at a nonzero square, 0 elsewhere).  Since f(-x) = 2b - f(x), the pair
+x, -x has c[f(x)] = r[f(x)] + r[2b - f(x)] roots together, so one pass
+over x = 1 .. (p-1)/2 with the pair table c (_pair_table), plus the
+roots at x = 0, counts every x; nothing about QR_p is assumed.  Every
+brute count goes through _brute_counts, the oracle for the paper's
+identities, which builds both tables itself and caches neither, so it
+shares none with the claims that read modmath.root_counts.  Every curve
+y^2 = x^3 + ax is counted in O(log p) instead: N_p = p at p = 3 (mod 4)
+(identity 1), and at p = 1 (mod 4) the trace comes from p = u^2 + v^2
+and one quartic residue symbol (Gauss).  `cross_validate` re-derives
+those traces by brute force, and any disagreement is surfaced as data,
+never patched over.
 
 This module only counts.  The paper's closed forms for the twist family
 y^2 = x^3 -+ d^2 x, and the sweep that checks them against these
@@ -25,7 +27,7 @@ from collections import namedtuple
 from math import isqrt
 
 from .errors import BadReductionError, SingularCurveError, TangentUndefinedError
-from .modmath import _root_counts, _sqrt_of_minus_one, require_odd_prime, root_counts, sieve_primes
+from .modmath import _root_counts, _sqrt_of_minus_one, require_odd_prime, sieve_primes
 
 BRUTE = "brute"
 LEMMA1 = "lemma1"
@@ -57,23 +59,25 @@ class PointCountRecord(namedtuple("PointCountRecord", "p n_p a_p method brute_np
 
 def count_affine_points(curve: Curve, p: int) -> int:
     """#{(x, y) in Z_p x Z_p : y^2 = x^3 + ax + b mod p}, by brute force."""
-    r = root_counts(p)  # reading the table is the odd-prime check
-    return _count_affine(curve, p, _pair_table(r, curve.b))
+    require_odd_prime(p)
+    return _brute_counts(p, curve.b, [curve.a])[0]
 
 
-def _count_affine(curve: Curve, p: int, c: bytes) -> int:
-    """count_affine_points without its check, given c = _pair_table(root_counts(p), curve.b).
+def _brute_counts(p: int, b: int, a_values) -> list[int]:
+    """N_p of y^2 = x^3 + ax + b for each a in a_values, by brute force.
 
-    x = 0 has c[b] / 2 roots, and each x in 1 .. (p-1)/2 counts itself
-    and p - x at once.
+    Unchecked: p must be an odd prime.  One root table and one pair
+    table serve every a; x = 0 has c[b] / 2 roots, and each x in
+    1 .. (p-1)/2 counts itself and p - x at once.
     """
-    a = curve.a % p
-    b = curve.b % p
-    return c[b] // 2 + sum(c[(x * (x * x + a) + b) % p] for x in range(1, (p + 1) // 2))
+    c = _pair_table(_root_counts(p), b)
+    b %= p
+    xs = range(1, (p + 1) // 2)
+    return [c[b] // 2 + sum(c[(x * (x * x + a) + b) % p] for x in xs) for a in [a % p for a in a_values]]
 
 
 def _pair_table(r: bytes, b: int) -> bytearray:
-    """c[t] = r[t] + r[(2b - t) mod p], for r = root_counts(p) and p = len(r).
+    """c[t] = r[t] + r[(2b - t) mod p], for a root table r of p = len(r) bytes.
 
     Each block of c is one big-int add of byte lanes: r's lanes, and the
     run of r that descends from 2b - t, read big-endian so that its
@@ -159,7 +163,7 @@ def _trace_ap(curve: Curve, p: int) -> PointCountRecord:
 
 
 def _brute_record(curve: Curve, p: int) -> PointCountRecord:
-    n_p = _count_affine(curve, p, _pair_table(_root_counts(p), curve.b))
+    n_p = _brute_counts(p, curve.b, [curve.a])[0]
     return PointCountRecord(p, n_p, p - n_p, BRUTE)
 
 

@@ -4,7 +4,8 @@ Identities 1, 3 and 7 are closed forms for N_p on the twists
 y^2 = x^3 -+ d^2 x (TwistSpec); 2, 4, 5 and 6 are the residue censuses
 and classes behind them; 8 splits the odd primes by p mod 4.  They are
 claims under test: verify_lemma checks one of 1 to 7 against
-point_count's brute-force counts or direct evaluation.
+direct evaluation or point_count._brute_counts, the brute-force oracle,
+which builds its own tables and shares none with the claims.
 
 A census counts *distinct* square (or fourth-power) values t in Z_p^*,
 not the y producing them; shifted values that land on 0 are excluded,
@@ -20,8 +21,7 @@ root_counts directly, and its chord values are a bytes flag table too.
 Each identity proves its prime by first reading a per-prime lru table
 (root_counts, or the census built on it) and makes no Miller-Rabin call
 of its own.  A table is only stored once its prime has passed, so a
-sweep proves each prime once.  The lemma 1 check trusts the sweep's
-sieve and builds its uncached table with _root_counts.
+sweep proves each prime once.  The oracle trusts the sweep's sieve.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from functools import lru_cache, partial
 from itertools import compress
 
 from .errors import HypothesisError
-from .modmath import _is_qr, _root_counts, _sqrt_of_minus_one, require_odd_prime, root_counts, sieve_primes
-from .point_count import Curve, _count_affine, _pair_table
+from .modmath import _is_qr, _sqrt_of_minus_one, require_odd_prime, root_counts, sieve_primes
+from .point_count import Curve, _brute_counts
 from .sweep import map_chunks
 
 MINUS = "minus"
@@ -272,12 +272,8 @@ def _verify1(p: int, d_max: int, samples: int, seed: int):
 
     rng = random.Random((seed << 32) | p)
     values = sorted(rng.sample(range(1, p), min(samples, p - 1)))
-    pairs = _pair_table(_root_counts(p), 0)  # every curve here has b = 0
-    bad = []
-    for a in values:
-        n_p = _count_affine(Curve(a, 0), p, pairs)
-        if n_p != p:
-            bad.append({"a": a, "n_p": n_p, "expected": p})
+    counts = _brute_counts(p, 0, values)  # every curve here has b = 0
+    bad = [{"a": a, "n_p": n_p, "expected": p} for a, n_p in zip(values, counts) if n_p != p]
     return len(values), bad
 
 
@@ -287,9 +283,9 @@ def _verify2(p: int, d_max: int, samples: int, seed: int):
 
 
 def _verify3(p: int, d_max: int, samples: int, seed: int):
-    # The curve mod p is y^2 = x^3 + (a mod p) x, so each a mod p is counted once.
-    pairs = _pair_table(root_counts(p), 0)
-    counts = {}
+    # The curve mod p is y^2 = x^3 + (a mod p) x, so each class -+d^2 mod p is counted once.
+    classes = list({sign * d * d % p for d in range(1, min(d_max, p - 1) + 1) for sign in (-1, 1)})
+    counts = dict(zip(classes, _brute_counts(p, 0, classes)))
     checked, bad = 0, []
     for d in range(1, d_max + 1):
         if d % p == 0:
@@ -297,10 +293,7 @@ def _verify3(p: int, d_max: int, samples: int, seed: int):
         for sign in (MINUS, PLUS):
             spec = TwistSpec(d, sign)
             claimed = np_lemma3(spec, p)
-            a = spec.curve().a % p
-            if a not in counts:
-                counts[a] = _count_affine(Curve(a, 0), p, pairs)
-            brute = counts[a]
+            brute = counts[spec.curve().a % p]
             checked += 1
             if claimed != brute:
                 bad.append({"d": d, "sign": sign, "claimed": claimed, "brute": brute})

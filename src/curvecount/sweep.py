@@ -14,11 +14,9 @@ TAU = 0.005
 
 # Batches per worker: each process takes the next batch when it is free,
 # so more batches even out items of unequal cost.  At 2 workers
-# `collisions --bound 1000` (47 slices) took 240, 210, 196, 198 and 193 ms
+# `collisions --bound 1000` (57 slices) took 240, 210, 196, 198 and 193 ms
 # end to end at 1, 2, 4, 8 and 16 batches a worker (medians of 12 fresh
-# runs, Python 3.11.7, 2 vCPUs); the lemma and brute ap-table sweeps
-# moved less than their run-to-run spread when this was measured on an
-# earlier collision search.
+# runs, Python 3.11.7, 2 vCPUs), so 4 to 16 are within the runs' spread.
 BATCHES_PER_WORKER = 8
 
 

@@ -724,12 +724,25 @@ def test_lemma_verify_sampling_is_seeded(capsys):
 
 def test_lemma_verify_reports_findings(capsys, monkeypatch):
     # no real mismatch exists, so break the oracle to exercise the path
-    monkeypatch.setattr(residue_lemmas, "_count_affine", lambda curve, p, pairs: p + 2)
+    monkeypatch.setattr(residue_lemmas, "_brute_counts", lambda p, b, a_values: [p + 2 for _ in a_values])
     rc, out = run(capsys, ["lemma-verify", "--lemma", "1", "--limit", "20", "--workers", "1"])
     assert rc == 1
     records = jsonl(out)
     assert records[0] == {"lemma": 1, "p": 3, "a": 1, "n_p": 5, "expected": 3}
     assert records[-1]["mismatches"] == records[-1]["checked"] > 0
+
+
+def test_lemma3_oracle_builds_its_own_table(capsys, monkeypatch):
+    # np_lemma3's census reads root_counts' cached table.  An oracle that
+    # read it too could not see that table go wrong; this one builds its own.
+    def wrong_table(p):
+        r = modmath._root_counts(p)
+        r[1] = 0  # 1 is a square at every p
+        return r
+
+    monkeypatch.setattr(point_count, "_root_counts", wrong_table)
+    rc, out = run(capsys, ["lemma-verify", "--lemma", "3", "--limit", "30", "--workers", "1"])
+    assert rc == 1 and jsonl(out)[-1]["mismatches"] > 0
 
 
 def test_lemma5_scan_and_lemma_verify_share_one_sweep(capsys, monkeypatch):

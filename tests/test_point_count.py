@@ -33,7 +33,7 @@ from curvecount.residue_lemmas import (
     np_lemma1,
     np_lemma3,
 )
-from curvecount.point_count import _pair_table
+from curvecount.point_count import _brute_counts, _pair_table
 from oracles import count_points_double_loop, primes_by_trial_division, root_counts_by_enumeration, singular_by_shared_root
 
 
@@ -77,6 +77,23 @@ def test_pair_table_past_one_block(p):
     for b in (0, 1, (p - 1) // 2, p - 1, 70000 * pow(2, -1, p) % p):
         assert list(_pair_table(modmath.root_counts(p), b)) == [r[t] + r[(2 * b - t) % p] for t in range(p)], b
         assert count_affine_points(Curve(3, b), p) == _count_by_single_loop(r, 3, b, p), b
+
+
+def test_brute_counts_every_a_from_one_table():
+    # Unreduced a and b too: the counter reduces them itself.
+    for p in (3, 5, 7, 11, 13):
+        a_values = list(range(-p, 2 * p))
+        for b in (0, 1, p - 1, p + 2, -3):
+            assert _brute_counts(p, b, a_values) == [count_points_double_loop(a, b, p) for a in a_values], (p, b)
+
+
+def test_count_affine_points_leaves_the_cached_tables_alone():
+    # The oracle builds its own tables; only the claims fill root_counts' cache.
+    modmath.root_counts.cache_clear()
+    count_affine_points(Curve(3, 5), 100003)
+    assert modmath.root_counts.cache_info().currsize == 0
+    with pytest.raises(ValueError):
+        count_affine_points(Curve(3, 5), 100001)
 
 
 def test_twistspec_validation():

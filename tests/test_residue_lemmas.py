@@ -110,18 +110,18 @@ def test_chord_values_match_modular_inverse_definition():
 def test_lemma3_sweep_counts_each_curve_mod_p_once(monkeypatch):
     # d_max past every prime, and a claim broken at every third d, so the
     # sweep's per-d records are compared with a per-d double-loop sweep.
-    real_np, real_count = residue_lemmas.np_lemma3, residue_lemmas._count_affine
+    real_np, real_count = residue_lemmas.np_lemma3, residue_lemmas._brute_counts
     brute_calls = []
 
     def claim(spec, p):
         return real_np(spec, p) + (spec.d % 3 == 0)
 
-    def count(curve, p, pairs):
-        brute_calls.append((p, curve.a))
-        return real_count(curve, p, pairs)
+    def count(p, b, a_values):
+        brute_calls.extend((p, a) for a in a_values)
+        return real_count(p, b, a_values)
 
     monkeypatch.setattr(residue_lemmas, "np_lemma3", claim)
-    monkeypatch.setattr(residue_lemmas, "_count_affine", count)
+    monkeypatch.setattr(residue_lemmas, "_brute_counts", count)
     primes = [p for p in sieve_primes(30) if p % 4 == 1]
     expected, checked = [], 0
     for p in primes:
