@@ -69,10 +69,11 @@ def _fail(message: str) -> int:
 # 2 bound + 1 bytes.  Larger values are refused before anything is computed.
 LIMIT_CEILING = 10**8
 BOUND_CEILING = 10**6
-# A collision search visits every pair e < m <= --bound, so its time grows
-# as bound^2: `collisions --bound 10000` took 17.4 s at --workers 1 and
-# 9.8 s at 2, peaking at 29 MB RSS (one run each, Python 3.11.7, 2 vCPUs),
-# so 10^5 would take about half an hour and 10^6 about two days.  A larger
+# A collision search checks the tenth or so of the pairs e < m <= --bound
+# that pass its least-k test, so its time still grows as bound^2:
+# `collisions --bound 10000` took 5.2 s at --workers 1 and 3.4 s at 2,
+# peaking at 17 MB RSS (medians of 3 runs, Python 3.11.7, 2 vCPUs), so
+# 10^5 would take about nine minutes and 10^6 about 14 hours.  A larger
 # bound is refused.
 COLLISION_BOUND_CEILING = 10**4
 # Lemmas 3 and 7 check every d <= --d-max at every prime of their sweep,

@@ -4,27 +4,31 @@ A pair 1 <= e < m with d = em(m^2 - e^2) puts the point
 (V, 2 e^2 m^2 (m+e)^2), V = em(m+e)^2, on its curve, so pairs sharing
 one V give one x-value on several curves of the family.  The search
 is integer arithmetic throughout and loads no fractions.
+
+It rests on one lemma.  Write em = s k^2 with s squarefree and n = e + m,
+so V = s (kn)^2: pairs sharing V share s and K = kn, and no two of them
+share k, since equal k gives equal n and equal em.  Let k1 be the least
+k of a group and k2 >= k1 + 1 that of any other member.  By AM-GM,
+n2^2 > 4 e2 m2 = 4 s k2^2, and n2 = K / k2, so K^2 > 4 s k2^4; with
+K = k1 n1 and s k1^2 = e1 m1 that reads
+
+    n1^2 k1^4 > 4 k2^4 e1 m1 >= 4 (k1 + 1)^4 e1 m1,
+
+the least-k test.  So every group has a member that passes it, and from
+that member every other one is a k2 > k1 dividing K with 4 s k2^4 < K^2
+whose n2 = K / k2 makes n2^2 - 4 s k2^2 = (m2 - e2)^2 a square.  The
+search finds each pair that passes the test and looks for its partners;
+a group reached from several of its members is their union.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from functools import partial
-from itertools import compress
-from math import isqrt
-from operator import mul
+from math import gcd, isqrt
 
-from .modmath import sieve_primes
 from .sweep import map_chunks
-
-# The V axis is cut at every SLICE_SAMPLES-th value of a grid sample of V.
-# Fewer, larger slices cost less per run of m but hold more values at
-# once.  Cut at every 8th, 10th, 12th and 16th value, `collisions --bound
-# 1000` took 305, 291, 279 and 257 ms at --workers 1, and peaked at 16.00,
-# 15.93, 16.06 and 16.10 MB RSS at --workers 2 (medians of 20 and 30 fresh
-# runs, Python 3.11.7, 2 vCPUs).  10 has the lowest peak of the four.
-SLICE_SAMPLES = 10
 
 
 class CollisionGroup(namedtuple("CollisionGroup", "v members d_values shared_x")):
@@ -58,121 +62,87 @@ class CollisionGroup(namedtuple("CollisionGroup", "v members d_values shared_x")
         return super().__new__(cls, v, members, d_values, shared_x)
 
 
-def _distinct_primes(bound: int) -> list[tuple[int, ...]]:
-    """primes[e] = the distinct primes of e, ascending, for 0 <= e < bound.
+def _least_k_groups(bound: int, coprime_only: bool, classes: list[list[int]], items: list[tuple]) -> dict:
+    """{V: the pairs sharing V} found from the pairs of items that pass the least-k test.
 
-    They are read off one table of smallest prime factors, written by
-    slice assignment from the largest prime <= isqrt(bound) down to 2, so
-    the smallest prime of each e is the one written last.
+    An item (g, a, b) stands for the pairs g (e, m) with gcd(e, m) = 1,
+    sq(e) = a and sq(m) = b; classes[a] lists the x with sq(x) = a,
+    ascending.  Such a pair has s = em / (ab)^2, k = g a b and n =
+    g (e + m), and the test, n^2 k^4 > 4 (k + 1)^4 g^2 em, is the
+    quadratic k^4 m^2 - q e m + k^4 e^2 > 0 in m: true past its larger
+    root, so the least passing m of each e is one isqrt and a bisection
+    of classes[b], and it grows with e, so the walk up e ends at the
+    first e with no passing m <= bound // g.  Each passing pair is then
+    checked exactly against every k2 the lemma leaves.
     """
-    spf = list(range(bound))
-    for q in reversed(sieve_primes(isqrt(bound))):
-        spf[q * q :: q] = [q] * len(range(q * q, bound, q))
-    primes = [()] * bound
-    for e in range(2, bound):
-        q = spf[e]
-        rest = e // q
-        while rest % q == 0:
-            rest //= q
-        primes[e] = (q, *primes[rest])
-    return primes
-
-
-def _advance(nxt: list[int], bound: int, low: int, top: int, hi: int) -> tuple[int, int, list[int]]:
-    """Move the runs of V below hi: (low, top, starts) for the new window [low, top) of e.
-
-    top rises to the least e with V(e, e + 1) >= hi, and low to the
-    least e whose run is not exhausted.  starts holds nxt[e] for the
-    window's e before the move; after it nxt[e] is the least m >= nxt[e]
-    with m > bound or V(e, m) >= hi.  Past nxt[e], the least m reaching
-    hi never grows with e, since V grows in e and in m, so one walk
-    down e, moving m up, finds every end; V(e, e + 1) < hi keeps each
-    end above e + 1, where the next e down may start.
-    """
-    while top < bound and top * (top + 1) * (2 * top + 1) ** 2 < hi:
-        top += 1
-    while low < top and nxt[low] > bound:
-        low += 1
-    starts = nxt[low:top]
-    m = 0
-    for e in range(top - 1, low - 1, -1):
-        m = max(m, nxt[e])
-        while m <= bound and e * m * (m + e) ** 2 < hi:
-            m += 1
-        nxt[e] = m
-    return low, top, starts
-
-
-def _collision_groups(
-    bound: int, primes: list[tuple[int, ...]] | None, slices: list[tuple[int, int]]
-) -> list[CollisionGroup]:
-    """The groups with V in the given ascending, contiguous [lo, hi) slices; the unit of worker work.
-
-    primes is _distinct_primes(bound) when only coprime pairs count,
-    else None.  V grows in m for fixed e, so a slice holds one run of m
-    per e of its window (see _advance).  A run's values are one C loop,
-    V = (em)(m + e)^2 as map(mul) over a range of em and a slice of the
-    squares; for coprime pairs both are first filtered through a mask
-    of the run's m, zeroed at the multiples of each prime of e.  The
-    values of V already seen in the slice are the ones that repeat.
-    Only a repeated value has its pairs found, in a second pass over
-    the slice's runs: its e by the runs that hold it, its m by
-    bisection in that run.
-    """
-    ms = range(bound + 1)
-    squares = [k * k for k in range(2 * bound + 1)]
-    ones = bytearray(b"\x01") * bound
-    nxt = list(range(1, bound + 1))  # nxt[e] = e + 1 until e's run starts
-    low, top, _ = _advance(nxt, bound, 1, 1, slices[0][0])
-    out = []
-    for _, hi in slices:
-        low, top, starts = _advance(nxt, bound, low, top, hi)
-        seen, repeated, runs = set(), set(), []
-        for e, s in zip(range(low, top), starts):
-            t = nxt[e]
-            ems, square = range(e * s, e * t, e), squares[s + e : t + e]
-            if primes is not None:
-                mask = ones[: t - s]
-                for q in primes[e]:
-                    j = -s % q
-                    mask[j::q] = bytes(len(range(j, t - s, q)))
-                ems, square = compress(ems, mask), compress(square, mask)
-            run = list(map(mul, ems, square))
-            if hits := seen.intersection(run):
-                repeated |= hits
-            seen.update(run)
-            runs.append(run)
-        members = {}
-        if repeated:
-            for e, s, run in zip(range(low, top), starts, runs):
-                for v in repeated.intersection(run):
-                    m = bisect_left(ms, v, s, nxt[e], key=lambda m: e * m * (m + e) ** 2)
-                    members.setdefault(v, []).append((e, m))
-        for v in sorted(members):
-            group = tuple(members[v])
-            out.append(CollisionGroup(v, group, tuple(e * m * (m * m - e * e) for e, m in group), v))
-    return out
+    found = {}
+    for g, a, b in items:
+        k = g * a * b
+        k4, ab2, kg = k**4, (a * b) ** 2, k * g
+        q = 4 * (k + 1) ** 4 - 2 * k4
+        quad_disc, den = q * q - 4 * k4 * k4, 2 * k4
+        ms = classes[b]
+        hi = bisect_right(ms, bound // g)
+        top = ms[hi - 1]
+        for e in classes[a]:
+            least = (e * q + isqrt(e * e * quad_disc)) // den + 1
+            if least > top:
+                break
+            for m in ms[bisect_left(ms, least, 0, hi) : hi]:
+                if gcd(e, m) != 1:
+                    continue
+                s4, big_k = 4 * (e * m // ab2), kg * (e + m)
+                # The partners' k: k < k2 <= the integer fourth root of (K^2 - 1) / 4s.
+                for k2 in range(k + 1, isqrt(isqrt((big_k * big_k - 1) // s4)) + 1):
+                    if big_k % k2:
+                        continue
+                    n2 = big_k // k2
+                    disc = n2 * n2 - s4 * k2 * k2
+                    t = isqrt(disc)
+                    e2, m2 = (n2 - t) // 2, (n2 + t) // 2
+                    if t * t == disc and m2 <= bound and (not coprime_only or gcd(e2, m2) == 1):
+                        v = s4 * big_k * big_k // 4
+                        found.setdefault(v, set()).update(((g * e, g * m), (e2, m2)))
+    return found
 
 
 def collision_search(bound: int, workers: int = 1, coprime_only: bool = True) -> list[CollisionGroup]:
     """All V = em(m+e)^2 values hit by >= 2 pairs with 1 <= e < m <= bound.
 
     coprime_only keeps the gcd(e, m) = 1 normalization; pass False to
-    search the unrestricted lattice.  The V axis is cut at every
-    SLICE_SAMPLES-th value of a grid sample of V (steps of isqrt(bound)
-    in e and m), so the cuts depend on the bound alone.  One slice's
-    values of V are held at a time.  Workers take contiguous batches of
-    about equally many slices off one queue, each the next batch as soon
-    as it is free, so slices of uneven size still balance.  No group
-    straddles a cut, so the output is sorted by V, members in (e, m)
-    order, for any workers.
+    search the unrestricted lattice, whose pairs are g (e, m) for every
+    scale g and coprime (e, m) <= bound // g.  The items are the scales
+    and class pairs (g, sq(e), sq(m)); workers take contiguous batches of
+    them off one queue, and the groups they report are merged by V, so
+    the output is sorted by V, members in (e, m) order, for any workers.
     """
     if bound < 2:
         raise ValueError(f"bound must be >= 2, got {bound}")
-    step = isqrt(bound)
-    sample = sorted(e * m * (m + e) ** 2 for e in range(1, bound, step) for m in range(e + 1, bound + 1, step))
-    cuts = sample[SLICE_SAMPLES::SLICE_SAMPLES]
-    slices = list(zip([0] + cuts, cuts + [(2 * bound) ** 4]))  # V < bound^2 (2 bound)^2
-    primes = _distinct_primes(bound) if coprime_only else None
-    parts = map_chunks(partial(_collision_groups, bound, primes), slices, workers)
-    return [group for part in parts for group in part]
+    # sq[x] = the largest j with j^2 | x: slice assignment at the
+    # multiples of j^2, j ascending, leaves the largest such j last.
+    root, sq = isqrt(bound), [1] * (bound + 1)
+    for j in range(2, root + 1):
+        sq[j * j :: j * j] = [j] * (bound // (j * j))
+    classes = [[] for _ in range(root + 1)]
+    for x in range(1, bound + 1):
+        classes[sq[x]].append(x)
+    scales = [1] if coprime_only else range(1, bound // 2 + 1)
+    items = [
+        (g, a, b)
+        for g in scales
+        for a in range(1, isqrt(bound // g) + 1)
+        for b in range(1, isqrt(bound // g) + 1)
+        if gcd(a, b) == 1
+    ]
+    # Most passing pairs lie in the few class pairs of small a and b, so
+    # the items are dealt into isqrt(bound) strands, each batch a mix.
+    items = [item for j in range(root) for item in items[j::root]]
+    found = {}
+    for part in map_chunks(partial(_least_k_groups, bound, coprime_only, classes), items, workers):
+        for v, members in part.items():
+            found.setdefault(v, set()).update(members)
+    groups = []
+    for v in sorted(found):
+        members = tuple(sorted(found[v]))
+        groups.append(CollisionGroup(v, members, tuple(e * m * (m * m - e * e) for e, m in members), v))
+    return groups

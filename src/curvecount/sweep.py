@@ -14,9 +14,11 @@ TAU = 0.005
 
 # Batches per worker: each process takes the next batch when it is free,
 # so more batches even out items of unequal cost.  At 2 workers
-# `collisions --bound 1000` (57 slices) took 240, 210, 196, 198 and 193 ms
-# end to end at 1, 2, 4, 8 and 16 batches a worker (medians of 12 fresh
-# runs, Python 3.11.7, 2 vCPUs), so 4 to 16 are within the runs' spread.
+# `collisions --bound 2000` (1,207 class pairs) took 314, 323, 328, 324
+# and 323 ms end to end at 1, 2, 4, 8 and 16 batches a worker (medians of
+# 12 fresh runs, Python 3.11.7, 2 vCPUs, while two busy loops ran no
+# faster than one), all within the runs' spread; at 1 the second batch
+# runs in process, so extra batches cost nothing measurable.
 BATCHES_PER_WORKER = 8
 
 

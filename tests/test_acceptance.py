@@ -222,5 +222,5 @@ def test_criterion_16_collision_search_deterministic(fan_outs_forced):
     ok = {g.v: list(g.members) for g in base} == oracle
     serialized = as_bytes(base)
     ok = ok and all(as_bytes(collision_search(100, workers=w)) == serialized for w in (4, 8))
-    ok = ok and fan_outs_forced == [4, 6]  # bound 100 cuts the V axis into 6 slices
+    ok = ok and fan_outs_forced == [4, 8]  # bound 100 has 63 class pairs, so both fan out in full
     report(16, "collision search matches oracle, worker invariant", ok)

@@ -901,7 +901,7 @@ def test_collisions_records(capsys):
 
 
 def test_collisions_worker_invariance(capsys, fan_outs_forced):
-    # Bound 60 cuts the V axis into 5 slices, enough for all 4 workers.
+    # Bound 60 has 35 class pairs (sq(e), sq(m)), enough for all 4 workers.
     _, one = run(capsys, ["collisions", "--bound", "60", "--workers", "1"])
     _, four = run(capsys, ["collisions", "--bound", "60", "--workers", "4"])
     assert one == four
@@ -934,7 +934,7 @@ def test_workers_below_one_rejected(capsys, argv):
 )
 def test_largest_accepted_workers_forks_ceiling_minus_one(capsys, monkeypatch, argv):
     # With TAU at 0 each sweep has more batches than workers (bound 1300
-    # cuts the V axis into 71 slices), so the fan-out takes every worker
+    # has 791 class pairs), so the fan-out takes every worker
     # allowed; the batches run here, so nothing forks.
     process_counts = []
 

@@ -8,7 +8,6 @@ import pytest
 
 from curvecount.errors import TangentUndefinedError
 from curvecount.modmath import QNR, prime_profile, sieve_primes
-from curvecount import collisions
 from curvecount.collisions import CollisionGroup, collision_search
 from curvecount.point_count import Curve
 from curvecount.rational_points import (
@@ -259,8 +258,8 @@ def test_collision_search_first_group():
 
 
 def test_collision_search_matches_oracle(fan_outs_forced):
-    # Bound 300 cuts the V axis into 18 slices, so at 3 workers each
-    # worker starts mid-axis.
+    # Bound 300 has 191 class pairs, so at 3 workers each worker takes
+    # several batches of them.
     for bound in (2, 3, 20, 50, 100, 300):
         for workers in (1, 3):
             got = {g.v: list(g.members) for g in collision_search(bound, workers=workers)}
@@ -269,8 +268,8 @@ def test_collision_search_matches_oracle(fan_outs_forced):
 
 
 def test_collision_search_three_member_group(fan_outs_forced):
-    # The first V shared by three coprime pairs; its slice must report
-    # all three, not only a repeated pair.
+    # The first V shared by three coprime pairs; the search must report
+    # all three, not only a pair of them.
     for workers in (1, 3):
         groups = {g.v: g for g in collision_search(153, workers=workers)}
         group = groups[3628548]
@@ -298,45 +297,52 @@ def test_collision_search_non_coprime_lattice(fan_outs_forced):
     assert fan_outs_forced[-1:] == [2]
 
 
-def test_first_ms_match_a_least_m_scan(monkeypatch):
-    # Every slice start collision_search cuts, at every bound from 2 to 60:
-    # moving the unstarted runs up to it gives the least m in (e, bound]
-    # reaching it, as a scan up m from e + 1 finds it, or bound + 1 past
-    # bound, and the window ends at the first e whose least value reaches it.
-    starts = []
-    monkeypatch.setattr(collisions, "map_chunks", lambda fn, slices, workers: starts.append(slices) or [])
-    for bound in range(2, 61):
-        collision_search(bound)
-        for lo, _ in starts.pop():
-            first = list(range(1, bound + 1))
-            low, top, _ = collisions._advance(first, bound, 1, 1, lo)
-            assert low == 1
-            for e in range(1, bound):
-                m = e + 1
-                while m <= bound and e * m * (m + e) ** 2 < lo:
-                    m += 1
-                assert first[e] == m, (bound, lo, e)
-                assert (e < top) == (e * (e + 1) * (2 * e + 1) ** 2 < lo), (bound, lo, e)
+def square_part(x):
+    """The largest k with k^2 | x, by trial division."""
+    k, p = 1, 2
+    while p * p <= x:
+        while x % (p * p) == 0:
+            x //= p * p
+            k *= p
+        p += 1
+    return k
 
 
-def test_slice_worker_emits_a_group_on_a_cut_once():
-    # A cut at a group's V opens the slice above it with the group and
-    # closes the one below just short of it; batches of slices split
-    # around the cut the way workers take them.
-    for bound, v, members in ((20, 8820, ((1, 20), (5, 9))), (153, 3628548, ((1, 153), (9, 68), (17, 49)))):
-        primes = collisions._distinct_primes(bound)
-        end = (2 * bound) ** 4
-        for slices in (
-            [(0, v), (v, end)],
-            [(0, v - 1), (v - 1, v), (v, v + 1), (v + 1, end)],
-            [(v - 1, v), (v, v + 1)],
-            [(v, end)],
-            [(v, v + 1)],
-            [(0, v)],
-            [(v + 1, end)],
-        ):
-            found = [g.members for g in collisions._collision_groups(bound, primes, slices) if g.v == v]
-            assert found == ([members] if slices[0][0] <= v < slices[-1][1] else []), (bound, slices)
+def passes_least_k_test(e, m):
+    k = square_part(e * m)
+    return (e + m) ** 2 * k**4 > 4 * (k + 1) ** 4 * e * m
+
+
+def test_every_group_has_distinct_k_and_a_least_k_member_that_passes():
+    # The lemma collision_search rests on, over the sorting oracle's
+    # groups at every bound from 2 to 300: a group at bound B is the
+    # members of a group at 300 with m <= B, when two or more are left.
+    for coprime in (True, False):
+        groups = collision_groups_by_sorting(300, coprime=coprime)
+        for bound in range(2, 301):
+            for v, members in groups.items():
+                members = [(e, m) for e, m in members if m <= bound]
+                if len(members) < 2:
+                    continue
+                ks = [square_part(e * m) for e, m in members]
+                assert len(set(ks)) == len(ks), (bound, v, members)
+                e, m = members[ks.index(min(ks))]
+                assert passes_least_k_test(e, m), (bound, v, members)
+
+
+def test_group_reached_from_two_members_comes_out_whole(fan_outs_forced):
+    # (25, 836) has the least k, 10, and finds both others; (76, 539),
+    # k = 14, passes the test too and finds (99, 475), k = 15.  The two
+    # lie in different class pairs (sq(e), sq(m)), (5, 2) and (2, 7),
+    # so batches run apart and their finds must be merged into one group.
+    v, members = 15493608900, ((25, 836), (76, 539), (99, 475))
+    assert [square_part(e * m) for e, m in members] == [10, 14, 15]
+    assert passes_least_k_test(25, 836) and passes_least_k_test(76, 539)
+    for workers in (1, 2, 3, 4):
+        groups = collision_search(1000, workers=workers)
+        assert [g.v for g in groups] == sorted({g.v for g in groups})
+        assert {g.v: g.members for g in groups}[v] == members, workers
+    assert fan_outs_forced == [2, 3, 4]
 
 
 def test_collision_search_matches_oracle_at_every_bound_to_200(fan_outs_forced):
@@ -351,7 +357,8 @@ def test_collision_search_matches_oracle_at_every_bound_to_200(fan_outs_forced):
 
 def test_collision_search_memory_is_bounded():
     # Holding all of the about 110000 coprime pairs below bound 600 at
-    # once peaks near 27 MB; one slice of them stays far below 4 MiB.
+    # once peaks near 27 MB; the least-k walk holds two tables of
+    # bound + 1 entries and the groups, and peaked at 0.1 MB.
     tracemalloc.start()
     try:
         collision_search(600)
