@@ -6,9 +6,13 @@ Layout is a single header line
 
 followed by one `p,n_p,a_p,method` record per line, ascending in p, each
 line ending in "\\n".  A file is valid exactly when its text is what
-write_cache writes for its curve, pmax and records; anything else raises
-CacheInvalidError, and callers recompute and overwrite rather than crash,
-so a stale or tampered file costs time, never correctness.
+write_cache writes for its curve, pmax and records, and each closed-form
+(lemma1, gauss) record holds the trace trace_ap gives at its prime;
+anything else raises CacheInvalidError, and callers recompute and
+overwrite rather than crash.  Brute records are trusted as read, since
+recounting them is the work the cache saves, so a tampered brute a_p
+that keeps the Hasse bound is served; any other stale or tampered file
+costs time, never correctness.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import os
 from itertools import zip_longest
 
 from .errors import CacheInvalidError
-from .point_count import Curve, PointCountRecord, _auto_method, good_odd_primes
+from .point_count import BRUTE, Curve, PointCountRecord, _auto_method, _trace_ap, good_odd_primes
 
 ENV_CACHE_DIR = "CURVECOUNT_CACHE_DIR"
 
@@ -95,4 +99,9 @@ def read_cache(path: str, curve: Curve) -> tuple[int, list[PointCountRecord]]:
         raise CacheInvalidError(f"pmax={pmax}: {len(records)} records are too few to be every good odd prime <= {pmax}")
     if [r.p for r in records] != good_odd_primes(curve, pmax):
         raise CacheInvalidError(f"records are not one per good odd prime in [3, {pmax}], ascending")
+    # Now that every p is a good odd prime, each closed form is O(log p) to
+    # recompute, and a wrong value in the right text is caught too.
+    for r in records:
+        if r.method != BRUTE and r != (want := _trace_ap(curve, r.p)):
+            raise CacheInvalidError(f"p = {r.p}: a_p = {r.a_p} is not the {r.method} trace {want.a_p}")
     return pmax, records

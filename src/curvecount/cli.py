@@ -62,6 +62,10 @@ def _fail(message: str) -> int:
     return 2
 
 
+def _fail_brute_sweep(limit: int) -> int:
+    return _fail(f"a sweep that brute-counts every prime needs --limit <= {BRUTE_LIMIT_CEILING}, got {limit}")
+
+
 # A sieve to --limit allocates about limit bytes plus the prime list, and
 # ap-table holds every record and row too: `ap-table --a -1 --b 0` peaked
 # at 46 MB RSS at limit 10^6 and 285 MB at 10^7 (one run each), about
@@ -89,10 +93,18 @@ D_MAX_CEILING = 10**5
 # 3.6-3.7 s at p = 9999991 (two runs, Python 3.11.7, 2 vCPUs).  Its time
 # grows linearly, so a larger p is refused.
 BRUTE_P_CEILING = 10**7
+# A b != 0 curve has no closed form, so ap-table, lseries and ratio
+# brute-count it at every prime, and so does ap-table --cross-validate:
+# the sweep's time grows as limit^2 / ln(limit).  `ap-table --a 3 --b 5`
+# took 18.8 s at --limit 50000 and 69.5 s at 10^5, peaking at 19 MB RSS
+# (one run each, --workers 1, Python 3.11.7, 2 vCPUs), so 10^6 would take
+# about an hour and a half.  A larger --limit is refused for such a sweep.
+BRUTE_LIMIT_CEILING = 10**5
 # Each worker past the first is a forked copy of the process holding its
 # own batches' tables, and a sweep forks as many as --workers allows once
-# it has run longer than sweep.TAU.  The fan-out is for the CPUs of one machine, so
-# a larger count is refused rather than forking thousands of processes.
+# the work it projects it has left passes sweep.BREAK_EVEN.  The fan-out
+# is for the CPUs of one machine, so a larger count is refused rather
+# than forking thousands of processes.
 WORKERS_CEILING = 64
 # An exact product's numerator prod p^(2s-1) has at most
 # (2s - 1) * limit / ln 10 digits, since theta(x) = sum of ln p < x.
@@ -177,6 +189,8 @@ def _run_ap_table(args) -> int:
     from .point_count import Curve, good_odd_primes, records_for_primes
     from .sweep import map_chunks
 
+    if (args.b or args.cross_validate) and args.limit > BRUTE_LIMIT_CEILING:
+        return _fail_brute_sweep(args.limit)
     curve = Curve(args.a, args.b)
     primes = good_odd_primes(curve, args.limit)
     # --cross-validate recounts every prime, so it neither reads nor writes the cache.
@@ -217,6 +231,8 @@ def _run_lseries(args) -> int:
     from .lseries import partial_L, partial_L_exact
     from .point_count import Curve
 
+    if args.b and args.limit > BRUTE_LIMIT_CEILING:
+        return _fail_brute_sweep(args.limit)
     curve = Curve(args.a, args.b)
     if args.exact and args.s != int(args.s):
         return _fail(f"--exact needs an integer s, got {args.s}")
@@ -239,6 +255,8 @@ def _run_ratio(args) -> int:
     from .lseries import ratio_partial
     from .point_count import Curve
 
+    if (args.b1 or args.b2) and args.limit > BRUTE_LIMIT_CEILING:
+        return _fail_brute_sweep(args.limit)
     ev = ratio_partial(Curve(args.a1, args.b1), Curve(args.a2, args.b2), args.s, args.limit)
     rows = [{"p": p, "factor": factor} for p, factor in zip(ev.primes, ev.factors)]
     rows.append({"s": ev.s, "prime_bound": ev.prime_bound, "ratio": ev.ratio})

@@ -5,12 +5,11 @@ from __future__ import annotations
 import os
 from time import perf_counter
 
-# Seconds a sweep runs in this process before the rest fans out: about
-# what a fan-out that does no work costs (rent for as long as buying
-# would cost, then buy).  A fan-out of two over 16 trivial batches took
-# 4.3-7.0 ms, median 4.7, in 15 fresh processes that had loaded the CLI
-# and lemma modules and sieved to 60000 (Python 3.11.7, 2 vCPUs).
-TAU = 0.005
+# Seconds of work left at which a fan-out pays, projected after each batch
+# as its time times the batches left.  Brute counts grow with p, so early
+# batches underestimate the rest: `lemma-verify --lemma 3 --limit 2000` took
+# 0.485 s at 2 workers at 0.2 s, 0.411 s at 0.05 s (BENCH_fork_gate.json).
+BREAK_EVEN = 0.05
 
 # Batches per worker: each process takes the next batch when it is free,
 # so more batches even out items of unequal cost.  At 2 workers
@@ -29,7 +28,8 @@ def map_chunks(fn, items, workers: int) -> list:
     at k == 1 or where the platform has no os.fork.  Otherwise they are
     cut into min(len(items), BATCHES_PER_WORKER * workers) contiguous
     batches of near-equal count, and the batches run here, in order,
-    until TAU seconds have passed.  What is left goes to min(workers,
+    until more than one is left and the last one's time times the
+    number left exceeds BREAK_EVEN.  The rest then goes to min(workers,
     left) processes, this one and forked children, which each take the
     next batch off one shared queue until it is empty, so fn need not
     pickle but its results must.  An exception raised by fn in a child
@@ -48,13 +48,13 @@ def map_chunks(fn, items, workers: int) -> list:
     n, count = len(items), min(len(items), BATCHES_PER_WORKER * workers)
     batches = [items[n * j // count : n * (j + 1) // count] for j in range(count)]
     results = []
-    deadline = perf_counter() + TAU
-    while len(results) < count and perf_counter() < deadline:
-        results.append(fn(batches[len(results)]))
-    left = batches[len(results) :]
-    if len(left) > 1:
-        return results + _fan_out(fn, left, min(workers, len(left)))
-    return results + [fn(batch) for batch in left]
+    for done, batch in enumerate(batches, 1):
+        start = perf_counter()
+        results.append(fn(batch))
+        left = count - done
+        if left > 1 and (perf_counter() - start) * left > BREAK_EVEN:
+            return results + _fan_out(fn, batches[done:], min(workers, left))
+    return results
 
 
 def _fan_out(fn, batches: list[list], processes: int) -> list:

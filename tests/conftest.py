@@ -19,6 +19,6 @@ def fan_outs(monkeypatch):
 
 @pytest.fixture
 def fan_outs_forced(monkeypatch, fan_outs):
-    """fan_outs, with TAU at 0, so that any sweep of two or more items fans out from its first batch."""
-    monkeypatch.setattr(sweep, "TAU", 0)
+    """fan_outs, with BREAK_EVEN below 0, so that any sweep of three or more batches fans out after its first."""
+    monkeypatch.setattr(sweep, "BREAK_EVEN", -1)
     return fan_outs

@@ -91,10 +91,12 @@ def test_parser_loads_no_library_module():
     assert _modules_loaded_after("import curvecount.cli as cli\ncli.build_parser()", heavy) == []
 
 
-def test_sweeps_fork_only_once_past_tau():
-    # 783 closed-form traces are done within sweep.TAU, so they never fork;
-    # a collision search to bound 2000 (about a second) runs past it and
-    # fans out to both workers.  No call loads concurrent.futures.
+def test_sweeps_fork_only_when_the_rest_pays():
+    # A batch of the 783 closed-form traces takes well under a millisecond,
+    # so the rest never projects past sweep.BREAK_EVEN and nothing forks;
+    # a batch of a collision search to bound 2000 (about half a second in
+    # all) projects the rest past it, so the search fans out to both
+    # workers.  No call loads concurrent.futures.
     def assert_fan_outs(argv, processes):
         code = ("import curvecount.cli as cli, curvecount.sweep as sweep\n"
                 "started, fan_out = [], sweep._fan_out\n"
@@ -287,6 +289,45 @@ def test_count_refuses_a_brute_count_above_its_ceiling(capsys, monkeypatch):
     assert run(capsys, ["count", "--a", "-1", "--b", "0", "--p", "109"])[0] == 0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ap-table", "--a", "3", "--b", "5"],
+        ["ap-table", "--a", "-1", "--b", "0", "--cross-validate"],
+        ["lseries", "--a", "3", "--b", "5", "--s", "1"],
+        ["lseries", "--a", "3", "--b", "5", "--s", "1", "--exact"],
+        ["ratio", "--a1", "3", "--b1", "5", "--a2", "-1", "--b2", "0", "--s", "1"],
+        ["ratio", "--a1", "-1", "--b1", "0", "--a2", "3", "--b2", "5", "--s", "1"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_brute_sweep_refuses_a_limit_above_its_ceiling(capsys, monkeypatch, argv):
+    # Every prime of a b != 0 curve (or of --cross-validate) is an O(p)
+    # count, so such a sweep stops at BRUTE_LIMIT_CEILING, checked before any sieve.
+    def no_sieve(limit):
+        raise AssertionError(f"sieve to {limit}")
+
+    monkeypatch.setattr(point_count, "sieve_primes", no_sieve)
+    rc = cli.main(argv + ["--limit", "100000000"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == ("curvecount: error: a sweep that brute-counts every prime needs "
+                            "--limit <= 100000, got 100000000\n")
+    monkeypatch.undo()
+    assert cli.BRUTE_LIMIT_CEILING == 10**5
+    monkeypatch.setattr(cli, "BRUTE_LIMIT_CEILING", 30)
+    assert run(capsys, argv + ["--limit", "30"])[0] == 0
+    assert run(capsys, argv + ["--limit", "31"]) == (2, "")
+
+
+def test_closed_form_sweeps_are_not_held_to_the_brute_ceiling(capsys, monkeypatch):
+    # Only a sweep that brute-counts is held to BRUTE_LIMIT_CEILING.
+    monkeypatch.setattr(cli, "BRUTE_LIMIT_CEILING", 30)
+    for argv in (["ap-table", "--a", "-1", "--b", "0"], ["lseries", "--a", "-1", "--b", "0", "--s", "1"],
+                 ["ratio", "--a1", "-1", "--b1", "0", "--a2", "1", "--b2", "0", "--s", "1"]):
+        assert run(capsys, argv + ["--limit", "1000"])[0] == 0
+
+
 def test_unknown_flag_and_subcommand_rejected(capsys):
     assert cli.main(["count", "--a", "-1", "--b", "0", "--p", "13", "--frobnicate"]) == 2
     assert cli.main(["no-such-command"]) == 2
@@ -372,6 +413,36 @@ def test_ap_table_rebuild_says_why(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert rc == 0 and out == cold
     assert "not one per good odd prime" in rebuild_reason(err, path)
+
+
+def test_ap_table_rebuilds_cache_with_a_wrong_closed_form_value(tmp_path, capsys):
+    # 7,5,2,lemma1 is text write_cache could write (n_p = p - a_p, Hasse
+    # holds), but identity 1 gives a_7 = 0, so it is recomputed and rebuilt.
+    path = tmp_path / "c.txt"
+    args = ["ap-table", "--a", "-1", "--b", "0", "--limit", "30", "--cache", str(path)]
+    _, cold = run(capsys, args)
+    text = path.read_text()
+    for line, reason in (("7,5,2,lemma1", "p = 7: a_p = 2 is not the lemma1 trace 0\n"),
+                         ("13,13,0,gauss", "p = 13: a_p = 0 is not the gauss trace 6\n"),
+                         ("13,19,-6,gauss", "p = 13: a_p = -6 is not the gauss trace 6\n")):
+        right = line.split(",")[0] + ","
+        path.write_text("".join(line + "\n" if row.startswith(right) else row for row in text.splitlines(True)))
+        rc = cli.main(args)
+        out, err = capsys.readouterr()
+        assert rc == 0 and out == cold
+        assert rebuild_reason(err, path) == reason
+        assert path.read_text() == text
+
+
+def test_cache_trusts_brute_records_as_read(tmp_path):
+    # Recounting every brute record would cost what the cache saves, so
+    # a brute a_p in the Hasse range is served as written.
+    path = tmp_path / "b.cache"
+    records = ap_table(Curve(3, 5), 30)
+    cache.write_cache(str(path), Curve(3, 5), 30, records)
+    assert records[0] == (5, 9, -4, "brute", None)
+    path.write_text(path.read_text().replace("\n5,9,-4,brute\n", "\n5,5,0,brute\n"))
+    assert cache.read_cache(str(path), Curve(3, 5)) == (30, [records[0]._replace(n_p=5, a_p=0)] + records[1:])
 
 
 def test_ap_table_cache_pmin_above_3_rebuilt(tmp_path, capsys):
@@ -933,16 +1004,17 @@ def test_workers_below_one_rejected(capsys, argv):
     ids=lambda argv: argv[0],
 )
 def test_largest_accepted_workers_forks_ceiling_minus_one(capsys, monkeypatch, argv):
-    # With TAU at 0 each sweep has more batches than workers (bound 1300
-    # has 791 class pairs), so the fan-out takes every worker
-    # allowed; the batches run here, so nothing forks.
+    # With BREAK_EVEN below 0 each sweep fans out after its first batch,
+    # with more batches left than workers (bound 1300 has 791 class
+    # pairs), so the fan-out takes every worker allowed; the batches run
+    # here, so nothing forks.
     process_counts = []
 
     def in_process(fn, batches, processes):
         process_counts.append(processes)
         return [fn(batch) for batch in batches]
 
-    monkeypatch.setattr(sweep, "TAU", 0)
+    monkeypatch.setattr(sweep, "BREAK_EVEN", -1)
     monkeypatch.setattr(sweep, "_fan_out", in_process)
     _, one = run(capsys, argv + ["--workers", "1"])
     rc, most = run(capsys, argv + ["--workers", str(cli.WORKERS_CEILING)])

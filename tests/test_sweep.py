@@ -23,7 +23,8 @@ def test_map_chunks_keeps_chunk_order(fan_outs_forced):
 
 
 def test_map_chunks_runs_in_process_below_the_gate(fan_outs):
-    # One worker, or one item, is one batch; a sweep done within TAU forks nothing.
+    # One worker, or one item, is one batch; a sweep whose rest never
+    # projects past BREAK_EVEN forks nothing.
     assert map_chunks(lambda chunk: chunk, range(5), 1) == [[0, 1, 2, 3, 4]]
     assert map_chunks(lambda chunk: chunk, [7], 4) == [[7]]
     assert map_chunks(lambda chunk: chunk, [], 4) == []
@@ -31,16 +32,32 @@ def test_map_chunks_runs_in_process_below_the_gate(fan_outs):
     assert fan_outs == []
 
 
-def test_map_chunks_fans_out_once_tau_has_passed(fan_outs):
-    # The first batch runs here; the 16 batches together take longer than
-    # TAU, so the rest fans out.
+def test_map_chunks_keeps_cheap_batches_in_process(fan_outs):
+    # 16 batches of about 1 ms together take longer than a bare fan-out
+    # (about 5 ms), but after each one the rest projects to about 15 ms at
+    # most, below BREAK_EVEN (50 ms), so nothing forks.
     def fn(batch):
-        time.sleep(sweep.TAU / 4)
+        time.sleep(sweep.BREAK_EVEN / 50)
+        return os.getpid(), batch
+
+    start = time.perf_counter()
+    assert map_chunks(fn, range(16), 2) == [(os.getpid(), [i]) for i in range(16)]
+    assert time.perf_counter() - start > 0.005
+    assert fan_outs == []
+
+
+def test_map_chunks_forks_once_growing_batches_pay(fan_outs):
+    # Batch i sleeps i tenths of BREAK_EVEN.  Batch 0 projects the rest
+    # at about 0 and runs here; by batch 1 the rest projects past
+    # BREAK_EVEN, so it fans out once, to both workers, and the results
+    # still come back in batch order.
+    def fn(batch):
+        time.sleep(sweep.BREAK_EVEN / 10 * batch[0])
         return os.getpid(), batch
 
     results = map_chunks(fn, range(16), 2)
     assert [batch for _, batch in results] == [[i] for i in range(16)]
-    assert results[0][0] == os.getpid()
+    assert results[0][0] == os.getpid() and len({pid for pid, _ in results}) == 2
     assert fan_outs == [2]
 
 
@@ -66,13 +83,14 @@ def test_fan_out_runs_chunks_in_children_and_reaps_them(fan_outs_forced):
 
 
 def test_fan_out_returns_batches_in_order_when_later_ones_finish_first(fan_outs_forced):
+    # Batch 0 runs here; of the three fanned out, batch 1 takes longest.
     def fn(batch):
-        time.sleep(0.3 if batch == [0] else 0)
+        time.sleep(0.3 if batch == [1] else 0)
         return batch, time.monotonic()
 
     results = map_chunks(fn, range(4), 2)
     assert [batch for batch, _ in results] == [[0], [1], [2], [3]]
-    assert results[0][1] > results[3][1]
+    assert results[1][1] > results[3][1]
     assert fan_outs_forced == [2]
     assert_no_child_left()
 
@@ -87,6 +105,8 @@ def test_fan_out_reraises_a_chunk_error(fan_outs_forced):
         return batch
 
     def fail_here(batch):
+        if batch == [0]:  # runs here, before the fan-out
+            return batch
         if os.getpid() == parent:
             raise KeyError("here")
         time.sleep(1)  # so that this process takes a batch
@@ -132,6 +152,8 @@ def test_fan_out_kills_children_when_this_process_fails(fan_outs_forced):
     parent = os.getpid()
 
     def fn(batch):
+        if batch == [0]:  # runs here, before the fan-out
+            return batch
         if os.getpid() == parent:
             raise ValueError("this process")
         time.sleep(60)
@@ -153,7 +175,7 @@ def _run(code: str):
 def test_fan_out_children_never_flush_inherited_stdout():
     # A pipe makes stdout block-buffered (unless PYTHONUNBUFFERED is set),
     # so "before" is still in the buffer each child inherits at fork.
-    done = _run("from curvecount import sweep\nsweep.TAU = 0\nprint('before')\n"
+    done = _run("from curvecount import sweep\nsweep.BREAK_EVEN = -1\nprint('before')\n"
                 "print(sweep.map_chunks(sum, range(6), 3))")
     assert (done.returncode, done.stdout, done.stderr) == (0, "before\n[0, 1, 2, 3, 4, 5]\n", "")
 
@@ -163,7 +185,7 @@ def test_fan_out_at_64_workers_runs_every_batch_once(tmp_path):
     # one line a batch it runs to one file, so a batch run twice or never shows.
     # Each batch sleeps 1 ms, so that children start before the queue is empty.
     log = tmp_path / "ran"
-    done = _run("import os, time\nfrom curvecount import sweep\nsweep.TAU = 0\n"
+    done = _run("import os, time\nfrom curvecount import sweep\nsweep.BREAK_EVEN = -1\n"
                 f"fd = os.open({str(log)!r}, os.O_WRONLY | os.O_CREAT | os.O_APPEND)\n"
                 "fn = lambda batch: time.sleep(0.001) or os.write(fd, b'%d %d\\n' % (batch[0], os.getpid())) and batch\n"
                 "batches = sweep.map_chunks(fn, range(1000), 64)\n"
