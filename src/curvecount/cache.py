@@ -4,15 +4,14 @@ Layout is a single header line
 
     curvecount-cache v1 a=<int> b=<int> pmin=3 pmax=<int>
 
-followed by one `p,n_p,a_p,method` record per line, ascending in p, each
-line ending in "\\n".  A file is valid exactly when its text is what
-write_cache writes for its curve, pmax and records, and each closed-form
-(lemma1, gauss) record holds the trace trace_ap gives at its prime;
-anything else raises CacheInvalidError, and callers recompute and
-overwrite rather than crash.  Brute records are trusted as read, since
-recounting them is the work the cache saves, so a tampered brute a_p
-that keeps the Hasse bound is served; any other stale or tampered file
-costs time, never correctness.
+followed by one `p,n_p,a_p,method` record per good odd prime up to pmax,
+ascending, each line ending in "\\n".  One rule decides: a file is valid
+exactly when its text is what write_cache writes for the records ap-table
+would hold up to its pmax.  Closed-form (lemma1, gauss) records are
+recomputed, in O(log p) each; only a brute record's a_p is read, since
+recounting it is the work the cache saves, so a tampered brute a_p that
+keeps the Hasse bound is served.  Anything else raises CacheInvalidError,
+and callers recompute and overwrite: a bad file costs time, not results.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import os
 from itertools import zip_longest
 
 from .errors import CacheInvalidError
-from .point_count import BRUTE, Curve, PointCountRecord, _auto_method, _trace_ap, good_odd_primes
+from .point_count import BRUTE, Curve, PointCountRecord, _auto_method, _nonsingular_discriminant, _trace_ap, good_odd_primes
 
 ENV_CACHE_DIR = "CURVECOUNT_CACHE_DIR"
 
@@ -70,19 +69,33 @@ def read_cache(path: str, curve: Curve) -> tuple[int, list[PointCountRecord]]:
             text = handle.read()
     except UnicodeDecodeError as exc:
         raise CacheInvalidError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
-    # Only pmax, p and a_p are read: everything else is rebuilt from them
-    # and must come out as the same text.  `line` is the header, then each
-    # record line in turn, so an error quotes the line that failed.
+    # Only pmax and each brute line's a_p are read; the rest must come out
+    # as the same text.  `line` is the header, then each record line, so an
+    # error quotes the line that failed.
+    delta = _nonsingular_discriminant(curve)  # a singular curve is the caller's error
     line, *lines = text.split("\n")
     records = []
     try:
         pmax = int(line.rpartition("pmax=")[2])
-        for line in filter(None, lines):
-            p, _, a_p, _ = line.split(",")
-            p, a_p = int(p), int(a_p)
-            if a_p * a_p >= 4 * p:
-                raise CacheInvalidError(f"{line!r} breaks the Hasse bound")
-            records.append(PointCountRecord(p, p - a_p, a_p, _auto_method(curve, p)))
+        # Rosser (1941): pi(x) > x/ln x for x >= 17, and 2 and at most
+        # bit_length(|disc|) other primes are bad, so a valid file's records and
+        # the "" after its last "\n" outnumber pmax/ln(pmax) - bit_length(|disc|).
+        if pmax >= 17 and (len(lines) + abs(delta).bit_length()) * math.log(pmax) < pmax:
+            raise CacheInvalidError(f"pmax={pmax}: {len(lines) - 1} records are too few to be every good odd prime <= {pmax}")
+        # The i-th line is the i-th good odd prime's record: a closed form is
+        # recomputed (no more once a line does not begin with its prime, as
+        # the text then differs), and a brute a_p, the saved count, is read.
+        for p, line in zip(good_odd_primes(curve, pmax), lines):
+            if _auto_method(curve, p) == BRUTE:
+                _, _, a_p, _ = line.split(",")
+                a_p = int(a_p)
+                if a_p * a_p >= 4 * p:
+                    raise CacheInvalidError(f"{line!r} breaks the Hasse bound at p = {p}")
+                records.append(PointCountRecord(p, p - a_p, a_p, BRUTE))
+            else:
+                records.append(_trace_ap(curve, p))
+                if not line.startswith(f"{p},"):
+                    break
     except ValueError:
         raise CacheInvalidError(f"{line!r} is not a cache line") from None
     expected = _cache_text(curve, pmax, records)
@@ -90,18 +103,4 @@ def read_cache(path: str, curve: Curve) -> tuple[int, list[PointCountRecord]]:
         for got, want in zip_longest(text.splitlines(True), expected.splitlines(True), fillvalue=""):
             if got != want:
                 raise CacheInvalidError(f"{got!r} is not what write_cache writes: {want!r}")
-    # The text holds one record per line, but only the good odd primes up to
-    # pmax say which lines there must be.  Rosser (1941): pi(x) > x/ln x for
-    # x >= 17.  The bad primes are 2 and at most bit_length(|disc|) others,
-    # so a valid file holds more than pmax/ln(pmax) - 1 - bit_length(|disc|)
-    # records; fewer fails without a sieve.
-    if pmax >= 17 and (len(records) + 1 + abs(curve.discriminant()).bit_length()) * math.log(pmax) < pmax:
-        raise CacheInvalidError(f"pmax={pmax}: {len(records)} records are too few to be every good odd prime <= {pmax}")
-    if [r.p for r in records] != good_odd_primes(curve, pmax):
-        raise CacheInvalidError(f"records are not one per good odd prime in [3, {pmax}], ascending")
-    # Now that every p is a good odd prime, each closed form is O(log p) to
-    # recompute, and a wrong value in the right text is caught too.
-    for r in records:
-        if r.method != BRUTE and r != (want := _trace_ap(curve, r.p)):
-            raise CacheInvalidError(f"p = {r.p}: a_p = {r.a_p} is not the {r.method} trace {want.a_p}")
     return pmax, records

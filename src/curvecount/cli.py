@@ -94,11 +94,14 @@ D_MAX_CEILING = 10**5
 # grows linearly, so a larger p is refused.
 BRUTE_P_CEILING = 10**7
 # A b != 0 curve has no closed form, so ap-table, lseries and ratio
-# brute-count it at every prime, and so does ap-table --cross-validate:
-# the sweep's time grows as limit^2 / ln(limit).  `ap-table --a 3 --b 5`
-# took 18.8 s at --limit 50000 and 69.5 s at 10^5, peaking at 19 MB RSS
-# (one run each, --workers 1, Python 3.11.7, 2 vCPUs), so 10^6 would take
-# about an hour and a half.  A larger --limit is refused for such a sweep.
+# brute-count it at every prime, and so does ap-table --cross-validate;
+# every lemma-verify sweep but lemma 5's does O(p) work at each prime too.
+# Such a sweep's time grows as limit^2 / ln(limit).  `ap-table --a 3 --b 5`
+# took 18.8 s at --limit 50000 and 69.5 s at 10^5, peaking at 19 MB RSS,
+# and the slowest lemma, `lemma-verify --lemma 3` (--d-max 20), took
+# 1057 s at 10^5 (one run each, --workers 1, Python 3.11.7, 2 vCPUs), so
+# 10^6 would take about an hour and a half and about a day.  A larger
+# --limit is refused for such a sweep.
 BRUTE_LIMIT_CEILING = 10**5
 # Each worker past the first is a forked copy of the process holding its
 # own batches' tables, and a sweep forks as many as --workers allows once
@@ -150,6 +153,8 @@ def _positive_float(text: str) -> float:
 def _run_verify(args) -> int:
     from .residue_lemmas import verify_lemma
 
+    if args.lemma != 5 and args.limit > BRUTE_LIMIT_CEILING:  # only lemma 5's check is not O(p)
+        return _fail_brute_sweep(args.limit)
     checked, mismatches = verify_lemma(args.lemma, args.limit, args.d_max, args.samples, args.seed, args.workers)
     summary = {"lemma": args.lemma, "limit": args.limit, "checked": checked, "mismatches": len(mismatches)}
     _emit(mismatches + [summary], args.format)

@@ -324,8 +324,29 @@ def test_closed_form_sweeps_are_not_held_to_the_brute_ceiling(capsys, monkeypatc
     # Only a sweep that brute-counts is held to BRUTE_LIMIT_CEILING.
     monkeypatch.setattr(cli, "BRUTE_LIMIT_CEILING", 30)
     for argv in (["ap-table", "--a", "-1", "--b", "0"], ["lseries", "--a", "-1", "--b", "0", "--s", "1"],
-                 ["ratio", "--a1", "-1", "--b1", "0", "--a2", "1", "--b2", "0", "--s", "1"]):
+                 ["ratio", "--a1", "-1", "--b1", "0", "--a2", "1", "--b2", "0", "--s", "1"],
+                 ["lemma-verify", "--lemma", "5", "--workers", "1"]):
         assert run(capsys, argv + ["--limit", "1000"])[0] == 0
+
+
+@pytest.mark.parametrize("lemma", [1, 2, 3, 4, 6, 7])
+def test_lemma_sweep_refuses_a_limit_above_the_brute_ceiling(capsys, monkeypatch, lemma):
+    # Every lemma but 5 does O(p) work at each prime, so its sweep stops at
+    # BRUTE_LIMIT_CEILING too, checked before any sieve.
+    def no_sieve(limit):
+        raise AssertionError(f"sieve to {limit}")
+
+    monkeypatch.setattr(residue_lemmas, "sieve_primes", no_sieve)
+    argv = ["lemma-verify", "--lemma", str(lemma), "--workers", "1"]
+    rc = cli.main(argv + ["--limit", "100000000"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == ("curvecount: error: a sweep that brute-counts every prime needs "
+                            "--limit <= 100000, got 100000000\n")
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "BRUTE_LIMIT_CEILING", 30)
+    assert run(capsys, argv + ["--limit", "30"])[0] == 0
+    assert run(capsys, argv + ["--limit", "31"]) == (2, "")
 
 
 def test_unknown_flag_and_subcommand_rejected(capsys):
@@ -412,19 +433,23 @@ def test_ap_table_rebuild_says_why(tmp_path, capsys):
     rc = cli.main(args + ["--cache", str(path)])
     out, err = capsys.readouterr()
     assert rc == 0 and out == cold
-    assert "not one per good odd prime" in rebuild_reason(err, path)
+    # Line 4 is where the p = 7 record was; 11's record stands there now.
+    assert rebuild_reason(err, path) == "'11,11,0,lemma1\\n' is not what write_cache writes: '7,7,0,lemma1\\n'\n"
 
 
 def test_ap_table_rebuilds_cache_with_a_wrong_closed_form_value(tmp_path, capsys):
     # 7,5,2,lemma1 is text write_cache could write (n_p = p - a_p, Hasse
-    # holds), but identity 1 gives a_7 = 0, so it is recomputed and rebuilt.
+    # holds), but identity 1 gives a_7 = 0: the record is recomputed, so
+    # the text differs from what write_cache writes and the file is rebuilt.
     path = tmp_path / "c.txt"
     args = ["ap-table", "--a", "-1", "--b", "0", "--limit", "30", "--cache", str(path)]
     _, cold = run(capsys, args)
     text = path.read_text()
-    for line, reason in (("7,5,2,lemma1", "p = 7: a_p = 2 is not the lemma1 trace 0\n"),
-                         ("13,13,0,gauss", "p = 13: a_p = 0 is not the gauss trace 6\n"),
-                         ("13,19,-6,gauss", "p = 13: a_p = -6 is not the gauss trace 6\n")):
+    for line, reason in (
+        ("7,5,2,lemma1", "'7,5,2,lemma1\\n' is not what write_cache writes: '7,7,0,lemma1\\n'\n"),
+        ("13,13,0,gauss", "'13,13,0,gauss\\n' is not what write_cache writes: '13,7,6,gauss\\n'\n"),
+        ("13,19,-6,gauss", "'13,19,-6,gauss\\n' is not what write_cache writes: '13,7,6,gauss\\n'\n"),
+    ):
         right = line.split(",")[0] + ","
         path.write_text("".join(line + "\n" if row.startswith(right) else row for row in text.splitlines(True)))
         rc = cli.main(args)
@@ -443,6 +468,46 @@ def test_cache_trusts_brute_records_as_read(tmp_path):
     assert records[0] == (5, 9, -4, "brute", None)
     path.write_text(path.read_text().replace("\n5,9,-4,brute\n", "\n5,5,0,brute\n"))
     assert cache.read_cache(str(path), Curve(3, 5)) == (30, [records[0]._replace(n_p=5, a_p=0)] + records[1:])
+
+
+def test_cache_single_line_edits_on_both_curve_kinds(tmp_path):
+    # Every one-line edit of a canonical file is rebuilt but one: a brute
+    # a_p moved within the Hasse range, n_p = p - a_p to match, is served.
+    path = tmp_path / "edit.cache"
+    for curve in (Curve(-1, 0), Curve(3, 5)):
+        records = ap_table(curve, 60)
+        cache.write_cache(str(path), curve, 60, records)
+        header, *rows = path.read_text().splitlines(True)
+
+        def read(header, rows):
+            path.write_bytes((header + "".join(rows)).encode())
+            return cache.read_cache(str(path), curve)
+
+        assert read(header, rows) == (60, records)
+        assert read(header.replace("pmax=60", "pmax=59"), rows) == (59, records)  # no good prime in (59, 60]
+        rebuilt = [(header.replace("pmax=60", "pmax=61"), rows), (header, rows[:-1] + [rows[-1].rstrip("\n")])]
+        served = 0
+        for i, r in enumerate(records):
+            rebuilt.append((header, rows[:i] + rows[i + 1:]))
+            rebuilt.append((header, rows[:i] + [rows[i]] + rows[i:]))
+            if i + 1 < len(rows):
+                rebuilt.append((header, rows[:i] + [rows[i + 1], rows[i]] + rows[i + 2:]))
+            for method in ("brute", "lemma1", "gauss"):
+                if method != r.method:
+                    rebuilt.append((header, rows[:i] + [f"{r.p},{r.n_p},{r.a_p},{method}\n"] + rows[i + 1:]))
+            for a_p in (r.a_p - 2, r.a_p + 2):
+                rebuilt.append((header, rows[:i] + [f"{r.p},{r.n_p},{a_p},{r.method}\n"] + rows[i + 1:]))
+                moved = r._replace(n_p=r.p - a_p, a_p=a_p)
+                edited = rows[:i] + [f"{r.p},{moved.n_p},{a_p},{r.method}\n"] + rows[i + 1:]
+                if r.method == "brute" and a_p * a_p < 4 * r.p:
+                    assert read(header, edited) == (60, records[:i] + [moved] + records[i + 1:])
+                    served += 1
+                else:
+                    rebuilt.append((header, edited))
+        for edit in rebuilt:
+            with pytest.raises(CacheInvalidError):
+                read(*edit)
+        assert (served > 0) == (curve.b != 0)
 
 
 def test_ap_table_cache_pmin_above_3_rebuilt(tmp_path, capsys):
@@ -662,6 +727,19 @@ def test_cache_huge_pmax_rejected_without_sieving(tmp_path, monkeypatch):
     path.write_text(f"curvecount-cache v1 a=-1 b=0 pmin=3 pmax={10**12}\n3,3,0,lemma1\n")
     with pytest.raises(CacheInvalidError):
         cache.read_cache(str(path), Curve(-1, 0))
+
+
+def test_cache_of_blank_lines_stops_recomputing_at_the_first(tmp_path, monkeypatch):
+    # Rosser's count passes a file of enough blank lines, so the primes to
+    # pmax are sieved; the closed forms stop at the first line that does
+    # not begin with its prime, since the text already differs there.
+    traced = []
+    monkeypatch.setattr(cache, "_trace_ap", lambda curve, p: traced.append(p) or point_count._trace_ap(curve, p))
+    path = tmp_path / "blank.cache"
+    path.write_text("curvecount-cache v1 a=-1 b=0 pmin=3 pmax=1000\n" + "\n" * 200)
+    with pytest.raises(CacheInvalidError, match=r"^'\\n' is not what write_cache writes: '3,3,0,lemma1\\n'$"):
+        cache.read_cache(str(path), Curve(-1, 0))
+    assert traced == [3]
 
 
 def test_cache_pmax_past_large_discriminant_rebuilt_without_sieving(tmp_path, capsys, monkeypatch):
