@@ -1,17 +1,17 @@
-"""Line-oriented a_p cache: one file per curve and prime range.
+"""Line-oriented cache of brute-force a_p counts: one file per curve and prime range.
 
 Layout is a single header line
 
     curvecount-cache v1 a=<int> b=<int> pmin=3 pmax=<int>
 
-followed by one `p,n_p,a_p,method` record per good odd prime up to pmax,
-ascending, each line ending in "\\n".  One rule decides: a file is valid
-exactly when its text is what write_cache writes for the records ap-table
-would hold up to its pmax.  Closed-form (lemma1, gauss) records are
-recomputed, in O(log p) each; only a brute record's a_p is read, since
-recounting it is the work the cache saves, so a tampered brute a_p that
-keeps the Hasse bound is served.  Anything else raises CacheInvalidError,
-and callers recompute and overwrite: a bad file costs time, not results.
+followed by one `p,n_p,a_p,brute` record per good odd prime up to pmax,
+ascending, each line ending in "\\n".  Only a b != 0 curve, whose traces
+are all brute-force counts, has a cache.  One rule decides: a file is
+valid exactly when its text is what write_cache writes for the records
+ap-table would hold up to its pmax.  Only each line's a_p is read, so a
+tampered a_p that keeps the Hasse bound is served.  Anything else raises
+CacheInvalidError, and callers recompute and overwrite: a bad file costs
+time, not results.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import os
 from itertools import zip_longest
 
 from .errors import CacheInvalidError
-from .point_count import BRUTE, Curve, PointCountRecord, _auto_method, _nonsingular_discriminant, _trace_ap, good_odd_primes
+from .point_count import BRUTE, Curve, PointCountRecord, _nonsingular_discriminant, good_odd_primes
 
 ENV_CACHE_DIR = "CURVECOUNT_CACHE_DIR"
 
@@ -62,17 +62,20 @@ def read_cache(path: str, curve: Curve) -> tuple[int, list[PointCountRecord]]:
 
     A file that cannot be read raises OSError instead, FileNotFoundError
     when it is missing: absent and invalid are different conditions for
-    the caller (only the latter overwrites something).
+    the caller (only the latter overwrites something).  A b = 0 curve has
+    no cache, so asking for one is the caller's error, a ValueError.
     """
+    if curve.b == 0:
+        raise ValueError(f"{curve} has closed-form traces only, which are not cached")
+    delta = _nonsingular_discriminant(curve)  # a singular curve is the caller's error
     try:
         with open(path, encoding="utf-8", newline="") as handle:
             text = handle.read()
     except UnicodeDecodeError as exc:
         raise CacheInvalidError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
-    # Only pmax and each brute line's a_p are read; the rest must come out
-    # as the same text.  `line` is the header, then each record line, so an
-    # error quotes the line that failed.
-    delta = _nonsingular_discriminant(curve)  # a singular curve is the caller's error
+    # Only pmax and each line's a_p are read; the rest must come out as the
+    # same text.  `line` is the header, then each record line, so an error
+    # quotes the line that failed.
     line, *lines = text.split("\n")
     records = []
     try:
@@ -82,20 +85,13 @@ def read_cache(path: str, curve: Curve) -> tuple[int, list[PointCountRecord]]:
         # the "" after its last "\n" outnumber pmax/ln(pmax) - bit_length(|disc|).
         if pmax >= 17 and (len(lines) + abs(delta).bit_length()) * math.log(pmax) < pmax:
             raise CacheInvalidError(f"pmax={pmax}: {len(lines) - 1} records are too few to be every good odd prime <= {pmax}")
-        # The i-th line is the i-th good odd prime's record: a closed form is
-        # recomputed (no more once a line does not begin with its prime, as
-        # the text then differs), and a brute a_p, the saved count, is read.
+        # The i-th line is the i-th good odd prime's record.
         for p, line in zip(good_odd_primes(curve, pmax), lines):
-            if _auto_method(curve, p) == BRUTE:
-                _, _, a_p, _ = line.split(",")
-                a_p = int(a_p)
-                if a_p * a_p >= 4 * p:
-                    raise CacheInvalidError(f"{line!r} breaks the Hasse bound at p = {p}")
-                records.append(PointCountRecord(p, p - a_p, a_p, BRUTE))
-            else:
-                records.append(_trace_ap(curve, p))
-                if not line.startswith(f"{p},"):
-                    break
+            _, _, a_p, _ = line.split(",")
+            a_p = int(a_p)
+            if a_p * a_p >= 4 * p:
+                raise CacheInvalidError(f"{line!r} breaks the Hasse bound at p = {p}")
+            records.append(PointCountRecord(p, p - a_p, a_p, BRUTE))
     except ValueError:
         raise CacheInvalidError(f"{line!r} is not a cache line") from None
     expected = _cache_text(curve, pmax, records)

@@ -22,7 +22,7 @@ import sys
 from functools import partial
 
 from .errors import BadReductionError, CacheInvalidError, SingularCurveError
-from .modmath import require_odd_prime
+from .modmath import require_odd_prime, sieve_primes
 
 
 def _fraction_str(q) -> str:
@@ -103,6 +103,12 @@ BRUTE_P_CEILING = 10**7
 # 10^6 would take about an hour and a half and about a day.  A larger
 # --limit is refused for such a sweep.
 BRUTE_LIMIT_CEILING = 10**5
+# Lemma 3 brute-counts min(2 d_max, (p-1)/2) classes of p elements at each
+# prime p = 1 (mod 4): `lemma-verify --lemma 3 --limit 2000 --d-max 10^5`
+# (8.8 * 10^7 elements) took 87 s and 94 s (two runs, --workers 1), and that
+# --d-max to 10^5 would take about 6.5 * 10^5 s.  A sweep is refused above
+# this sum, that of the default --d-max 20 at BRUTE_LIMIT_CEILING (1057 s).
+LEMMA3_WORK_CEILING = 9_083_260_192
 # Each worker past the first is a forked copy of the process holding its
 # own batches' tables, and a sweep forks as many as --workers allows once
 # the work it projects it has left passes sweep.BREAK_EVEN.  The fan-out
@@ -155,6 +161,11 @@ def _run_verify(args) -> int:
 
     if args.lemma != 5 and args.limit > BRUTE_LIMIT_CEILING:  # only lemma 5's check is not O(p)
         return _fail_brute_sweep(args.limit)
+    primes = sieve_primes(args.limit) if args.lemma == 3 else []
+    work = sum(min(2 * args.d_max, (p - 1) // 2) * p for p in primes if p % 4 == 1)
+    if work > LEMMA3_WORK_CEILING:
+        return _fail(f"lemma 3 at --limit {args.limit} --d-max {args.d_max} brute-counts {work:.3g} field elements, "
+                     f"above the ceiling of {LEMMA3_WORK_CEILING:.3g}; lower --d-max or --limit")
     checked, mismatches = verify_lemma(args.lemma, args.limit, args.d_max, args.samples, args.seed, args.workers)
     summary = {"lemma": args.lemma, "limit": args.limit, "checked": checked, "mismatches": len(mismatches)}
     _emit(mismatches + [summary], args.format)
@@ -177,13 +188,11 @@ def _run_profile(args) -> int:
 
 
 def _run_count(args) -> int:
-    from .point_count import BRUTE, Curve, _auto_method, trace_ap
+    from .point_count import BRUTE, Curve, trace_ap
 
-    curve = Curve(args.a, args.b)
-    brute = args.method == BRUTE or _auto_method(curve, args.p) == BRUTE
-    if brute and args.p > BRUTE_P_CEILING:
+    if (args.b or args.method == BRUTE) and args.p > BRUTE_P_CEILING:
         return _fail(f"a brute-force count needs p <= {BRUTE_P_CEILING}, got {args.p}")
-    record = trace_ap(curve, args.p, method=args.method)
+    record = trace_ap(Curve(args.a, args.b), args.p, method=args.method)
     shown = record.n_p + 1 if args.plus_one else record.n_p
     _emit([{"p": record.p, "n_p": shown, "a_p": record.a_p}], args.format)
     return 0
@@ -198,13 +207,13 @@ def _run_ap_table(args) -> int:
         return _fail_brute_sweep(args.limit)
     curve = Curve(args.a, args.b)
     primes = good_odd_primes(curve, args.limit)
-    # --cross-validate recounts every prime, so it neither reads nor writes the cache.
-    cache_path = resolve_cache_path(args.cache) if args.cache and not args.cross_validate else None
-    cached, pmax_seen, extends = [], 0, True
+    # The cache keeps brute-force counts only: a b = 0 curve's closed forms cost
+    # less than reading them back, and --cross-validate recounts every prime.
+    cache_path = resolve_cache_path(args.cache) if args.cache and args.b and not args.cross_validate else None
+    cached, pmax_seen = [], -1  # with no cache read, every prime is fresh and the file is written
     if cache_path:
         try:
             pmax_seen, cached = read_cache(cache_path, curve)
-            extends = args.limit > pmax_seen
         except CacheInvalidError as exc:
             print(f"curvecount: rebuilding cache {cache_path}: {exc}", file=sys.stderr)
         except FileNotFoundError:  # an absent cache is created, but only in a directory that exists
@@ -216,7 +225,7 @@ def _run_ap_table(args) -> int:
     parts = map_chunks(chunk, [p for p in primes if p > pmax_seen], args.workers)
     fresh = [r for part in parts for r in part]
     records = [r for r in cached if r.p <= args.limit] + fresh
-    if cache_path and extends:  # a valid cache is rewritten only past its pmax
+    if cache_path and args.limit > pmax_seen:  # a valid cache is rewritten only past its pmax
         try:
             write_cache(cache_path, curve, args.limit, cached + fresh)
         except OSError as exc:
@@ -358,8 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ap-table", parents=[curve, workers], help="a_p records for all good odd primes <= limit")
     p.add_argument("--limit", type=limit, required=True)
-    p.add_argument("--cache", help="cache file; relative paths resolve under $CURVECOUNT_CACHE_DIR; "
-                   "ignored under --cross-validate")
+    p.add_argument("--cache", help="cache file of brute-force counts; relative paths resolve under "
+                   "$CURVECOUNT_CACHE_DIR; ignored on a b = 0 curve and under --cross-validate")
     p.add_argument("--cross-validate", action="store_true", help="recompute and check every record against brute force")
     p.add_argument("--plus-one", action="store_true")
     p.set_defaults(handler=_run_ap_table)

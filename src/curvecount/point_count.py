@@ -140,23 +140,15 @@ def trace_ap(curve: Curve, p: int, method: str = "auto") -> PointCountRecord:
     return _trace_ap(curve, p) if method == "auto" else _brute_record(curve, p)
 
 
-def _auto_method(curve: Curve, p: int) -> str:
-    """The method trace_ap's "auto" uses at p; the cache check asks here too."""
-    if curve.b != 0:
-        return BRUTE
-    return LEMMA1 if p % 4 == 3 else GAUSS
-
-
 def _trace_ap(curve: Curve, p: int) -> PointCountRecord:
     """trace_ap(curve, p) without its checks: p must be a good odd prime.
 
     This is what every sweep calls, on primes from one sieve, so no
     sweep runs Miller-Rabin per prime.
     """
-    method = _auto_method(curve, p)
-    if method == BRUTE:
+    if curve.b != 0:
         return _brute_record(curve, p)
-    if method == LEMMA1:
+    if p % 4 == 3:
         return PointCountRecord(p, p, 0, LEMMA1)  # Lemma 1: N_p = p
     a_p = _gauss_ap(curve.a, p)
     return PointCountRecord(p, p - a_p, a_p, GAUSS)

@@ -30,15 +30,13 @@ def rebuild_reason(err, path):
     return err[len(prefix):]
 
 
-# The (-1, 0) cache to 13 as write_cache writes it, and files that hold
-# the same values in other text: each is rebuilt.
-CANONICAL_13 = (
-    "curvecount-cache v1 a=-1 b=0 pmin=3 pmax=13\n3,3,0,lemma1\n5,7,-2,gauss\n7,7,0,lemma1\n"
-    "11,11,0,lemma1\n13,7,6,gauss\n"
-)
+# The (3, 5) cache to 13 as write_cache writes it (3 divides the
+# discriminant), and a file that holds the same values in other text:
+# it is rebuilt.
+CANONICAL_13 = "curvecount-cache v1 a=3 b=5 pmin=3 pmax=13\n5,9,-4,brute\n7,6,1,brute\n11,8,3,brute\n13,8,5,brute\n"
 FOUND_13 = (
-    "curvecount-cache  v1 a=-1 b=+0 pmin=03 pmax=0013\n03,3,0,lemma1\n5,7,-2,gauss\n7,07,0,lemma1\n"
-    "1_1,11,0,lemma1\r\n13,7,+6,gauss\n\n"
+    "curvecount-cache  v1 a=3 b=+5 pmin=03 pmax=0013\n05,9,-4,brute\n7,06,1,brute\n1_1,8,3,brute\r\n"
+    "13,8,+5,brute\n\n"
 )
 
 
@@ -349,6 +347,31 @@ def test_lemma_sweep_refuses_a_limit_above_the_brute_ceiling(capsys, monkeypatch
     assert run(capsys, argv + ["--limit", "31"]) == (2, "")
 
 
+def test_lemma3_sweep_refuses_work_above_the_default_at_the_brute_ceiling(capsys, monkeypatch):
+    # Lemma 3 brute-counts min(2 d_max, (p-1)/2) classes of p elements at
+    # each prime p = 1 (mod 4); the ceiling is that sum at --d-max 20 to
+    # BRUTE_LIMIT_CEILING.
+    def work(limit, d_max):
+        return sum(min(2 * d_max, (p - 1) // 2) * p for p in primes_by_trial_division(limit) if p % 4 == 1)
+
+    assert cli.LEMMA3_WORK_CEILING == work(cli.BRUTE_LIMIT_CEILING, 20)
+    # 10 + 78 + 102 + 174 elements at 5, 13, 17 and 29.
+    monkeypatch.setattr(cli, "LEMMA3_WORK_CEILING", work(30, 3))
+    argv = ["lemma-verify", "--lemma", "3", "--workers", "1"]
+    for limit, d_max in (("30", "3"), ("36", "3"), ("30", "2")):
+        rc, out = run(capsys, argv + ["--limit", limit, "--d-max", d_max])
+        assert rc == 0 and jsonl(out)[-1]["mismatches"] == 0
+    # Other lemmas are not held to it.
+    assert run(capsys, ["lemma-verify", "--lemma", "7", "--limit", "37", "--d-max", "4", "--workers", "1"])[0] == 0
+    monkeypatch.setattr(residue_lemmas, "sieve_primes", _no_sweep)  # refused before the sweep sieves
+    for limit, d_max, elements in (("30", "4", "456"), ("37", "3", "586")):
+        rc = cli.main(argv + ["--limit", limit, "--d-max", d_max])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err == (f"curvecount: error: lemma 3 at --limit {limit} --d-max {d_max} brute-counts "
+                                f"{elements} field elements, above the ceiling of 364; lower --d-max or --limit\n")
+
+
 def test_unknown_flag_and_subcommand_rejected(capsys):
     assert cli.main(["count", "--a", "-1", "--b", "0", "--p", "13", "--frobnicate"]) == 2
     assert cli.main(["no-such-command"]) == 2
@@ -356,8 +379,8 @@ def test_unknown_flag_and_subcommand_rejected(capsys):
 
 
 def test_ap_table_cache_roundtrip(tmp_path, capsys):
-    path = str(tmp_path / "minus1.cache")
-    args = ["ap-table", "--a", "-1", "--b", "0", "--limit", "60", "--cache", path, "--workers", "1"]
+    path = str(tmp_path / "brute.cache")
+    args = ["ap-table", "--a", "3", "--b", "5", "--limit", "60", "--cache", path, "--workers", "1"]
     rc, fresh = run(capsys, args)
     assert rc == 0
     first_bytes = open(path, "rb").read()
@@ -371,36 +394,54 @@ def test_ap_table_cache_roundtrip(tmp_path, capsys):
 
 
 def test_ap_table_cache_extends(tmp_path, capsys):
-    path = str(tmp_path / "minus1.cache")
-    run(capsys, ["ap-table", "--a", "-1", "--b", "0", "--limit", "40", "--cache", path])
-    rc, out = run(capsys, ["ap-table", "--a", "-1", "--b", "0", "--limit", "80", "--cache", path])
+    path = str(tmp_path / "brute.cache")
+    run(capsys, ["ap-table", "--a", "3", "--b", "5", "--limit", "40", "--cache", path])
+    rc, out = run(capsys, ["ap-table", "--a", "3", "--b", "5", "--limit", "80", "--cache", path])
     assert rc == 0
-    pmax, records = cache.read_cache(path, Curve(-1, 0))
+    pmax, records = cache.read_cache(path, Curve(3, 5))
     assert pmax == 80
+    assert records == ap_table(Curve(3, 5), 80)
     assert [r.p for r in records] == [r["p"] for r in jsonl(out)]
     # a shrunk limit serves from cache without rewriting the file
     extended = os.stat(path)
-    rc, out = run(capsys, ["ap-table", "--a", "-1", "--b", "0", "--limit", "20", "--cache", path])
-    assert [r["p"] for r in jsonl(out)] == [3, 5, 7, 11, 13, 17, 19]
-    assert cache.read_cache(path, Curve(-1, 0))[0] == 80
+    rc, out = run(capsys, ["ap-table", "--a", "3", "--b", "5", "--limit", "20", "--cache", path])
+    assert [r["p"] for r in jsonl(out)] == [5, 7, 11, 13, 17, 19]
+    assert cache.read_cache(path, Curve(3, 5))[0] == 80
     assert (os.stat(path).st_ino, os.stat(path).st_mtime_ns) == (extended.st_ino, extended.st_mtime_ns)
 
 
 def test_ap_table_cross_validate_neither_reads_nor_writes_cache(tmp_path, capsys):
-    path = tmp_path / "minus1.cache"
-    run(capsys, ["ap-table", "--a", "-1", "--b", "0", "--limit", "2000", "--cache", str(path)])
-    before = path.read_bytes()
-    args = ["ap-table", "--a", "-1", "--b", "0", "--limit", "50", "--cross-validate", "--workers", "1"]
-    _, uncached = run(capsys, args)
-    rc, out = run(capsys, args + ["--cache", str(path)])
-    assert rc == 0 and out == uncached
-    assert all(r["brute_np"] == r["n_p"] for r in jsonl(out))
-    assert path.read_bytes() == before
+    # Two runs ignore --cache: --cross-validate, which recounts every prime,
+    # and a b = 0 curve, whose closed forms cost less than reading them
+    # back.  Neither reads, creates or writes the file, nor says anything.
+    # Each is given a file the cache would serve and a tampered one.
+    for curve, flags, tamper in (
+        (Curve(3, 5), ["--cross-validate"], ("\n7,6,1,brute\n", "\n")),
+        (Curve(-1, 0), [], ("\n7,7,0,lemma1\n", "\n7,5,2,lemma1\n")),
+    ):
+        valid = tmp_path / "valid.cache"
+        cache.write_cache(str(valid), curve, 60, ap_table(curve, 60))
+        tampered = tmp_path / "tampered.cache"
+        tampered.write_text(valid.read_text().replace(*tamper))
+        absent, directory = tmp_path / "absent.cache", tmp_path / "dir"
+        directory.mkdir(exist_ok=True)
+        files = {path: (path.read_bytes(), os.stat(path).st_mtime_ns) for path in (valid, tampered)}
+        for workers in ("1", "2"):
+            for fmt in ("jsonl", "csv"):
+                args = ["ap-table", "--a", str(curve.a), "--b", str(curve.b), "--limit", "60", *flags,
+                        "--workers", workers, "--format", fmt]
+                assert cli.main(args) == 0
+                uncached = capsys.readouterr().out
+                for path in (valid, tampered, absent, directory):
+                    assert cli.main(args + ["--cache", str(path)]) == 0
+                    assert capsys.readouterr() == (uncached, "")
+        assert not absent.exists() and os.listdir(directory) == []
+        assert {path: (path.read_bytes(), os.stat(path).st_mtime_ns) for path in files} == files
 
 
 def test_ap_table_tampered_cache_recomputes(tmp_path, capsys):
-    path = str(tmp_path / "minus1.cache")
-    args = ["ap-table", "--a", "-1", "--b", "0", "--limit", "60", "--cache", path]
+    path = str(tmp_path / "brute.cache")
+    args = ["ap-table", "--a", "3", "--b", "5", "--limit", "60", "--cache", path]
     _, fresh = run(capsys, args)
     lines = open(path).read().splitlines()
     lines[0] = lines[0].replace("v1", "v9")
@@ -409,12 +450,12 @@ def test_ap_table_tampered_cache_recomputes(tmp_path, capsys):
     assert rc == 0
     assert again == fresh
     # the bad file was overwritten with a valid one
-    assert cache.read_cache(path, Curve(-1, 0))[0] == 60
+    assert cache.read_cache(path, Curve(3, 5))[0] == 60
 
 
 def test_ap_table_incomplete_cache_recomputes(tmp_path, capsys):
-    path = tmp_path / "minus1.cache"
-    args = ["ap-table", "--a", "-1", "--b", "0", "--limit", "60", "--cache", str(path)]
+    path = tmp_path / "brute.cache"
+    args = ["ap-table", "--a", "3", "--b", "5", "--limit", "60", "--cache", str(path)]
     _, cold = run(capsys, args)
     lines = path.read_text().splitlines()
     path.write_text("\n".join(line for line in lines if not line.startswith("7,")) + "\n")
@@ -424,35 +465,21 @@ def test_ap_table_incomplete_cache_recomputes(tmp_path, capsys):
 
 
 def test_ap_table_rebuild_says_why(tmp_path, capsys):
-    path = tmp_path / "minus1.cache"
-    args = ["ap-table", "--a", "-1", "--b", "0", "--limit", "60"]
+    path = tmp_path / "brute.cache"
+    args = ["ap-table", "--a", "3", "--b", "5", "--limit", "60"]
     _, cold = run(capsys, args)
     run(capsys, args + ["--cache", str(path)])
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(line for line in lines if not line.startswith("7,")) + "\n")
-    rc = cli.main(args + ["--cache", str(path)])
-    out, err = capsys.readouterr()
-    assert rc == 0 and out == cold
-    # Line 4 is where the p = 7 record was; 11's record stands there now.
-    assert rebuild_reason(err, path) == "'11,11,0,lemma1\\n' is not what write_cache writes: '7,7,0,lemma1\\n'\n"
-
-
-def test_ap_table_rebuilds_cache_with_a_wrong_closed_form_value(tmp_path, capsys):
-    # 7,5,2,lemma1 is text write_cache could write (n_p = p - a_p, Hasse
-    # holds), but identity 1 gives a_7 = 0: the record is recomputed, so
-    # the text differs from what write_cache writes and the file is rebuilt.
-    path = tmp_path / "c.txt"
-    args = ["ap-table", "--a", "-1", "--b", "0", "--limit", "30", "--cache", str(path)]
-    _, cold = run(capsys, args)
     text = path.read_text()
-    for line, reason in (
-        ("7,5,2,lemma1", "'7,5,2,lemma1\\n' is not what write_cache writes: '7,7,0,lemma1\\n'\n"),
-        ("13,13,0,gauss", "'13,13,0,gauss\\n' is not what write_cache writes: '13,7,6,gauss\\n'\n"),
-        ("13,19,-6,gauss", "'13,19,-6,gauss\\n' is not what write_cache writes: '13,7,6,gauss\\n'\n"),
+    for edited, reason in (
+        (text.replace("\n7,6,1,brute\n", "\n7,5,1,brute\n"),
+         "'7,5,1,brute\\n' is not what write_cache writes: '7,6,1,brute\\n'\n"),
+        (text.replace("\n7,6,1,brute\n", "\n7,1,6,brute\n"), "'7,1,6,brute' breaks the Hasse bound at p = 7\n"),
+        # With 7's line gone, each line is read at the prime before its
+        # own, and the "" after the last "\n" stands at p = 59.
+        (text.replace("\n7,6,1,brute\n", "\n"), "'' is not a cache line\n"),
     ):
-        right = line.split(",")[0] + ","
-        path.write_text("".join(line + "\n" if row.startswith(right) else row for row in text.splitlines(True)))
-        rc = cli.main(args)
+        path.write_text(edited)
+        rc = cli.main(args + ["--cache", str(path)])
         out, err = capsys.readouterr()
         assert rc == 0 and out == cold
         assert rebuild_reason(err, path) == reason
@@ -471,10 +498,11 @@ def test_cache_trusts_brute_records_as_read(tmp_path):
 
 
 def test_cache_single_line_edits_on_both_curve_kinds(tmp_path):
-    # Every one-line edit of a canonical file is rebuilt but one: a brute
-    # a_p moved within the Hasse range, n_p = p - a_p to match, is served.
+    # Every one-line edit of a canonical file is rebuilt but one: an a_p
+    # moved within the Hasse range, n_p = p - a_p to match, is served.  The
+    # two kinds are a small discriminant (3 and 29 bad) and a large one.
     path = tmp_path / "edit.cache"
-    for curve in (Curve(-1, 0), Curve(3, 5)):
+    for curve in (Curve(3, 5), Curve(1000, 1)):
         records = ap_table(curve, 60)
         cache.write_cache(str(path), curve, 60, records)
         header, *rows = path.read_text().splitlines(True)
@@ -499,7 +527,7 @@ def test_cache_single_line_edits_on_both_curve_kinds(tmp_path):
                 rebuilt.append((header, rows[:i] + [f"{r.p},{r.n_p},{a_p},{r.method}\n"] + rows[i + 1:]))
                 moved = r._replace(n_p=r.p - a_p, a_p=a_p)
                 edited = rows[:i] + [f"{r.p},{moved.n_p},{a_p},{r.method}\n"] + rows[i + 1:]
-                if r.method == "brute" and a_p * a_p < 4 * r.p:
+                if a_p * a_p < 4 * r.p:
                     assert read(header, edited) == (60, records[:i] + [moved] + records[i + 1:])
                     served += 1
                 else:
@@ -507,63 +535,48 @@ def test_cache_single_line_edits_on_both_curve_kinds(tmp_path):
         for edit in rebuilt:
             with pytest.raises(CacheInvalidError):
                 read(*edit)
-        assert (served > 0) == (curve.b != 0)
+        assert served > 0
 
 
 def test_ap_table_cache_pmin_above_3_rebuilt(tmp_path, capsys):
-    # A header claiming the sweep began at 31 once served 7 of the 16 rows.
+    # A header claiming the sweep began at 31 once served 7 of the 14 rows.
     path = tmp_path / "late.cache"
-    args = ["ap-table", "--a", "-1", "--b", "0", "--limit", "60", "--workers", "1"]
+    args = ["ap-table", "--a", "3", "--b", "5", "--limit", "60", "--workers", "1"]
     _, cold = run(capsys, args)
     rows = [f"{r['p']},{r['n_p']},{r['a_p']},{r['method']}" for r in jsonl(cold) if r["p"] >= 31]
-    path.write_text("\n".join(["curvecount-cache v1 a=-1 b=0 pmin=31 pmax=60"] + rows) + "\n")
+    path.write_text("\n".join(["curvecount-cache v1 a=3 b=5 pmin=31 pmax=60"] + rows) + "\n")
     rc = cli.main(args + ["--cache", str(path)])
     out, err = capsys.readouterr()
-    assert rc == 0 and out == cold and len(jsonl(out)) == 16
-    header = "'curvecount-cache v1 a=-1 b=0 pmin=31 pmax=60\\n'"
-    assert rebuild_reason(err, path).startswith(f"{header} is not what write_cache writes")
-    assert path.read_text().startswith("curvecount-cache v1 a=-1 b=0 pmin=3 pmax=60\n")
-
-
-def test_ap_table_rebuilds_lemma3_cache(tmp_path, capsys):
-    # A cache written when the census closed form was the default path: its
-    # lemma3_minus records are not what trace_ap now uses at 5 and 13.
-    path = tmp_path / "old.cache"
-    rows = ["curvecount-cache v1 a=-1 b=0 pmin=3 pmax=13", "3,3,0,lemma1", "5,7,-2,lemma3_minus"]
-    rows += ["7,7,0,lemma1", "11,11,0,lemma1", "13,7,6,lemma3_minus"]
-    path.write_text("\n".join(rows) + "\n")
-    rc = cli.main(["ap-table", "--a", "-1", "--b", "0", "--limit", "17", "--cache", str(path), "--format", "csv"])
-    out, err = capsys.readouterr()
-    fresh = ["3,3,0,lemma1", "5,7,-2,gauss", "7,7,0,lemma1", "11,11,0,lemma1", "13,7,6,gauss", "17,15,2,gauss"]
-    assert rc == 0 and out.splitlines()[1:] == fresh
-    assert rebuild_reason(err, path) == "'5,7,-2,lemma3_minus\\n' is not what write_cache writes: '5,7,-2,gauss\\n'\n"
-    assert path.read_text().splitlines() == ["curvecount-cache v1 a=-1 b=0 pmin=3 pmax=17"] + fresh
+    assert rc == 0 and out == cold and len(jsonl(out)) == 14
+    # 31's a_p = -6 is read at 5, the first good prime, and breaks Hasse there.
+    assert rebuild_reason(err, path) == "'31,37,-6,brute' breaks the Hasse bound at p = 5\n"
+    assert path.read_text().startswith("curvecount-cache v1 a=3 b=5 pmin=3 pmax=60\n")
 
 
 def test_ap_table_rebuilds_cache_write_cache_would_not_write(tmp_path, capsys):
     path, fresh = tmp_path / "found.cache", tmp_path / "fresh.cache"
-    args = ["ap-table", "--a", "-1", "--b", "0", "--limit", "13"]
+    args = ["ap-table", "--a", "3", "--b", "5", "--limit", "13"]
     _, cold = run(capsys, args)
     path.write_bytes(FOUND_13.encode())
     rc = cli.main(args + ["--cache", str(path)])
     out, err = capsys.readouterr()
     assert rc == 0 and out == cold
-    found, canonical = "'curvecount-cache  v1 a=-1 b=+0 pmin=03 pmax=0013\\n'", "'curvecount-cache v1 a=-1 b=0 pmin=3 pmax=13\\n'"
+    found, canonical = "'curvecount-cache  v1 a=3 b=+5 pmin=03 pmax=0013\\n'", "'curvecount-cache v1 a=3 b=5 pmin=3 pmax=13\\n'"
     assert rebuild_reason(err, path) == f"{found} is not what write_cache writes: {canonical}\n"
-    cache.write_cache(str(fresh), Curve(-1, 0), 13, ap_table(Curve(-1, 0), 13))
+    cache.write_cache(str(fresh), Curve(3, 5), 13, ap_table(Curve(3, 5), 13))
     assert path.read_bytes() == fresh.read_bytes() == CANONICAL_13.encode()
 
 
 def test_ap_table_rebuilds_cache_that_is_not_utf8(tmp_path, capsys):
     path = tmp_path / "binary.cache"
-    args = ["ap-table", "--a", "-1", "--b", "0", "--limit", "60"]
+    args = ["ap-table", "--a", "3", "--b", "5", "--limit", "60"]
     _, cold = run(capsys, args)
     path.write_bytes(b"\xff\xfe\x00\x00" + bytes(range(256)))
     rc = cli.main(args + ["--cache", str(path)])
     out, err = capsys.readouterr()
     assert rc == 0 and out == cold
     assert rebuild_reason(err, path).startswith("not UTF-8 text")
-    assert cache.read_cache(str(path), Curve(-1, 0))[0] == 60
+    assert cache.read_cache(str(path), Curve(3, 5))[0] == 60
 
 
 def _no_sweep(*args):
@@ -576,7 +589,7 @@ def test_ap_table_unusable_cache_path_exits_2_before_any_sweep(tmp_path, capsys,
     # directory could not be written once the sweep was done.
     monkeypatch.setattr(sweep, "map_chunks", _no_sweep)
     path = os.path.join(str(tmp_path), name)
-    rc = cli.main(["ap-table", "--a", "-1", "--b", "0", "--limit", "60", "--cache", path])
+    rc = cli.main(["ap-table", "--a", "3", "--b", "5", "--limit", "60", "--cache", path])
     out, err = capsys.readouterr()
     assert rc == 2 and out == ""
     assert err.count("\n") == 1 and err.startswith(f"curvecount: error: cache {path}: ")
@@ -589,7 +602,7 @@ def test_ap_table_cache_write_failure_exits_2(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(cache, "write_cache", full_disk)
     path = str(tmp_path / "c.cache")
-    rc = cli.main(["ap-table", "--a", "-1", "--b", "0", "--limit", "60", "--cache", path])
+    rc = cli.main(["ap-table", "--a", "3", "--b", "5", "--limit", "60", "--cache", path])
     out, err = capsys.readouterr()
     assert rc == 2 and out == ""
     assert err == f"curvecount: error: cache {path}: No space left on device\n"
@@ -614,10 +627,10 @@ def test_ap_table_cross_validate(capsys):
 
 def test_ap_table_plus_one_leaves_cache_raw(tmp_path, capsys):
     path = str(tmp_path / "plus.cache")
-    rc, out = run(capsys, ["ap-table", "--a", "-1", "--b", "0", "--limit", "20", "--cache", path, "--plus-one"])
+    rc, out = run(capsys, ["ap-table", "--a", "3", "--b", "5", "--limit", "20", "--cache", path, "--plus-one"])
     assert rc == 0
     shown = {r["p"]: r["n_p"] for r in jsonl(out)}
-    _, records = cache.read_cache(path, Curve(-1, 0))
+    _, records = cache.read_cache(path, Curve(3, 5))
     assert {r.p: r.n_p for r in records} == {p: n - 1 for p, n in shown.items()}
 
 
@@ -632,10 +645,10 @@ def test_ap_table_plus_one_shifts_brute_np(capsys):
 
 def test_ap_table_empty_range(tmp_path, capsys):
     path = str(tmp_path / "empty.cache")
-    rc, out = run(capsys, ["ap-table", "--a", "-1", "--b", "0", "--limit", "2", "--cache", path])
+    rc, out = run(capsys, ["ap-table", "--a", "3", "--b", "5", "--limit", "2", "--cache", path])
     assert rc == 0
     assert out == ""
-    assert cache.read_cache(path, Curve(-1, 0)) == (2, [])
+    assert cache.read_cache(path, Curve(3, 5)) == (2, [])
 
 
 def test_ap_table_csv(capsys):
@@ -649,49 +662,61 @@ def test_ap_table_csv(capsys):
 
 def test_cache_env_var_resolves_relative_paths(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv(cache.ENV_CACHE_DIR, str(tmp_path))
-    rc, _ = run(capsys, ["ap-table", "--a", "-1", "--b", "0", "--limit", "30", "--cache", "rel.cache"])
+    rc, _ = run(capsys, ["ap-table", "--a", "3", "--b", "5", "--limit", "30", "--cache", "rel.cache"])
     assert rc == 0
     assert (tmp_path / "rel.cache").exists()
     assert not os.path.exists("rel.cache")
 
 
 def test_cache_thousand_records_byte_identical(tmp_path):
-    records = ap_table(Curve(-1, 0), 8000)
+    records = ap_table(Curve(3, 5), 8000)
     assert len(records) > 1000
     first, second = str(tmp_path / "a.cache"), str(tmp_path / "b.cache")
-    cache.write_cache(first, Curve(-1, 0), 8000, records)
-    _, reread = cache.read_cache(first, Curve(-1, 0))
-    cache.write_cache(second, Curve(-1, 0), 8000, reread)
+    cache.write_cache(first, Curve(3, 5), 8000, records)
+    _, reread = cache.read_cache(first, Curve(3, 5))
+    assert reread == records
+    cache.write_cache(second, Curve(3, 5), 8000, reread)
     assert open(first, "rb").read() == open(second, "rb").read()
 
 
 def test_cache_rejects_wrong_curve_and_garbage(tmp_path):
     path = str(tmp_path / "c.cache")
-    cache.write_cache(path, Curve(-1, 0), 50, ap_table(Curve(-1, 0), 50))
+    cache.write_cache(path, Curve(3, 5), 50, ap_table(Curve(3, 5), 50))
     with pytest.raises(CacheInvalidError):
-        cache.read_cache(path, Curve(1, 0))
+        cache.read_cache(path, Curve(3, 7))
     for bad in (
-        "curvecount-cache v2 a=-1 b=0 pmin=3 pmax=50\n",
-        "other-tool v1 a=-1 b=0 pmin=3 pmax=50\n",
-        "curvecount-cache v1 a=-1 b=0 pmin=3\n",
-        "curvecount-cache v1 a=x b=0 pmin=3 pmax=50\n",
+        "curvecount-cache v2 a=3 b=5 pmin=3 pmax=50\n",
+        "other-tool v1 a=3 b=5 pmin=3 pmax=50\n",
+        "curvecount-cache v1 a=3 b=5 pmin=3\n",
+        "curvecount-cache v1 a=x b=5 pmin=3 pmax=50\n",
         "",
         FOUND_13,
         CANONICAL_13.replace("cache v1", "cache  v1"),
-        CANONICAL_13.replace("b=0", "b=+0"),
+        CANONICAL_13.replace("b=5", "b=+5"),
         CANONICAL_13.replace("pmin=3", "pmin=03"),
         CANONICAL_13.replace("pmax=13", "pmax=0013"),
     ):
         open(path, "w").write(bad)
         with pytest.raises(CacheInvalidError):
-            cache.read_cache(path, Curve(-1, 0))
+            cache.read_cache(path, Curve(3, 5))
     with pytest.raises(FileNotFoundError):
-        cache.read_cache(str(tmp_path / "missing.cache"), Curve(-1, 0))
+        cache.read_cache(str(tmp_path / "missing.cache"), Curve(3, 5))
+
+
+def test_cache_refuses_a_b0_curve(tmp_path):
+    # A b = 0 curve's traces are closed forms, which ap-table never caches:
+    # asking read_cache for one is the caller's error, whatever the file.
+    path = tmp_path / "closed.cache"
+    cache.write_cache(str(path), Curve(-1, 0), 13, ap_table(Curve(-1, 0), 13))
+    for name in (path, tmp_path / "missing.cache"):
+        with pytest.raises(ValueError) as raised:
+            cache.read_cache(str(name), Curve(-1, 0))
+        assert not isinstance(raised.value, CacheInvalidError)
 
 
 def test_cache_write_failing_midway_keeps_previous_file(tmp_path, monkeypatch):
     path = tmp_path / "f.cache"
-    cache.write_cache(str(path), Curve(-1, 0), 50, ap_table(Curve(-1, 0), 50))
+    cache.write_cache(str(path), Curve(3, 5), 50, ap_table(Curve(3, 5), 50))
     before = path.read_bytes()
 
     class HalfWriter:
@@ -713,7 +738,7 @@ def test_cache_write_failing_midway_keeps_previous_file(tmp_path, monkeypatch):
     real_open = open
     monkeypatch.setattr(cache, "open", lambda *a, **k: HalfWriter(real_open(*a, **k)), raising=False)
     with pytest.raises(OSError):
-        cache.write_cache(str(path), Curve(-1, 0), 100, ap_table(Curve(-1, 0), 100))
+        cache.write_cache(str(path), Curve(3, 5), 100, ap_table(Curve(3, 5), 100))
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["f.cache"]
 
@@ -724,22 +749,9 @@ def test_cache_huge_pmax_rejected_without_sieving(tmp_path, monkeypatch):
 
     monkeypatch.setattr(point_count, "sieve_primes", no_big_sieve)
     path = tmp_path / "g.cache"
-    path.write_text(f"curvecount-cache v1 a=-1 b=0 pmin=3 pmax={10**12}\n3,3,0,lemma1\n")
+    path.write_text(f"curvecount-cache v1 a=3 b=5 pmin=3 pmax={10**12}\n5,9,-4,brute\n")
     with pytest.raises(CacheInvalidError):
-        cache.read_cache(str(path), Curve(-1, 0))
-
-
-def test_cache_of_blank_lines_stops_recomputing_at_the_first(tmp_path, monkeypatch):
-    # Rosser's count passes a file of enough blank lines, so the primes to
-    # pmax are sieved; the closed forms stop at the first line that does
-    # not begin with its prime, since the text already differs there.
-    traced = []
-    monkeypatch.setattr(cache, "_trace_ap", lambda curve, p: traced.append(p) or point_count._trace_ap(curve, p))
-    path = tmp_path / "blank.cache"
-    path.write_text("curvecount-cache v1 a=-1 b=0 pmin=3 pmax=1000\n" + "\n" * 200)
-    with pytest.raises(CacheInvalidError, match=r"^'\\n' is not what write_cache writes: '3,3,0,lemma1\\n'$"):
-        cache.read_cache(str(path), Curve(-1, 0))
-    assert traced == [3]
+        cache.read_cache(str(path), Curve(3, 5))
 
 
 def test_cache_pmax_past_large_discriminant_rebuilt_without_sieving(tmp_path, capsys, monkeypatch):
@@ -751,21 +763,21 @@ def test_cache_pmax_past_large_discriminant_rebuilt_without_sieving(tmp_path, ca
     for module in (point_count, residue_lemmas, modmath):
         monkeypatch.setattr(module, "sieve_primes", sieve_to_limit)
     path = tmp_path / "h.cache"
-    for a, pmax, record, reason in (
-        # |discriminant| of (1000, 0) is 6.4 * 10^10, far above pmax.
-        (1000, 10000000, "3,3,0,lemma1", "pmax=10000000"),
+    # |discriminant| of (1000, 1) is 6.4 * 10^10, far above pmax.
+    for pmax, record, reason in (
+        (10000000, "3,3,0,brute", "pmax=10000000"),
         # One record at a large prime: too few records to reach it.
-        (-1, 10000019, "10000019,10000019,0,lemma1", "<= 10000019"),
-        (-1, 30000023, "30000023,30000023,0,lemma1", "<= 30000023"),
+        (10000019, "10000019,10000019,0,brute", "<= 10000019"),
+        (30000023, "30000023,30000023,0,brute", "<= 30000023"),
     ):
-        path.write_text(f"curvecount-cache v1 a={a} b=0 pmin=3 pmax={pmax}\n{record}\n")
-        argv = ["ap-table", "--a", str(a), "--b", "0", "--limit", "3", "--cache", str(path), "--workers", "1"]
+        path.write_text(f"curvecount-cache v1 a=1000 b=1 pmin=3 pmax={pmax}\n{record}\n")
+        argv = ["ap-table", "--a", "1000", "--b", "1", "--limit", "3", "--cache", str(path), "--workers", "1"]
         rc = cli.main(argv)
         captured = capsys.readouterr()
         assert rc == 0
-        assert jsonl(captured.out) == [{"p": 3, "n_p": 3, "a_p": 0, "method": "lemma1"}]
+        assert jsonl(captured.out) == [{"p": 3, "n_p": 3, "a_p": 0, "method": "brute"}]
         assert reason in rebuild_reason(captured.err, path)
-        assert path.read_text() == f"curvecount-cache v1 a={a} b=0 pmin=3 pmax=3\n3,3,0,lemma1\n"
+        assert path.read_text() == "curvecount-cache v1 a=1000 b=1 pmin=3 pmax=3\n3,3,0,brute\n"
 
 
 def test_cache_accepts_exactly_what_write_cache_writes(tmp_path):
@@ -777,7 +789,7 @@ def test_cache_accepts_exactly_what_write_cache_writes(tmp_path):
         cache.write_cache(path, curve, pmax, records)
         return cache.read_cache(path, curve)
 
-    for curve in (Curve(-1, 0), Curve(1369, 0), Curve(3, 5), Curve(1000, 0)):
+    for curve in (Curve(3, 5), Curve(1000, 1)):
         for pmax in (0, 1, 2, 3, 16, 17, 60, 1000):
             records = ap_table(curve, pmax)
             assert read_back(curve, pmax, records) == (pmax, records)
@@ -796,25 +808,26 @@ def test_cache_accepts_exactly_what_write_cache_writes(tmp_path):
 
 def test_cache_rejects_bad_records(tmp_path):
     path = str(tmp_path / "d.cache")
-    header = "curvecount-cache v1 a=-1 b=0 pmin=3 pmax=50"
+    header = "curvecount-cache v1 a=3 b=5 pmin=3 pmax=50"
     for rows in (
-        ["7,7,0,lemma1", "5,7,-2,lemma3_minus"],  # out of order
-        ["5,7,-3,lemma3_minus"],  # a_p inconsistent
-        ["5,7,-2,telepathy"],  # unknown method
-        ["5,7,-2"],  # short row
-        ["997,997,0,lemma1"],  # outside header range
+        ["7,6,1,brute", "5,9,-4,brute"],  # out of order
+        ["5,9,-3,brute"],  # a_p inconsistent
+        ["5,9,-4,telepathy"],  # unknown method
+        ["5,9,-4"],  # short row
+        ["997,997,0,brute"],  # outside header range
+        [""] * 20,  # blank lines, read one at a time
     ):
         open(path, "w").write("\n".join([header] + rows) + "\n")
         with pytest.raises(CacheInvalidError):
-            cache.read_cache(path, Curve(-1, 0))
+            cache.read_cache(path, Curve(3, 5))
     # Right values in text write_cache does not write.
     for text in (
-        CANONICAL_13.replace("\n3,", "\n03,"),
-        CANONICAL_13.replace("7,7,0", "7,07,0"),
-        CANONICAL_13.replace("11,11,0,lemma1\n", "1_1,11,0,lemma1\n"),
-        CANONICAL_13.replace("11,11,0,lemma1\n", "11,11,0,lemma1\r\n"),
-        CANONICAL_13.replace(",6,gauss", ",+6,gauss"),
-        CANONICAL_13.replace("5,7,-2", "5, 7,-2"),
+        CANONICAL_13.replace("\n5,", "\n05,"),
+        CANONICAL_13.replace("7,6,1", "7,06,1"),
+        CANONICAL_13.replace("11,8,3,brute\n", "1_1,8,3,brute\n"),
+        CANONICAL_13.replace("11,8,3,brute\n", "11,8,3,brute\r\n"),
+        CANONICAL_13.replace(",5,brute", ",+5,brute"),
+        CANONICAL_13.replace("5,9,-4", "5, 9,-4"),
         CANONICAL_13 + "\n",
         CANONICAL_13.replace("\n", "\r\n"),
         CANONICAL_13[:-1],
@@ -822,27 +835,27 @@ def test_cache_rejects_bad_records(tmp_path):
         with open(path, "w", newline="") as handle:
             handle.write(text)
         with pytest.raises(CacheInvalidError):
-            cache.read_cache(path, Curve(-1, 0))
+            cache.read_cache(path, Curve(3, 5))
     with open(path, "w", newline="") as handle:
         handle.write(CANONICAL_13)
-    assert cache.read_cache(path, Curve(-1, 0)) == (13, ap_table(Curve(-1, 0), 13))
+    assert cache.read_cache(path, Curve(3, 5)) == (13, ap_table(Curve(3, 5), 13))
 
 
 def test_cache_rejects_gaps_and_hasse_breaks(tmp_path):
     path = tmp_path / "e.cache"
-    lines = ["curvecount-cache v1 a=-1 b=0 pmin=3 pmax=50"]
-    lines += [f"{r.p},{r.n_p},{r.a_p},{r.method}" for r in ap_table(Curve(-1, 0), 50)]
-    assert lines[3] == "7,7,0,lemma1"
+    lines = ["curvecount-cache v1 a=3 b=5 pmin=3 pmax=50"]
+    lines += [f"{r.p},{r.n_p},{r.a_p},{r.method}" for r in ap_table(Curve(3, 5), 50)]
+    assert lines[2] == "7,6,1,brute"
     for rows in (
-        lines[:3] + lines[4:],  # p = 7 dropped
+        lines[:2] + lines[3:],  # p = 7 dropped
         lines[:-1],  # p = 47 dropped from the end
-        lines[:3] + ["7,1,6,lemma1"] + lines[4:],  # a_7 = 6 >= 2 sqrt(7)
+        lines[:2] + ["7,1,6,brute"] + lines[3:],  # a_7 = 6 >= 2 sqrt(7)
     ):
         path.write_text("\n".join(rows) + "\n")
         with pytest.raises(CacheInvalidError):
-            cache.read_cache(str(path), Curve(-1, 0))
+            cache.read_cache(str(path), Curve(3, 5))
     path.write_text("\n".join(lines) + "\n")
-    assert len(cache.read_cache(str(path), Curve(-1, 0))[1]) == 14
+    assert len(cache.read_cache(str(path), Curve(3, 5))[1]) == 12
 
 
 def test_lemma_verify_example(capsys):
