@@ -8,8 +8,8 @@ followed by one `p,n_p,a_p,brute` record per good odd prime up to pmax,
 ascending, each line ending in "\\n".  Only a b != 0 curve, whose traces
 are all brute-force counts, has a cache.  One rule decides: a file is
 valid exactly when its text is what write_cache writes for the records
-ap-table would hold up to its pmax.  Only each line's a_p is read, so a
-tampered a_p that keeps the Hasse bound is served.  Anything else raises
+ap-table would hold up to its pmax.  Only each line's p and a_p are read,
+so a tampered a_p that keeps the Hasse bound is served.  Anything else raises
 CacheInvalidError, and callers recompute and overwrite: a bad file costs
 time, not results.
 """
@@ -73,27 +73,35 @@ def read_cache(path: str, curve: Curve) -> tuple[int, list[PointCountRecord]]:
             text = handle.read()
     except UnicodeDecodeError as exc:
         raise CacheInvalidError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
-    # Only pmax and each line's a_p are read; the rest must come out as the
-    # same text.  `line` is the header, then each record line, so an error
-    # quotes the line that failed.
-    line, *lines = text.split("\n")
+    # Only pmax and each line's p and a_p are read; the rest must come out as the
+    # same text.  `line` is the header, then each record line, so a parse error quotes it.
+    line, *lines = text.removesuffix("\n").split("\n")
     records = []
     try:
         pmax = int(line.rpartition("pmax=")[2])
-        # Rosser (1941): pi(x) > x/ln x for x >= 17, and 2 and at most
-        # bit_length(|disc|) other primes are bad, so a valid file's records and
-        # the "" after its last "\n" outnumber pmax/ln(pmax) - bit_length(|disc|).
-        if pmax >= 17 and (len(lines) + abs(delta).bit_length()) * math.log(pmax) < pmax:
-            raise CacheInvalidError(f"pmax={pmax}: {len(lines) - 1} records are too few to be every good odd prime <= {pmax}")
-        # The i-th line is the i-th good odd prime's record.
-        for p, line in zip(good_odd_primes(curve, pmax), lines):
-            _, _, a_p, _ = line.split(",")
-            a_p = int(a_p)
-            if a_p * a_p >= 4 * p:
-                raise CacheInvalidError(f"{line!r} breaks the Hasse bound at p = {p}")
+        header = _cache_text(curve, pmax, [])
+        if not text.startswith(header):
+            raise CacheInvalidError(f"{text[:len(line) + 1]!r} is not what write_cache writes: {header!r}")
+        for line in lines:
+            p, _, a_p, _ = line.split(",")
+            p, a_p = int(p), int(a_p)
             records.append(PointCountRecord(p, p - a_p, a_p, BRUTE))
     except ValueError:
         raise CacheInvalidError(f"{line!r} is not a cache line") from None
+    # Rosser (1941): pi(x) > x/ln x for x >= 17, and 2 and at most bit_length(|disc|)
+    # other primes are bad, so a valid file holds more than pmax/ln(pmax) - 1 -
+    # bit_length(|disc|) records.  Fewer are refused before the sieve to pmax.
+    if pmax >= 17 and (len(records) + 1 + abs(delta).bit_length()) * math.log(pmax) < pmax:
+        raise CacheInvalidError(f"pmax={pmax}: {len(records)} records are too few to be every good odd prime <= {pmax}")
+    for p, line, record in zip_longest(good_odd_primes(curve, pmax), lines, records):
+        if record is None:
+            raise CacheInvalidError(f"no record for p = {p}")
+        if p is None:
+            raise CacheInvalidError(f"{line!r} is past the last good odd prime <= {pmax}")
+        if record.p != p:
+            raise CacheInvalidError(f"{line!r} stands where p = {p}'s record belongs")
+        if record.a_p * record.a_p >= 4 * p:
+            raise CacheInvalidError(f"{line!r} breaks the Hasse bound at p = {p}")
     expected = _cache_text(curve, pmax, records)
     if text != expected:
         for got, want in zip_longest(text.splitlines(True), expected.splitlines(True), fillvalue=""):

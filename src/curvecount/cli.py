@@ -22,7 +22,7 @@ import sys
 from functools import partial
 
 from .errors import BadReductionError, CacheInvalidError, SingularCurveError
-from .modmath import require_odd_prime, sieve_primes
+from .modmath import require_odd_prime
 
 
 def _fraction_str(q) -> str:
@@ -80,13 +80,12 @@ BOUND_CEILING = 10**6
 # 10^5 would take about nine minutes and 10^6 about 14 hours.  A larger
 # bound is refused.
 COLLISION_BOUND_CEILING = 10**4
-# Lemmas 3 and 7 check every d <= --d-max at every prime of their sweep,
-# so their time grows linearly in it: `lemma-verify --lemma 3 --d-max
-# 10^5` took 0.47 s at --limit 5 (one prime) and 2.1 s at --limit 50,
-# and the sweep at --d-max 10^6 took 5.2 s in process at --limit 5 (one
-# run each, Python 3.11.7, --workers 1).  A check sees d only mod p, so
-# 10^5 already covers every class at every prime up to it; a larger
-# value is refused.
+# Lemmas 3 and 7 check the closed form for every d <= --d-max at every
+# prime, so their time grows linearly in it: at --d-max 10^5 --limit 2000
+# lemma 3 took 70-76 s (29.3 M checks) and lemma 7 26.0-35.0 s (7.8 M),
+# at --workers 1, Python 3.11.7, 2 vCPUs; extrapolated to both ceilings,
+# 38-41 min and 13-18 min.  A check sees d only mod p, so 10^5 already
+# covers every class at every prime up to it; a larger value is refused.
 D_MAX_CEILING = 10**5
 # A brute-force count at p holds two tables of p bytes, the root counts
 # and their pair table: `count --a 3 --b 5` peaked at 34 MB RSS and took
@@ -94,21 +93,13 @@ D_MAX_CEILING = 10**5
 # grows linearly, so a larger p is refused.
 BRUTE_P_CEILING = 10**7
 # A b != 0 curve has no closed form, so ap-table, lseries and ratio
-# brute-count it at every prime, and so does ap-table --cross-validate;
-# every lemma-verify sweep but lemma 5's does O(p) work at each prime too.
-# Such a sweep's time grows as limit^2 / ln(limit).  `ap-table --a 3 --b 5`
-# took 18.8 s at --limit 50000 and 69.5 s at 10^5, peaking at 19 MB RSS,
-# and the slowest lemma, `lemma-verify --lemma 3` (--d-max 20), took
-# 1057 s at 10^5 (one run each, --workers 1, Python 3.11.7, 2 vCPUs), so
-# 10^6 would take about an hour and a half and about a day.  A larger
-# --limit is refused for such a sweep.
+# brute-count it at every prime, as does ap-table --cross-validate, and
+# every lemma-verify sweep but lemma 5's does O(p) work at each prime.
+# Such a sweep's time grows as limit^2 / ln(limit): at --limit 10^5,
+# `ap-table --a 3 --b 5` took 69.5 s (19 MB peak RSS) and the slowest lemma,
+# 4, took 279 s (one run each, --workers 1, Python 3.11.7, 2 vCPUs), so
+# 10^6 would take about 1.6 and 6.5 hours.  A larger --limit is refused.
 BRUTE_LIMIT_CEILING = 10**5
-# Lemma 3 brute-counts min(2 d_max, (p-1)/2) classes of p elements at each
-# prime p = 1 (mod 4): `lemma-verify --lemma 3 --limit 2000 --d-max 10^5`
-# (8.8 * 10^7 elements) took 87 s and 94 s (two runs, --workers 1), and that
-# --d-max to 10^5 would take about 6.5 * 10^5 s.  A sweep is refused above
-# this sum, that of the default --d-max 20 at BRUTE_LIMIT_CEILING (1057 s).
-LEMMA3_WORK_CEILING = 9_083_260_192
 # Each worker past the first is a forked copy of the process holding its
 # own batches' tables, and a sweep forks as many as --workers allows once
 # the work it projects it has left passes sweep.BREAK_EVEN.  The fan-out
@@ -161,11 +152,6 @@ def _run_verify(args) -> int:
 
     if args.lemma != 5 and args.limit > BRUTE_LIMIT_CEILING:  # only lemma 5's check is not O(p)
         return _fail_brute_sweep(args.limit)
-    primes = sieve_primes(args.limit) if args.lemma == 3 else []
-    work = sum(min(2 * args.d_max, (p - 1) // 2) * p for p in primes if p % 4 == 1)
-    if work > LEMMA3_WORK_CEILING:
-        return _fail(f"lemma 3 at --limit {args.limit} --d-max {args.d_max} brute-counts {work:.3g} field elements, "
-                     f"above the ceiling of {LEMMA3_WORK_CEILING:.3g}; lower --d-max or --limit")
     checked, mismatches = verify_lemma(args.lemma, args.limit, args.d_max, args.samples, args.seed, args.workers)
     summary = {"lemma": args.lemma, "limit": args.limit, "checked": checked, "mismatches": len(mismatches)}
     _emit(mismatches + [summary], args.format)

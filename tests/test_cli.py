@@ -347,31 +347,6 @@ def test_lemma_sweep_refuses_a_limit_above_the_brute_ceiling(capsys, monkeypatch
     assert run(capsys, argv + ["--limit", "31"]) == (2, "")
 
 
-def test_lemma3_sweep_refuses_work_above_the_default_at_the_brute_ceiling(capsys, monkeypatch):
-    # Lemma 3 brute-counts min(2 d_max, (p-1)/2) classes of p elements at
-    # each prime p = 1 (mod 4); the ceiling is that sum at --d-max 20 to
-    # BRUTE_LIMIT_CEILING.
-    def work(limit, d_max):
-        return sum(min(2 * d_max, (p - 1) // 2) * p for p in primes_by_trial_division(limit) if p % 4 == 1)
-
-    assert cli.LEMMA3_WORK_CEILING == work(cli.BRUTE_LIMIT_CEILING, 20)
-    # 10 + 78 + 102 + 174 elements at 5, 13, 17 and 29.
-    monkeypatch.setattr(cli, "LEMMA3_WORK_CEILING", work(30, 3))
-    argv = ["lemma-verify", "--lemma", "3", "--workers", "1"]
-    for limit, d_max in (("30", "3"), ("36", "3"), ("30", "2")):
-        rc, out = run(capsys, argv + ["--limit", limit, "--d-max", d_max])
-        assert rc == 0 and jsonl(out)[-1]["mismatches"] == 0
-    # Other lemmas are not held to it.
-    assert run(capsys, ["lemma-verify", "--lemma", "7", "--limit", "37", "--d-max", "4", "--workers", "1"])[0] == 0
-    monkeypatch.setattr(residue_lemmas, "sieve_primes", _no_sweep)  # refused before the sweep sieves
-    for limit, d_max, elements in (("30", "4", "456"), ("37", "3", "586")):
-        rc = cli.main(argv + ["--limit", limit, "--d-max", d_max])
-        captured = capsys.readouterr()
-        assert rc == 2 and captured.out == ""
-        assert captured.err == (f"curvecount: error: lemma 3 at --limit {limit} --d-max {d_max} brute-counts "
-                                f"{elements} field elements, above the ceiling of 364; lower --d-max or --limit\n")
-
-
 def test_unknown_flag_and_subcommand_rejected(capsys):
     assert cli.main(["count", "--a", "-1", "--b", "0", "--p", "13", "--frobnicate"]) == 2
     assert cli.main(["no-such-command"]) == 2
@@ -474,9 +449,12 @@ def test_ap_table_rebuild_says_why(tmp_path, capsys):
         (text.replace("\n7,6,1,brute\n", "\n7,5,1,brute\n"),
          "'7,5,1,brute\\n' is not what write_cache writes: '7,6,1,brute\\n'\n"),
         (text.replace("\n7,6,1,brute\n", "\n7,1,6,brute\n"), "'7,1,6,brute' breaks the Hasse bound at p = 7\n"),
-        # With 7's line gone, each line is read at the prime before its
-        # own, and the "" after the last "\n" stands at p = 59.
-        (text.replace("\n7,6,1,brute\n", "\n"), "'' is not a cache line\n"),
+        # Each line's own p is read, so a dropped, doubled or moved line
+        # names the first prime out of place.
+        (text.replace("\n7,6,1,brute\n", "\n"), "'11,8,3,brute' stands where p = 7's record belongs\n"),
+        (text.replace("\n59,65,-6,brute\n", "\n"), "no record for p = 59\n"),
+        (text + "59,65,-6,brute\n", "'59,65,-6,brute' is past the last good odd prime <= 60\n"),
+        (text.replace("\n7,6,1,brute\n", "\n\n7,6,1,brute\n"), "'' is not a cache line\n"),
     ):
         path.write_text(edited)
         rc = cli.main(args + ["--cache", str(path)])
@@ -548,8 +526,9 @@ def test_ap_table_cache_pmin_above_3_rebuilt(tmp_path, capsys):
     rc = cli.main(args + ["--cache", str(path)])
     out, err = capsys.readouterr()
     assert rc == 0 and out == cold and len(jsonl(out)) == 14
-    # 31's a_p = -6 is read at 5, the first good prime, and breaks Hasse there.
-    assert rebuild_reason(err, path) == "'31,37,-6,brute' breaks the Hasse bound at p = 5\n"
+    # The header is checked before any record line is read.
+    assert rebuild_reason(err, path) == ("'curvecount-cache v1 a=3 b=5 pmin=31 pmax=60\\n' is not what write_cache "
+                                         "writes: 'curvecount-cache v1 a=3 b=5 pmin=3 pmax=60\\n'\n")
     assert path.read_text().startswith("curvecount-cache v1 a=3 b=5 pmin=3 pmax=60\n")
 
 
@@ -751,6 +730,11 @@ def test_cache_huge_pmax_rejected_without_sieving(tmp_path, monkeypatch):
     path = tmp_path / "g.cache"
     path.write_text(f"curvecount-cache v1 a=3 b=5 pmin=3 pmax={10**12}\n5,9,-4,brute\n")
     with pytest.raises(CacheInvalidError):
+        cache.read_cache(str(path), Curve(3, 5))
+    # Enough lines to pass the Rosser count at 10^7, but none of them a
+    # record: each line is parsed before the sieve.
+    path.write_text(f"curvecount-cache v1 a=3 b=5 pmin=3 pmax={10**7}\n" + "\n" * 620_430)
+    with pytest.raises(CacheInvalidError, match="^'' is not a cache line$"):
         cache.read_cache(str(path), Curve(3, 5))
 
 

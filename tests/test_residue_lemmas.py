@@ -1,16 +1,19 @@
 import typing
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from curvecount import residue_lemmas
 from curvecount.errors import HypothesisError
 from curvecount.modmath import QNR, QR, legendre_symbol, prime_profile, sieve_primes, sqrt_of_minus_one
+from curvecount.point_count import _brute_counts
 from curvecount.residue_lemmas import (
     MINUS,
     PLUS,
     TwistSpec,
     _chord_values,
+    _counts_by_class,
     _lemma5_hit,
     census,
     count_lemma2,
@@ -107,21 +110,52 @@ def test_chord_values_match_modular_inverse_definition():
         assert _chord_values(p) == bytes(flags), p
 
 
+def _fourth_power_class(a, p):
+    """{a u^4 mod p : u a unit}, by enumeration."""
+    return frozenset(a * u**4 % p for u in range(1, p))
+
+
+def _record_brute_counts(monkeypatch):
+    """The (p, a) of every curve the sweeps hand to the brute-force oracle."""
+    calls, real = [], residue_lemmas._brute_counts
+
+    def count(p, b, a_values):
+        a_values = list(a_values)
+        calls.extend((p, a) for a in a_values)
+        return real(p, b, a_values)
+
+    monkeypatch.setattr(residue_lemmas, "_brute_counts", count)
+    return calls
+
+
+def test_counts_by_class_counts_one_curve_per_class(monkeypatch):
+    # x = u^2 X, y = u^3 Y carries the curve of a to that of a u^-4, so the
+    # double loop gives every a its class representative's count.
+    calls = _record_brute_counts(monkeypatch)
+    for p in sieve_primes(80)[1:]:
+        counts = _counts_by_class(p, range(1, p))
+        representatives = [a for q, a in calls if q == p]
+        assert len(representatives) == gcd(4, p - 1)
+        oracle = {a: count_points_double_loop(a, 0, p) for a in range(1, p)}
+        for a, n_p in counts.items():
+            (representative,) = [r for r in representatives if r in _fourth_power_class(a, p)]
+            assert n_p == oracle[a] == oracle[representative], (p, a)
+    monkeypatch.undo()
+    for p in sieve_primes(400)[1:]:
+        units = range(1, p)
+        assert list(_counts_by_class(p, units).items()) == list(zip(units, _brute_counts(p, 0, units))), p
+
+
 def test_lemma3_sweep_counts_each_curve_mod_p_once(monkeypatch):
     # d_max past every prime, and a claim broken at every third d, so the
     # sweep's per-d records are compared with a per-d double-loop sweep.
-    real_np, real_count = residue_lemmas.np_lemma3, residue_lemmas._brute_counts
-    brute_calls = []
+    real_np = residue_lemmas.np_lemma3
+    brute_calls = _record_brute_counts(monkeypatch)
 
     def claim(spec, p):
         return real_np(spec, p) + (spec.d % 3 == 0)
 
-    def count(p, b, a_values):
-        brute_calls.extend((p, a) for a in a_values)
-        return real_count(p, b, a_values)
-
     monkeypatch.setattr(residue_lemmas, "np_lemma3", claim)
-    monkeypatch.setattr(residue_lemmas, "_brute_counts", count)
     primes = [p for p in sieve_primes(30) if p % 4 == 1]
     expected, checked = [], 0
     for p in primes:
@@ -137,8 +171,22 @@ def test_lemma3_sweep_counts_each_curve_mod_p_once(monkeypatch):
                     expected.append({"lemma": 3, "p": p, "d": d, "sign": sign, "claimed": claimed, "brute": brute})
     assert verify_lemma(3, 30, d_max=70) == (checked, expected)
     assert len(expected) > 0
-    # -1 is a square at every p = 1 (mod 4), so the curves mod p are the (p - 1)/2 squares a.
-    assert sorted(brute_calls) == sorted((p, a) for p in primes for a in {d * d % p for d in range(1, p)})
+    # One curve of each class of -+d^2 modulo fourth powers, at most 4 at each prime.
+    for p in primes:
+        met = {_fourth_power_class(sign * d * d, p) for d in range(1, 71) if d % p for sign in (-1, 1)}
+        counted = [_fourth_power_class(a, p) for q, a in brute_calls if q == p]
+        assert len(counted) == len(set(counted)) <= 4 and set(counted) == met, p
+
+
+def test_lemma1_sweep_counts_one_curve_per_class_mod_p(monkeypatch):
+    # --samples past every prime draws every unit a, so both classes
+    # modulo fourth powers (the squares and the rest, at p = 3 mod 4) are met.
+    brute_calls = _record_brute_counts(monkeypatch)
+    primes = [p for p in sieve_primes(60) if p % 4 == 3]
+    assert verify_lemma(1, 60, samples=60) == (sum(p - 1 for p in primes), [])
+    for p in primes:
+        counted = [_fourth_power_class(a, p) for q, a in brute_calls if q == p]
+        assert len(counted) == len(set(counted)) == 2, p
 
 
 def test_verify_lemma_sweeps_one_class_and_refuses_other_lemmas():
