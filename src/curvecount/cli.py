@@ -97,8 +97,8 @@ BRUTE_P_CEILING = 10**7
 # every lemma-verify sweep but lemma 5's does O(p) work at each prime.
 # Such a sweep's time grows as limit^2 / ln(limit): at --limit 10^5,
 # `ap-table --a 3 --b 5` took 69.5 s (19 MB peak RSS) and the slowest lemma,
-# 4, took 279 s (one run each, --workers 1, Python 3.11.7, 2 vCPUs), so
-# 10^6 would take about 1.6 and 6.5 hours.  A larger --limit is refused.
+# 4, took 125 s (20 MB; one run each, --workers 1, Python 3.11.7, 2 vCPUs),
+# so 10^6 would take about 1.6 and 2.9 hours.  A larger --limit is refused.
 BRUTE_LIMIT_CEILING = 10**5
 # Each worker past the first is a forked copy of the process holding its
 # own batches' tables, and a sweep forks as many as --workers allows once

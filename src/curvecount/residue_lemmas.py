@@ -15,8 +15,8 @@ The censuses read modmath.root_counts(p), the one per-prime table, as
 byte lanes of a big integer: with QR the integer whose byte t is 1 for
 t in QR_p and 0 elsewhere, and Q4 the same for the fourth powers, a
 shift by 8 bits moves every t by one, so the count of t in Q4 with
-t - 1 in QR_p is (Q4 & (QR << 8)).bit_count().  lemma4_check reads
-root_counts directly, and its chord values are a bytes flag table too.
+t - 1 in QR_p is (Q4 & (QR << 8)).bit_count().  Identity 4's two sides
+are one bytes table too, read by lemma4_check and by its sweep.
 
 Each identity proves its prime by first reading a per-prime lru table
 (root_counts, or the census built on it) and makes no Miller-Rabin call
@@ -147,20 +147,26 @@ def np_lemma3(spec: TwistSpec, p: int) -> int:
 
 
 @lru_cache(maxsize=8)
-def _chord_values(p: int) -> bytes:
-    """Flags of p bytes, 1 at each r + 1/r mod p over units r outside {1, -1, eps, -eps}.
+def _lemma4_sides(p: int) -> bytes:
+    """Identity 4 at each nonzero square t = y^2 mod p: its left side in bit 0 of byte t, its right in bit 1.
 
-    Unchecked: lemma4_check has proved p prime and p = 1 (mod 4).
+    One walk over r = 2 .. (p-1)/2 sets both: y = r meets every square but
+    1, whose left side is false, and r with -r gives each chord value r + 1/r
+    and its negative, with eps the one r to exclude.  Unchecked for p mod 4.
     """
-    eps = _sqrt_of_minus_one(p)
-    excluded = {1, p - 1, eps, p - eps}
-    flags = bytearray(p)
+    roots = root_counts(p)  # reading the table is the odd-prime check
+    half, eps = (p + 1) // 2, _sqrt_of_minus_one(p)
+    sides = bytearray(p)
     inverse = [0, 1]  # inverse[r] = 1/r mod p, from p = (p // r) r + p % r
-    for r in range(2, p - 1):
+    for r in range(2, half):
         inverse.append(-(p // r) * inverse[p % r] % p)
-        if r not in excluded:
-            flags[(r + inverse[r]) % p] = 1
-    return bytes(flags)
+        t = r * r % p
+        sides[t] |= roots[(t * t - 1) % p] == 2
+        if r != eps:
+            t = (r + inverse[r]) * half % p  # (r + 1/r)/2
+            sides[t] |= 2
+            sides[p - t] |= 2
+    return bytes(sides)
 
 
 def lemma4_check(p: int, y: int) -> tuple[bool, bool]:
@@ -171,15 +177,14 @@ def lemma4_check(p: int, y: int) -> tuple[bool, bool]:
     degenerate chords (r = +-1 forces y^4 = 1, r = +-eps forces y = 0).
     The contract is lhs = rhs at every y; tests sweep it exhaustively.
     """
-    roots = root_counts(p)  # reading the table is the odd-prime check
+    root_counts(p)  # reading the table is the odd-prime check
     if p % 4 != 1:
         raise HypothesisError(f"lemma4_check needs p = 1 (mod 4), got {p}")
     y %= p
     if y == 0:
         raise ValueError("y must be a unit mod p")
-    lhs = roots[(pow(y, 4, p) - 1) % p] == 2
-    rhs = _chord_values(p)[2 * y * y % p] == 1
-    return lhs, rhs
+    sides = _lemma4_sides(p)[y * y % p]
+    return bool(sides & 1), bool(sides & 2)
 
 
 def lemma5_hit(p: int) -> bool:
@@ -233,9 +238,7 @@ def lemma7_check(d: int, p: int) -> tuple[int, int, int]:
     minus = TwistSpec(d, MINUS)  # raises ValueError unless d >= 1
     if p % 8 != 5:
         raise HypothesisError(f"lemma7_check needs p = 5 (mod 8), got {p}")
-    if d % p == 0:
-        raise HypothesisError(f"lemma7_check needs d nonzero mod p, got d = {d}, p = {p}")
-    ap_minus = p - np_lemma3(minus, p)  # np_lemma3's census read is the odd-prime check
+    ap_minus = p - np_lemma3(minus, p)  # np_lemma3 checks the prime, then d nonzero mod p
     ap_plus = p - np_lemma3(TwistSpec(d, PLUS), p)
     return ap_minus, ap_plus, ap_minus + ap_plus
 
@@ -305,12 +308,8 @@ def _verify3(p: int, d_max: int, samples: int, seed: int):
 
 
 def _verify4(p: int, d_max: int, samples: int, seed: int):
-    bad = []
-    for y in range(1, p):
-        lhs, rhs = lemma4_check(p, y)
-        if lhs != rhs:
-            bad.append({"y": y, "lhs": lhs, "rhs": rhs})
-    return p - 1, bad
+    sides = _lemma4_sides(p)  # a byte of 1 or 2 is a square where the two sides differ
+    return p - 1, [{"y": y, "lhs": s == 1, "rhs": s == 2} for y in range(1, p) if (s := sides[y * y % p]) in (1, 2)]
 
 
 def _verify5(p: int, d_max: int, samples: int, seed: int):

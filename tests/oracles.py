@@ -48,6 +48,26 @@ def census_by_enumeration(p):
     )
 
 
+def lemma4_sides_by_definition(p):
+    """Both sides of identity 4 at p = 1 (mod 4), as p bytes laid out like the library's table.
+
+    At each nonzero square t, bit 0 is the left side: t^2 - 1 is a nonzero
+    residue, by Euler's criterion.  At every t, bit 1 is the right side:
+    2t = r + 1/r mod p for a unit r outside {+-1, +-eps}, with 1/r from
+    pow(r, -1, p) and eps found by trying every unit.
+    """
+    eps = next(e for e in range(2, p) if e * e % p == p - 1)
+    chords = {(r + pow(r, -1, p)) % p for r in range(1, p) if r not in (1, p - 1, eps, p - eps)}
+    sides = bytearray(p)
+    for t in range(p):
+        sides[t] = 2 * (2 * t % p in chords)
+    for y in range(1, p):
+        t = y * y % p
+        left = (t * t - 1) % p
+        sides[t] |= left != 0 and pow(left, (p - 1) // 2, p) == 1
+    return bytes(sides)
+
+
 def legendre_by_enumeration(a, p):
     """Legendre symbol from the full square table, no Euler criterion."""
     a %= p

@@ -243,7 +243,7 @@ def test_sweeps_run_no_miller_rabin(monkeypatch):
 
 
 def _clear_prime_tables():
-    for table in (modmath.root_counts, residue_lemmas._quartic_census, residue_lemmas._chord_values):
+    for table in (modmath.root_counts, residue_lemmas._quartic_census, residue_lemmas._lemma4_sides):
         table.cache_clear()
 
 

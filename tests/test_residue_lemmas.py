@@ -12,8 +12,8 @@ from curvecount.residue_lemmas import (
     MINUS,
     PLUS,
     TwistSpec,
-    _chord_values,
     _counts_by_class,
+    _lemma4_sides,
     _lemma5_hit,
     census,
     count_lemma2,
@@ -24,7 +24,7 @@ from curvecount.residue_lemmas import (
     lemma8_fraction,
     verify_lemma,
 )
-from oracles import census_by_enumeration, count_points_double_loop
+from oracles import census_by_enumeration, count_points_double_loop, lemma4_sides_by_definition
 
 
 def test_count_lemma2_examples():
@@ -98,16 +98,34 @@ def test_lemma4_equivalence_small_sweep():
             assert lhs == rhs, (p, y)
 
 
-def test_chord_values_match_modular_inverse_definition():
+def test_lemma4_sides_match_definitions():
+    # Every byte: the left side at each nonzero square t, and at every t the
+    # right side from pow(r, -1, p) over units r outside {+-1, +-eps}.
     for p in sieve_primes(2000):
-        if p % 4 != 1:
-            continue
-        eps = sqrt_of_minus_one(p)
-        flags = bytearray(p)
-        for r in range(2, p - 1):
-            if r not in (eps, p - eps):
-                flags[(r + pow(r, -1, p)) % p] = 1
-        assert _chord_values(p) == bytes(flags), p
+        if p % 4 == 1:
+            assert _lemma4_sides(p) == lemma4_sides_by_definition(p), p
+
+
+@pytest.mark.parametrize("p, y0", [(13, 2), (101, 3), (1013, 10)])
+def test_lemma4_sweep_reports_every_unit_on_a_flipped_root_entry(monkeypatch, p, y0):
+    entry = (pow(y0, 4, p) - 1) % p
+    real = residue_lemmas.root_counts
+
+    def flipped(q):
+        table = real(q)
+        return table[:entry] + bytes([2 - table[entry]]) + table[entry + 1 :] if q == p else table
+
+    monkeypatch.setattr(residue_lemmas, "root_counts", flipped)
+    _lemma4_sides.cache_clear()
+    try:
+        _, mismatches = verify_lemma(4, p + 10)
+    finally:
+        _lemma4_sides.cache_clear()
+    units = [y for y in range(1, p) if (pow(y, 4, p) - 1) % p == entry]
+    assert len(units) == 4  # y^4 = y0^4 has four roots: one per square class is not enough
+    oracle = {y: lemma4_sides_by_definition(p)[y * y % p] for y in units}
+    # The flip negates each unit's left side and leaves its right side.
+    assert mismatches == [{"lemma": 4, "p": p, "y": y, "lhs": oracle[y] & 1 == 0, "rhs": oracle[y] > 1} for y in units]
 
 
 def _fourth_power_class(a, p):
