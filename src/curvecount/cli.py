@@ -5,7 +5,8 @@ Lines (default) or CSV.  Exit codes: 0 success, 1 a sweep found a
 claim/oracle mismatch (the finding is the output, not a crash), 2 bad
 usage: each argument's range is checked once, by its argparse type, and
 rules needing the curve or two arguments exit 2 before any work too, as
-does a --cache path that cannot be read or created.
+does a --cache path that cannot be read or created; 141 (128 + SIGPIPE)
+when stdout's reader closed it early, with nothing on stderr.
 """
 
 # A call imports only what its subcommand runs: the module level holds
@@ -82,9 +83,9 @@ BOUND_CEILING = 10**6
 COLLISION_BOUND_CEILING = 10**4
 # Lemmas 3 and 7 check the closed form for every d <= --d-max at every
 # prime, so their time grows linearly in it: at --d-max 10^5 --limit 2000
-# lemma 3 took 70-76 s (29.3 M checks) and lemma 7 26.0-35.0 s (7.8 M),
+# lemma 3 took 85-89 s (29.3 M checks) and lemma 7 35-38 s (7.8 M),
 # at --workers 1, Python 3.11.7, 2 vCPUs; extrapolated to both ceilings,
-# 38-41 min and 13-18 min.  A check sees d only mod p, so 10^5 already
+# 46-48 min and 18-19 min.  A check sees d only mod p, so 10^5 already
 # covers every class at every prime up to it; a larger value is refused.
 D_MAX_CEILING = 10**5
 # A brute-force count at p holds two tables of p bytes, the root counts
@@ -418,7 +419,13 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    raise SystemExit(main())
+    try:
+        status = main()
+        sys.stdout.flush()  # so a closed stdout shows here, not in the flush at exit
+    except BrokenPipeError:  # the reader has gone: end quietly, as SIGPIPE would (128 + 13)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # the flush at exit writes nowhere
+        status = 141
+    raise SystemExit(status)
 
 
 if __name__ == "__main__":

@@ -8,8 +8,8 @@ direct evaluation or point_count._brute_counts, the brute-force oracle,
 which builds its own tables and shares none with the claims.
 
 A census counts *distinct* square (or fourth-power) values t in Z_p^*,
-not the y producing them; shifted values that land on 0 are excluded,
-since 0 is neither a residue nor a nonresidue.
+not the y producing them, at p = 1 (mod 4) only; shifted values that
+land on 0 are excluded, since 0 is neither a residue nor a nonresidue.
 
 The censuses read modmath.root_counts(p), the one per-prime table, as
 byte lanes of a big integer: with QR the integer whose byte t is 1 for
@@ -19,9 +19,10 @@ t - 1 in QR_p is (Q4 & (QR << 8)).bit_count().  Identity 4's two sides
 are one bytes table too, read by lemma4_check and by its sweep.
 
 Each identity proves its prime by first reading a per-prime lru table
-(root_counts, or the census built on it) and makes no Miller-Rabin call
-of its own.  A table is only stored once its prime has passed, so a
-sweep proves each prime once.  The oracle trusts the sweep's sieve.
+(root_counts, or the census or identity 4's table built on it, which
+also refuse p = 3 (mod 4)) and makes no Miller-Rabin call of its own.
+A table is only stored once its prime has passed, so a sweep proves each
+prime once.  The oracle trusts the sweep's sieve.
 """
 
 from __future__ import annotations
@@ -98,11 +99,14 @@ def count_lemma2(p: int) -> int:
 def _quartic_census(p: int) -> tuple[int, int]:
     """(n1, n2): distinct fourth powers t with t - 1 resp. t + 1 in QR_p.
 
-    Raises ValueError, through root_counts, unless p is an odd prime.
+    ValueError (from root_counts) unless p is an odd prime, then HypothesisError
+    unless p = 1 (mod 4), where the t <= (p-1)/2 in QR_p square onto Q4 once each.
     """
-    qr_flags = root_counts(p).translate(_QR_LANE)
+    qr_flags = root_counts(p).translate(_QR_LANE)  # reading the table is the odd-prime check
+    if p % 4 != 1:
+        raise HypothesisError(f"the quartic census needs p = 1 (mod 4), got {p}")
     q4_flags = bytearray(p)
-    for t in compress(range(p), qr_flags):
+    for t in compress(range((p + 1) // 2), qr_flags):
         q4_flags[t * t % p] = 1
     qr = int.from_bytes(qr_flags, "little")
     q4 = int.from_bytes(q4_flags, "little")
@@ -112,9 +116,10 @@ def _quartic_census(p: int) -> tuple[int, int]:
 def count_quartic(p: int, shift: int) -> int:
     """Count distinct t = y^4 in Z_p^* with t + shift a nonzero residue.
 
-    shift = -1 gives the census written n1 throughout, shift = +1 gives n2.
+    shift = -1 gives the census written n1 throughout, shift = +1 gives n2;
+    both at p = 1 (mod 4) only, as census raises HypothesisError elsewhere.
     """
-    n1, n2 = _quartic_census(p)  # reading the census is the odd-prime check
+    n1, n2 = _quartic_census(p)  # reading the census checks the prime and its class
     if shift not in (-1, 1):
         raise ValueError(f"shift must be -1 or +1, got {shift}")
     return n1 if shift == -1 else n2
@@ -137,9 +142,7 @@ def np_lemma3(spec: TwistSpec, p: int) -> int:
     d's, so the plus count there IS the minus count.  (At p = 5 (mod 8)
     the two routes agree exactly because n1 + n2 = (p-5)/4.)
     """
-    n1, n2 = _quartic_census(p)  # reading the census is the odd-prime check
-    if p % 4 != 1:
-        raise HypothesisError(f"np_lemma3 needs p = 1 (mod 4), got {p}")
+    n1, n2 = _quartic_census(p)  # reading the census checks the prime and its class
     if spec.d % p == 0:
         raise HypothesisError(f"np_lemma3 needs d nonzero mod p, got d = {spec.d}, p = {p}")
     n_used, shift = (n1, 7) if spec.sign == MINUS or p % 8 == 1 else (n2, 3)
@@ -152,9 +155,12 @@ def _lemma4_sides(p: int) -> bytes:
 
     One walk over r = 2 .. (p-1)/2 sets both: y = r meets every square but
     1, whose left side is false, and r with -r gives each chord value r + 1/r
-    and its negative, with eps the one r to exclude.  Unchecked for p mod 4.
+    and its negative, with eps the one r to exclude.  ValueError (from
+    root_counts) unless p is an odd prime, then HypothesisError unless p = 1 (mod 4).
     """
     roots = root_counts(p)  # reading the table is the odd-prime check
+    if p % 4 != 1:
+        raise HypothesisError(f"identity 4 needs p = 1 (mod 4), got {p}")
     half, eps = (p + 1) // 2, _sqrt_of_minus_one(p)
     sides = bytearray(p)
     inverse = [0, 1]  # inverse[r] = 1/r mod p, from p = (p // r) r + p % r
@@ -177,13 +183,10 @@ def lemma4_check(p: int, y: int) -> tuple[bool, bool]:
     degenerate chords (r = +-1 forces y^4 = 1, r = +-eps forces y = 0).
     The contract is lhs = rhs at every y; tests sweep it exhaustively.
     """
-    root_counts(p)  # reading the table is the odd-prime check
-    if p % 4 != 1:
-        raise HypothesisError(f"lemma4_check needs p = 1 (mod 4), got {p}")
-    y %= p
-    if y == 0:
+    table = _lemma4_sides(p)  # reading the table checks the prime and its class
+    if y % p == 0:
         raise ValueError("y must be a unit mod p")
-    sides = _lemma4_sides(p)[y * y % p]
+    sides = table[y * y % p]
     return bool(sides & 1), bool(sides & 2)
 
 
@@ -223,7 +226,7 @@ def lemma6_check(p: int) -> tuple[int, int, bool]:
     The identity is specific to -1 in QR_p with eps in QNR_p; at
     p = 1 (mod 8) it genuinely fails (p = 17 gives 1 + 1 = 2, not 3).
     """
-    n1, n2 = _quartic_census(p)  # reading the census is the odd-prime check
+    n1, n2 = _quartic_census(p)  # reading the census checks the prime and p = 1 (mod 4)
     if p % 8 != 5:
         raise HypothesisError(f"lemma6_check needs p = 5 (mod 8), got {p}")
     return n1, n2, n1 + n2 == (p - 5) // 4
@@ -256,14 +259,9 @@ def lemma8_fraction(limit: int) -> tuple[int, int, __import__("fractions").Fract
         raise ValueError(f"limit must be >= 3, got {limit}")
     from fractions import Fraction  # kept off the import path of the sweeps
 
-    ones = threes = 0
-    for p in sieve_primes(limit):
-        if p == 2:
-            continue
-        if p % 4 == 1:
-            ones += 1
-        else:
-            threes += 1
+    primes = sieve_primes(limit)
+    ones = sum(p % 4 == 1 for p in primes)
+    threes = len(primes) - 1 - ones  # every prime but 2 and the ones
     return ones, threes, Fraction(ones, ones + threes)
 
 
@@ -322,15 +320,10 @@ def _verify6(p: int, d_max: int, samples: int, seed: int):
 
 
 def _verify7(p: int, d_max: int, samples: int, seed: int):
-    checked, bad = 0, []
-    for d in range(1, d_max + 1):
-        if d % p == 0:
-            continue
-        ap_minus, ap_plus, total = lemma7_check(d, p)
-        checked += 1
-        if total != 0:
-            bad.append({"d": d, "ap_minus": ap_minus, "ap_plus": ap_plus, "sum": total})
-    return checked, bad
+    checks = ((d, lemma7_check(d, p)) for d in range(1, d_max + 1) if d % p)
+    bad = [{"d": d, "ap_minus": ap_minus, "ap_plus": ap_plus, "sum": total}
+           for d, (ap_minus, ap_plus, total) in checks if total]
+    return d_max - d_max // p, bad
 
 
 # lemma -> ((modulus, residue) selecting the odd primes it covers, check).

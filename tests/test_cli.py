@@ -1,5 +1,6 @@
 import json
 import os
+import signal
 import subprocess
 import sys
 from fractions import Fraction
@@ -71,6 +72,27 @@ def test_module_entry_point():
     done = entry("profile", "15")
     assert done.returncode == 2 and done.stdout == ""
     assert "expected an odd prime" in done.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["profile", "13"],
+    ["ap-table", "--a", "-1", "--b", "0", "--limit", "100"],
+    ["lseries", "--a", "-1", "--b", "0", "--s", "1", "--limit", "100", "--format", "csv"],
+], ids=["profile", "ap-table", "lseries-csv"])
+def test_closed_stdout_ends_quietly(argv):
+    # A reader that has gone (`curvecount ... | head -0`) ends the run as
+    # SIGPIPE ends a filter, 128 + 13, not as a mismatch, with no traceback.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "curvecount.cli", *argv], env=env, stdout=write_end,
+                              stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert done.returncode in (141, -signal.SIGPIPE)
+    assert done.stderr == ""
 
 
 def _modules_loaded_after(code, names):

@@ -22,6 +22,7 @@ from curvecount.residue_lemmas import (
     lemma5_scan,
     lemma6_check,
     lemma8_fraction,
+    np_lemma3,
     verify_lemma,
 )
 from oracles import census_by_enumeration, count_points_double_loop, lemma4_sides_by_definition
@@ -61,11 +62,44 @@ def test_count_quartic_rejects_other_shifts():
 
 
 def test_count_quartic_against_enumeration():
+    # The censuses are defined at p = 1 (mod 4) only, and refused elsewhere.
     for p in sieve_primes(2000):
         if p == 2:
             continue
+        if p % 4 == 3:
+            with pytest.raises(HypothesisError):
+                count_quartic(p, -1)
+            continue
         _, n1, n2 = census_by_enumeration(p)
         assert (count_quartic(p, -1), count_quartic(p, 1)) == (n1, n2), p
+
+
+# Each reads a per-prime table that proves the prime, then its class.
+CLASS_CHECKED = (
+    lambda p: count_quartic(p, 1),
+    census,
+    lambda p: np_lemma3(TwistSpec(1, MINUS), p),
+    lambda p: lemma4_check(p, 2),
+    lemma6_check,
+)
+
+
+@pytest.mark.parametrize("identity", CLASS_CHECKED, ids=["count_quartic", "census", "np_lemma3", "lemma4_check", "lemma6_check"])
+@pytest.mark.parametrize("warm", [False, True])
+def test_class_is_checked_once_the_prime_is(identity, warm):
+    tables = (residue_lemmas._quartic_census, _lemma4_sides)
+    for table in tables:
+        table.cache_clear()
+    if warm:
+        identity(13)
+    sizes = [table.cache_info().currsize for table in tables]
+    for composite in (35, 55):  # 3 (mod 4): the prime is refused before the class
+        with pytest.raises(ValueError, match="expected an odd prime"):
+            identity(composite)
+    for prime in (7, 43):
+        with pytest.raises(HypothesisError):
+            identity(prime)
+    assert [table.cache_info().currsize for table in tables] == sizes  # a refused prime is not stored
 
 
 def test_census_bundle():
