@@ -12,6 +12,10 @@ when stdout's reader closed it early, with nothing on stderr.
 # A call imports only what its subcommand runs: the module level holds
 # what the parser and every handler need, and each handler imports the
 # library functions it calls (the module docstring is the --help text).
+# Each handler returns its rows and exit status and writes nothing to
+# stdout: main is its one writer, through one _emit call.  The rows of
+# ap-table and ratio are generators over finished results, so a jsonl
+# run holds one row at a time.
 
 from __future__ import annotations
 
@@ -34,10 +38,11 @@ def _fraction_str(q) -> str:
     return f"{Decimal(q.numerator)}/{Decimal(q.denominator)}"
 
 
-def _emit(records: list[dict], fmt: str) -> None:
+def _emit(records, fmt: str) -> None:
     if fmt == "csv":
         import csv
 
+        records = list(records)  # the header is the union of every row's keys
         fieldnames = list(dict.fromkeys(key for record in records for key in record))
         if not fieldnames:
             return
@@ -58,20 +63,21 @@ def _csv_cell(value):
     return value
 
 
-def _fail(message: str) -> int:
+def _fail(message: str) -> tuple[list, int]:
     print(f"curvecount: error: {message}", file=sys.stderr)
-    return 2
+    return [], 2
 
 
-def _fail_brute_sweep(limit: int) -> int:
+def _fail_brute_sweep(limit: int) -> tuple[list, int]:
     return _fail(f"a sweep that brute-counts every prime needs --limit <= {BRUTE_LIMIT_CEILING}, got {limit}")
 
 
 # A sieve to --limit allocates about limit bytes plus the prime list, and
-# ap-table holds every record and row too: `ap-table --a -1 --b 0` peaked
-# at 46 MB RSS at limit 10^6 and 285 MB at 10^7 (one run each), about
-# 0.4 KB a prime, so about 2.4 GB at 10^8.  find-points and lemma11 mark
-# 2 bound + 1 bytes.  Larger values are refused before anything is computed.
+# ap-table holds every record; csv also holds every row, for its header.
+# `ap-table --a -1 --b 0` peaked at 29 MB RSS at limit 10^6 and 137 MB at
+# 10^7 in jsonl (about 0.2 KB a prime, so 1.2 GB at 10^8), and 46 and 280
+# MB in csv (0.4 KB a prime, 2.4 GB at 10^8).  find-points and lemma11
+# mark 2 bound + 1 bytes.  Larger values are refused before any work.
 LIMIT_CEILING = 10**8
 BOUND_CEILING = 10**6
 # A collision search checks the tenth or so of the pairs e < m <= --bound
@@ -148,18 +154,17 @@ def _positive_float(text: str) -> float:
 # ------------------------------------------------------------------- handlers
 
 
-def _run_verify(args) -> int:
+def _run_verify(args) -> tuple:
     from .residue_lemmas import verify_lemma
 
     if args.lemma != 5 and args.limit > BRUTE_LIMIT_CEILING:  # only lemma 5's check is not O(p)
         return _fail_brute_sweep(args.limit)
     checked, mismatches = verify_lemma(args.lemma, args.limit, args.d_max, args.samples, args.seed, args.workers)
     summary = {"lemma": args.lemma, "limit": args.limit, "checked": checked, "mismatches": len(mismatches)}
-    _emit(mismatches + [summary], args.format)
-    return 1 if mismatches else 0
+    return mismatches + [summary], 1 if mismatches else 0
 
 
-def _run_profile(args) -> int:
+def _run_profile(args) -> tuple:
     from .modmath import prime_profile
 
     prof = prime_profile(args.p)
@@ -170,22 +175,20 @@ def _run_profile(args) -> int:
         "epsilon": prof.epsilon,
         "epsilon_class": prof.class_epsilon,
     }
-    _emit([record], args.format)
-    return 0
+    return [record], 0
 
 
-def _run_count(args) -> int:
+def _run_count(args) -> tuple:
     from .point_count import BRUTE, Curve, trace_ap
 
     if (args.b or args.method == BRUTE) and args.p > BRUTE_P_CEILING:
         return _fail(f"a brute-force count needs p <= {BRUTE_P_CEILING}, got {args.p}")
     record = trace_ap(Curve(args.a, args.b), args.p, method=args.method)
     shown = record.n_p + 1 if args.plus_one else record.n_p
-    _emit([{"p": record.p, "n_p": shown, "a_p": record.a_p}], args.format)
-    return 0
+    return [{"p": record.p, "n_p": shown, "a_p": record.a_p}], 0
 
 
-def _run_ap_table(args) -> int:
+def _run_ap_table(args) -> tuple:
     from .cache import read_cache, resolve_cache_path, write_cache
     from .point_count import Curve, good_odd_primes, records_for_primes
     from .sweep import map_chunks
@@ -218,17 +221,14 @@ def _run_ap_table(args) -> int:
         except OSError as exc:
             return _fail(f"cache {cache_path}: {exc.strerror or exc}")
     shift = 1 if args.plus_one else 0
-    rows = []
-    for r in records:
-        row = {"p": r.p, "n_p": r.n_p + shift, "a_p": r.a_p, "method": r.method}
-        if args.cross_validate:
-            row["brute_np"] = None if r.brute_np is None else r.brute_np + shift
-        rows.append(row)
-    _emit(rows, args.format)
-    return 1 if any(r.mismatch for r in records) else 0
+    rows = ({"p": r.p, "n_p": r.n_p + shift, "a_p": r.a_p, "method": r.method} for r in records)
+    if args.cross_validate:
+        rows = ({**row, "brute_np": None if r.brute_np is None else r.brute_np + shift}
+                for row, r in zip(rows, records))
+    return rows, 1 if any(r.mismatch for r in records) else 0
 
 
-def _run_lseries(args) -> int:
+def _run_lseries(args) -> tuple:
     from .lseries import partial_L, partial_L_exact
     from .point_count import Curve
 
@@ -248,35 +248,30 @@ def _run_lseries(args) -> int:
         ev = ev._replace(value=_fraction_str(ev.value))
     else:
         ev = partial_L(curve, args.s, args.limit)
-    _emit([{"a": args.a, "b": args.b, **ev._asdict()}], args.format)
-    return 0
+    return [{"a": args.a, "b": args.b, **ev._asdict()}], 0
 
 
-def _run_ratio(args) -> int:
+def _run_ratio(args) -> tuple:
+    from itertools import chain
+
     from .lseries import ratio_partial
     from .point_count import Curve
 
     if (args.b1 or args.b2) and args.limit > BRUTE_LIMIT_CEILING:
         return _fail_brute_sweep(args.limit)
     ev = ratio_partial(Curve(args.a1, args.b1), Curve(args.a2, args.b2), args.s, args.limit)
-    rows = [{"p": p, "factor": factor} for p, factor in zip(ev.primes, ev.factors)]
-    rows.append({"s": ev.s, "prime_bound": ev.prime_bound, "ratio": ev.ratio})
-    _emit(rows, args.format)
-    return 0
+    rows = ({"p": p, "factor": factor} for p, factor in zip(ev.primes, ev.factors))
+    return chain(rows, [{"s": ev.s, "prime_bound": ev.prime_bound, "ratio": ev.ratio}]), 0
 
 
-def _run_find_points(args) -> int:
+def _run_find_points(args) -> tuple:
     from .rational_points import find_points_for_d
 
     points = find_points_for_d(args.d, args.bound)
-    _emit(
-        [{"d": args.d, "x": _fraction_str(p.x), "y": _fraction_str(p.y)} for p in points],
-        args.format,
-    )
-    return 0
+    return [{"d": args.d, "x": _fraction_str(p.x), "y": _fraction_str(p.y)} for p in points], 0
 
 
-def _run_lemma11(args) -> int:
+def _run_lemma11(args) -> tuple:
     from .rational_points import lemma11_applicable, lemma11_exhaustive
 
     try:
@@ -294,27 +289,21 @@ def _run_lemma11(args) -> int:
             "violation": applicable and bool(hits),
         }
     )
-    _emit(rows, args.format)
-    return 1 if applicable and hits else 0
+    return rows, 1 if applicable and hits else 0
 
 
-def _run_collisions(args) -> int:
+def _run_collisions(args) -> tuple:
     from .collisions import collision_search
 
     groups = collision_search(args.bound, workers=args.workers, coprime_only=not args.allow_non_coprime)
-    _emit([g._asdict() for g in groups], args.format)
-    return 0
+    return [g._asdict() for g in groups], 0
 
 
-def _run_lemma8(args) -> int:
+def _run_lemma8(args) -> tuple:
     from .residue_lemmas import lemma8_fraction
 
     ones, threes, fraction = lemma8_fraction(args.limit)
-    _emit(
-        [{"limit": args.limit, "ones": ones, "threes": threes, "fraction": _fraction_str(fraction)}],
-        args.format,
-    )
-    return 0
+    return [{"limit": args.limit, "ones": ones, "threes": threes, "fraction": _fraction_str(fraction)}], 0
 
 
 # --------------------------------------------------------------------- parser
@@ -413,9 +402,11 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        rows, status = args.handler(args)
     except (SingularCurveError, BadReductionError) as exc:  # raised by the library before any work
-        return _fail(str(exc))
+        rows, status = _fail(str(exc))
+    _emit(rows, args.format)  # no library call runs while it writes, so no error cuts a table short
+    return status
 
 
 def entry() -> None:

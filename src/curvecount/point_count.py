@@ -130,12 +130,13 @@ def trace_ap(curve: Curve, p: int, method: str = "auto") -> PointCountRecord:
 
     method="auto" picks Lemma 1 for b = 0 at p = 3 (mod 4), the Gauss
     formula (_gauss_ap) for b = 0 at p = 1 (mod 4), and brute force for
-    every b != 0 curve; method="brute" forces enumeration.
+    every b != 0 curve; method="brute" forces enumeration.  A singular
+    curve raises SingularCurveError, a p dividing the discriminant BadReductionError.
     """
     require_odd_prime(p)
     if method not in ("auto", "brute"):
         raise ValueError(f"method must be 'auto' or 'brute', got {method!r}")
-    if curve.discriminant() % p == 0:
+    if _nonsingular_discriminant(curve) % p == 0:
         raise BadReductionError(f"p = {p} divides the discriminant of {curve}")
     return _trace_ap(curve, p) if method == "auto" else _brute_record(curve, p)
 

@@ -131,7 +131,7 @@ def _qualifying_pairs(d: int, bound: int):
     """
     two_d, top = 2 * d, 2 * bound
     shaped = bytearray(top + 1)
-    for delta in range(1, top + 1):
+    for delta in range(1, min(two_d, top) + 1):
         if two_d % delta == 0:
             for a in range(1, isqrt(top // delta) + 1):
                 shaped[delta * a * a] = 1

@@ -238,10 +238,9 @@ def lemma7_check(d: int, p: int) -> tuple[int, int, int]:
     The sum vanishes exactly when the n1 + n2 census identity holds, so
     this is a cross-lemma consistency check, not a tautology.
     """
-    minus = TwistSpec(d, MINUS)  # raises ValueError unless d >= 1
+    ap_minus = p - np_lemma3(TwistSpec(d, MINUS), p)  # checks d >= 1, the prime, p = 1 (mod 4), d mod p
     if p % 8 != 5:
         raise HypothesisError(f"lemma7_check needs p = 5 (mod 8), got {p}")
-    ap_minus = p - np_lemma3(minus, p)  # np_lemma3 checks the prime, then d nonzero mod p
     ap_plus = p - np_lemma3(TwistSpec(d, PLUS), p)
     return ap_minus, ap_plus, ap_minus + ap_plus
 

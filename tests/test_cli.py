@@ -95,6 +95,70 @@ def test_closed_stdout_ends_quietly(argv):
     assert done.stderr == ""
 
 
+# Every subcommand, with BRUTE_LIMIT_CEILING at 30; the last five exit 2
+# with no rows: a missing cache directory, the brute ceiling twice and a
+# singular curve twice.
+ONE_WRITER_CASES = [
+    ("profile 13", 0),
+    ("count --a -1 --b 0 --p 13 --plus-one", 0),
+    ("ap-table --a -1 --b 0 --limit 50", 0),
+    ("ap-table --a 3 --b 5 --limit 30 --cross-validate --plus-one --format csv", 0),
+    ("ap-table --a 3 --b 5 --limit 30 --cache c.cache --workers 2", 0),
+    ("lemma-verify --lemma 3 --limit 30 --format csv", 0),
+    ("lseries --a -1 --b 0 --s 1 --limit 50 --exact", 0),
+    ("ratio --a1 -1 --b1 0 --a2 1 --b2 0 --s 1 --limit 50 --format csv", 0),
+    ("find-points --d 6 --bound 20", 0),
+    ("lemma11 --d 3 --bound 50", 0),
+    ("collisions --bound 30 --allow-non-coprime", 0),
+    ("lemma8 --limit 50 --format csv", 0),
+    ("ap-table --a 3 --b 5 --limit 30 --cache missing/c.cache", 2),
+    ("ap-table --a 3 --b 5 --limit 31", 2),
+    ("lemma-verify --lemma 4 --limit 31", 2),
+    ("lseries --a 0 --b 0 --s 1 --limit 50", 2),
+    ("count --a 0 --b 0 --p 5", 2),
+]
+
+
+@pytest.mark.parametrize("command, status", ONE_WRITER_CASES, ids=[c for c, _ in ONE_WRITER_CASES])
+def test_main_is_the_one_writer_of_stdout(tmp_path, capsys, monkeypatch, command, status):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "BRUTE_LIMIT_CEILING", 30)
+    emit, written = cli._emit, []
+
+    def one_emit(rows, fmt):
+        assert capsys.readouterr().out == ""  # nothing reached stdout before _emit
+        emit(rows, fmt)
+        written.append(capsys.readouterr().out)
+
+    monkeypatch.setattr(cli, "_emit", one_emit)
+    assert cli.main(command.split()) == status
+    assert len(written) == 1 and capsys.readouterr().out == ""  # nor after it
+    assert (written[0] == "") == (status == 2)
+
+
+def test_jsonl_ap_table_holds_one_row_at_a_time(monkeypatch):
+    # Both formats hold the records; csv also holds every row, for the
+    # union of their keys in its header, while jsonl writes each row as it
+    # is built.  At this limit (17,983 primes) jsonl peaked at 3.3 MB
+    # under tracemalloc and csv at 6.9 MB; with every row held, jsonl
+    # peaked at 7.4 MB.
+    import tracemalloc
+
+    argv = ["ap-table", "--a", "-1", "--b", "0", "--workers", "1", "--limit"]
+    peaks = {}
+    with open(os.devnull, "w") as devnull:
+        monkeypatch.setattr(sys, "stdout", devnull)
+        for fmt in ("jsonl", "csv"):
+            assert cli.main(argv + ["1000", "--format", fmt]) == 0  # imports what the format needs
+            tracemalloc.start()
+            try:
+                assert cli.main(argv + ["200000", "--format", fmt]) == 0
+                peaks[fmt] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+    assert peaks["jsonl"] < 0.7 * peaks["csv"], peaks
+
+
 def _modules_loaded_after(code, names):
     """The subset of names in sys.modules after a fresh interpreter runs code."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
@@ -1152,6 +1216,7 @@ def test_limit_above_ceiling_rejected(capsys, monkeypatch, argv):
         ["ap-table", "--a", "1", "--b", "0", "--limit", "-1"],
         ["lseries", "--a", "1", "--b", "0", "--s", "1", "--limit", "-1"],
         ["ratio", "--a1", "1", "--b1", "0", "--a2", "-1", "--b2", "0", "--s", "1", "--limit", "-1"],
+        ["count", "--a", "0", "--b", "0", "--p", "5"],
     ],
     ids=lambda argv: " ".join(argv[:5]),
 )

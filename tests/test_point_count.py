@@ -341,6 +341,8 @@ def test_trace_ap_bad_reduction():
     assert Curve(-9, 0).discriminant() % 3 == 0
     with pytest.raises(BadReductionError):
         trace_ap(Curve(-9, 0), 3)
+    with pytest.raises(SingularCurveError, match="is singular"):  # a singular curve has no good prime at all
+        trace_ap(Curve(0, 0), 5)
     with pytest.raises(ValueError):
         trace_ap(Curve(-1, 0), 13, method="fast")
 

@@ -21,6 +21,7 @@ from curvecount.residue_lemmas import (
     lemma4_check,
     lemma5_scan,
     lemma6_check,
+    lemma7_check,
     lemma8_fraction,
     np_lemma3,
     verify_lemma,
@@ -81,10 +82,12 @@ CLASS_CHECKED = (
     lambda p: np_lemma3(TwistSpec(1, MINUS), p),
     lambda p: lemma4_check(p, 2),
     lemma6_check,
+    lambda p: lemma7_check(1, p),
 )
 
 
-@pytest.mark.parametrize("identity", CLASS_CHECKED, ids=["count_quartic", "census", "np_lemma3", "lemma4_check", "lemma6_check"])
+@pytest.mark.parametrize("identity", CLASS_CHECKED,
+                         ids=["count_quartic", "census", "np_lemma3", "lemma4_check", "lemma6_check", "lemma7_check"])
 @pytest.mark.parametrize("warm", [False, True])
 def test_class_is_checked_once_the_prime_is(identity, warm):
     tables = (residue_lemmas._quartic_census, _lemma4_sides)

@@ -32,32 +32,41 @@ def test_map_chunks_runs_in_process_below_the_gate(fan_outs):
     assert fan_outs == []
 
 
-def test_map_chunks_keeps_cheap_batches_in_process(fan_outs):
-    # 16 batches of about 1 ms together take longer than a bare fan-out
-    # (about 5 ms), but after each one the rest projects to about 15 ms at
-    # most, below BREAK_EVEN (50 ms), so nothing forks.
+@pytest.fixture
+def clock(monkeypatch):
+    """sweep's perf_counter, read from clock[0], which only the test advances, so no gate reads the host's load."""
+    now = [0.0]
+    monkeypatch.setattr(sweep, "perf_counter", lambda: now[0])
+    return now
+
+
+def test_map_chunks_keeps_cheap_batches_in_process(fan_outs, clock):
+    # 16 batches of BREAK_EVEN / 50 (1 ms) together take longer than a
+    # bare fan-out (about 5 ms), but after each one the rest projects to
+    # 15 ms at most, below BREAK_EVEN (50 ms), so nothing forks.
     def fn(batch):
-        time.sleep(sweep.BREAK_EVEN / 50)
+        clock[0] += sweep.BREAK_EVEN / 50
         return os.getpid(), batch
 
-    start = time.perf_counter()
     assert map_chunks(fn, range(16), 2) == [(os.getpid(), [i]) for i in range(16)]
-    assert time.perf_counter() - start > 0.005
+    assert clock[0] > 0.005
     assert fan_outs == []
 
 
-def test_map_chunks_forks_once_growing_batches_pay(fan_outs):
-    # Batch i sleeps i tenths of BREAK_EVEN.  Batch 0 projects the rest
-    # at about 0 and runs here; by batch 1 the rest projects past
-    # BREAK_EVEN, so it fans out once, to both workers, and the results
-    # still come back in batch order.
+def test_map_chunks_forks_once_growing_batches_pay(fan_outs, clock):
+    # Batch i takes i tenths of BREAK_EVEN on the test's clock.  Batch 0
+    # projects the rest at 0 and runs here; after batch 1 the rest projects
+    # to 1.4 BREAK_EVEN, so it fans out once, to both workers, and the
+    # results still come back in batch order.  The real sleep only lets
+    # both processes take batches off the queue.
     def fn(batch):
-        time.sleep(sweep.BREAK_EVEN / 10 * batch[0])
+        clock[0] += sweep.BREAK_EVEN / 10 * batch[0]
+        time.sleep(0.02)
         return os.getpid(), batch
 
     results = map_chunks(fn, range(16), 2)
     assert [batch for _, batch in results] == [[i] for i in range(16)]
-    assert results[0][0] == os.getpid() and len({pid for pid, _ in results}) == 2
+    assert results[0][0] == results[1][0] == os.getpid() and len({pid for pid, _ in results}) == 2
     assert fan_outs == [2]
 
 
