@@ -27,7 +27,7 @@ import sys
 from functools import partial
 
 from .errors import BadReductionError, CacheInvalidError, SingularCurveError
-from .modmath import require_odd_prime
+from .modmath import _MR_CEILING, require_odd_prime
 
 
 def _fraction_str(q) -> str:
@@ -196,7 +196,6 @@ def _run_ap_table(args) -> tuple:
     if (args.b or args.cross_validate) and args.limit > BRUTE_LIMIT_CEILING:
         return _fail_brute_sweep(args.limit)
     curve = Curve(args.a, args.b)
-    primes = good_odd_primes(curve, args.limit)
     # The cache keeps brute-force counts only: a b = 0 curve's closed forms cost
     # less than reading them back, and --cross-validate recounts every prime.
     cache_path = resolve_cache_path(args.cache) if args.cache and args.b and not args.cross_validate else None
@@ -212,7 +211,7 @@ def _run_ap_table(args) -> tuple:
         except OSError as exc:
             return _fail(f"cache {cache_path}: {exc.strerror or exc}")
     chunk = partial(records_for_primes, curve, cross_validate=args.cross_validate)
-    parts = map_chunks(chunk, [p for p in primes if p > pmax_seen], args.workers)
+    parts = map_chunks(chunk, [p for p in good_odd_primes(curve, args.limit) if p > pmax_seen], args.workers)
     fresh = [r for part in parts for r in part]
     records = [r for r in cached if r.p <= args.limit] + fresh
     if cache_path and args.limit > pmax_seen:  # a valid cache is rewritten only past its pmax
@@ -235,19 +234,19 @@ def _run_lseries(args) -> tuple:
     if args.b and args.limit > BRUTE_LIMIT_CEILING:
         return _fail_brute_sweep(args.limit)
     curve = Curve(args.a, args.b)
-    if args.exact and args.s != int(args.s):
-        return _fail(f"--exact needs an integer s, got {args.s}")
-    digits = (2 * args.s - 1) * args.limit / math.log(10)
-    if args.exact and digits > EXACT_DIGITS_CEILING:
-        return _fail(f"--exact --s {args.s} --limit {args.limit} needs about {digits:.3g} digits, "
-                     f"above the ceiling of {EXACT_DIGITS_CEILING}")
-    if args.exact and args.s >= EXACT_S_CEILING:
-        return _fail(f"--exact needs s below 2^53, got {args.s}")
-    if args.exact:
+    if not args.exact:
+        ev = partial_L(curve, args.s, args.limit)
+    else:
+        if args.s != int(args.s):
+            return _fail(f"--exact needs an integer s, got {args.s}")
+        digits = (2 * args.s - 1) * args.limit / math.log(10)
+        if digits > EXACT_DIGITS_CEILING:
+            return _fail(f"--exact --s {args.s} --limit {args.limit} needs about {digits:.3g} digits, "
+                         f"above the ceiling of {EXACT_DIGITS_CEILING}")
+        if args.s >= EXACT_S_CEILING:
+            return _fail(f"--exact needs s below 2^53, got {args.s}")
         ev = partial_L_exact(curve, int(args.s), args.limit)
         ev = ev._replace(value=_fraction_str(ev.value))
-    else:
-        ev = partial_L(curve, args.s, args.limit)
     return [{"a": args.a, "b": args.b, **ev._asdict()}], 0
 
 
@@ -274,10 +273,7 @@ def _run_find_points(args) -> tuple:
 def _run_lemma11(args) -> tuple:
     from .rational_points import lemma11_applicable, lemma11_exhaustive
 
-    try:
-        applicable = lemma11_applicable(args.d)
-    except ValueError as exc:  # a d too large for is_prime to decide
-        return _fail(str(exc))
+    applicable = lemma11_applicable(args.d)
     hits = lemma11_exhaustive(args.d, args.bound)
     rows = [q._asdict() for q in hits]
     rows.append(
@@ -379,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_run_find_points)
 
     p = sub.add_parser("lemma11", parents=[common], help="exhaustive no-solution check for prime d = 3 (mod 8)")
-    p.add_argument("--d", type=_int_in(1), required=True)
+    p.add_argument("--d", type=_int_in(1, _MR_CEILING - 1), required=True)  # where is_prime decides
     p.add_argument("--bound", type=_int_in(0, BOUND_CEILING), required=True)
     p.set_defaults(handler=_run_lemma11)
 

@@ -314,14 +314,16 @@ def test_primes_past_what_is_prime_decides_exit_2(capsys):
         assert rc == 2 and captured.out == ""
         assert f"expected an odd prime, got {psi_12}\n" in captured.err
     refusal = f"primality is decided only below {psi_13}, got {psi_13}\n"
-    for name, argv in (("p", ["profile", psi_13]), ("--p", ["count", "--a", "-1", "--b", "0", "--p", psi_13])):
+    for name, argv, message in (
+        ("p", ["profile", psi_13], refusal),
+        ("--p", ["count", "--a", "-1", "--b", "0", "--p", psi_13], refusal),
+        # lemma11's --d ranges over the d that is_prime decides
+        ("--d", ["lemma11", "--d", psi_13, "--bound", "10"], f"must be in [1, {int(psi_13) - 1}], got {psi_13}\n"),
+    ):
         rc = cli.main(argv)
         captured = capsys.readouterr()
         assert rc == 2 and captured.out == ""
-        assert captured.err.endswith(f"error: argument {name}: {refusal}")
-    rc = cli.main(["lemma11", "--d", psi_13, "--bound", "10"])
-    captured = capsys.readouterr()
-    assert rc == 2 and captured.out == "" and captured.err == f"curvecount: error: {refusal}"
+        assert captured.err.endswith(f"error: argument {name}: {message}")
 
 
 def test_count_example(capsys):
@@ -653,6 +655,7 @@ def test_ap_table_unusable_cache_path_exits_2_before_any_sweep(tmp_path, capsys,
     # "." is a directory, so reading it fails; a file in a missing
     # directory could not be written once the sweep was done.
     monkeypatch.setattr(sweep, "map_chunks", _no_sweep)
+    monkeypatch.setattr(point_count, "sieve_primes", _no_sweep)  # the cache is read before the sieve
     path = os.path.join(str(tmp_path), name)
     rc = cli.main(["ap-table", "--a", "3", "--b", "5", "--limit", "60", "--cache", path])
     out, err = capsys.readouterr()
@@ -1094,8 +1097,9 @@ def test_find_points_records(capsys):
         {"d": 6, "x": "18/1", "y": "-72/1"},
         {"d": 6, "x": "18/1", "y": "72/1"},
     ]
-    rc, out = run(capsys, ["find-points", "--d", "1", "--bound", "50"])
-    assert rc == 0 and out == ""
+    for fmt in ("jsonl", "csv"):  # with no row, csv prints no header either, not a bare line ending
+        rc, out = run(capsys, ["find-points", "--d", "1", "--bound", "50", "--format", fmt])
+        assert rc == 0 and out == ""
 
 
 def test_lemma11_applicable_and_control(capsys):
@@ -1267,6 +1271,7 @@ RANGED_ARGUMENTS = [
     ("find-points --d 6 --bound {}", "--bound", "1000000", "1000001"),
     ("find-points --d 6 --bound {}", "--bound", "1000000", str(10**12)),
     ("lemma11 --bound 10 --d {}", "--d", "1", "0"),
+    ("lemma11 --bound 10 --d {}", "--d", "3317044064679887385961980", "3317044064679887385961981"),
     ("lemma11 --d 3 --bound {}", "--bound", "0", "-1"),
     ("lemma11 --d 3 --bound {}", "--bound", "1000000", "1000001"),
     ("lemma11 --d 3 --bound {}", "--bound", "1000000", str(10**12)),

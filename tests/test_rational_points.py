@@ -213,6 +213,11 @@ def test_lemma11_exhaustive_empty_for_applicable():
     assert lemma11_exhaustive(11, 100) == []
 
 
+def test_lemma11_exhaustive_refuses_d_below_one():
+    with pytest.raises(ValueError, match="^d must be >= 1, got 0$"):
+        lemma11_exhaustive(0, 10)
+
+
 # Every d up to 130 covers squares, primes 3 (mod 8) and composites with
 # many divisors; the larger ones add more prime factors of d, and one d
 # far beyond any sieve.

@@ -145,6 +145,20 @@ def test_fan_out_names_the_signal_that_killed_a_child(fan_outs_forced):
     assert_no_child_left()
 
 
+def test_fan_out_child_that_exits_0_without_a_result_raises(fan_outs_forced):
+    parent = os.getpid()
+
+    def fn(batch):
+        if os.getpid() != parent:
+            os._exit(0)  # a clean exit that never sends the results
+        time.sleep(0.1)
+        return batch
+
+    with pytest.raises(ChildProcessError, match="exited with status 0"):
+        map_chunks(fn, range(12), 2)
+    assert_no_child_left()
+
+
 def test_fan_out_result_that_cannot_pickle_raises(fan_outs_forced):
     # Only results cross back from a child, so only they must pickle.
     def fn(batch):
