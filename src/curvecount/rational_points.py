@@ -149,18 +149,17 @@ def _qualifying_pairs(d: int, bound: int):
 def find_points_for_d(d: int, bound: int) -> list[RationalPoint]:
     """Search coprime (m, e), m <= bound, for points on y^2 = x^3 - d^2 x.
 
-    A pair qualifies iff 4d em/(m^2 - e^2) is a rational square; both
+    The pairs are lemma11_exhaustive's: a pair qualifies iff
+    4d em/(m^2 - e^2) is a rational square.  For each, both
     branches and both y signs are emitted, deduplicated, sorted by the
     x coordinate's (numerator, denominator).  An empty result certifies
     nothing beyond the bound searched.
     """
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
     if bound < 2:
         raise ValueError(f"bound must be >= 2, got {bound}")
     found = {}
-    for m, e, beta in _qualifying_pairs(d, bound):
-        twist, p1, p2 = points_from_param(ParamQuadruple(beta.numerator, beta.denominator, m, e))
+    for quadruple in lemma11_exhaustive(d, bound):
+        twist, p1, p2 = points_from_param(quadruple)
         assert twist == d
         for point in (p1, p2, RationalPoint(p1.x, -p1.y), RationalPoint(p2.x, -p2.y)):
             found[(point.x, point.y)] = point

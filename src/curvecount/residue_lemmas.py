@@ -113,21 +113,9 @@ def _quartic_census(p: int) -> tuple[int, int]:
     return (q4 & (qr << 8)).bit_count(), (q4 & (qr >> 8)).bit_count()
 
 
-def count_quartic(p: int, shift: int) -> int:
-    """Count distinct t = y^4 in Z_p^* with t + shift a nonzero residue.
-
-    shift = -1 gives the census written n1 throughout, shift = +1 gives n2;
-    both at p = 1 (mod 4) only, as census raises HypothesisError elsewhere.
-    """
-    n1, n2 = _quartic_census(p)  # reading the census checks the prime and its class
-    if shift not in (-1, 1):
-        raise ValueError(f"shift must be -1 or +1, got {shift}")
-    return n1 if shift == -1 else n2
-
-
 def census(p: int) -> ResidueCounts:
-    """All three counts at one p = 1 (mod 4)."""
-    return ResidueCounts(p, count_lemma2(p), count_quartic(p, -1), count_quartic(p, 1))
+    """All three counts at one p = 1 (mod 4): count_lemma2, then the quartic census n1, n2."""
+    return ResidueCounts(p, count_lemma2(p), *_quartic_census(p))
 
 
 def np_lemma3(spec: TwistSpec, p: int) -> int:

@@ -24,13 +24,13 @@ BATCHES_PER_WORKER = 8
 def map_chunks(fn, items, workers: int) -> list:
     """[fn(batch) for each contiguous batch of items], in batch order.
 
-    With k = min(workers, len(items)), the items run here as one batch
-    at k == 1 or where the platform has no os.fork.  Otherwise they are
-    cut into min(len(items), BATCHES_PER_WORKER * workers) contiguous
-    batches of near-equal count, and the batches run here, in order,
-    until more than one is left and the last one's time times the
-    number left exceeds BREAK_EVEN.  The rest then goes to min(workers,
-    left) processes, this one and forked children, which each take the
+    The items are cut into min(len(items), BATCHES_PER_WORKER * workers)
+    contiguous batches of near-equal count, and the batches run here, in
+    order.  After each one, where the platform has os.fork, the rest may
+    go to min(workers, left) processes: this happens once that count is
+    above 1 and the last batch's time times the number left exceeds
+    BREAK_EVEN.  So one worker, or a platform without os.fork, never
+    forks.  The processes, this one and forked children, each take the
     next batch off one shared queue until it is empty, so fn need not
     pickle but its results must.  An exception raised by fn in a child
     is raised here; a child that dies without a result raises
@@ -41,19 +41,16 @@ def map_chunks(fn, items, workers: int) -> list:
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     items = list(items)
-    if not items:
-        return []
-    if min(workers, len(items)) == 1 or not hasattr(os, "fork"):
-        return [fn(items)]
     n, count = len(items), min(len(items), BATCHES_PER_WORKER * workers)
     batches = [items[n * j // count : n * (j + 1) // count] for j in range(count)]
+    forks = hasattr(os, "fork")
     results = []
     for done, batch in enumerate(batches, 1):
         start = perf_counter()
         results.append(fn(batch))
-        left = count - done
-        if left > 1 and (perf_counter() - start) * left > BREAK_EVEN:
-            return results + _fan_out(fn, batches[done:], min(workers, left))
+        processes = min(workers, count - done) if forks else 1
+        if processes > 1 and (perf_counter() - start) * (count - done) > BREAK_EVEN:
+            return results + _fan_out(fn, batches[done:], processes)
     return results
 
 

@@ -24,8 +24,8 @@ from curvecount.residue_lemmas import (
     MINUS,
     PLUS,
     TwistSpec,
+    census,
     count_lemma2,
-    count_quartic,
     lemma4_check,
     lemma5_hit,
     lemma6_check,
@@ -141,7 +141,7 @@ def test_np_lemma1_hypothesis_errors():
 
 def test_np_lemma3_examples():
     # The minus count at 13 reads n1 = 0, the plus count n2 = 2.
-    assert (count_quartic(13, -1), count_quartic(13, 1)) == (0, 2)
+    assert (census(13).n1, census(13).n2) == (0, 2)
     assert np_lemma3(TwistSpec(1, MINUS), 13) == 7
     assert np_lemma3(TwistSpec(2, MINUS), 13) == 19
     assert np_lemma3(TwistSpec(1, PLUS), 13) == 19
@@ -264,7 +264,7 @@ def test_lemma_sweeps_prove_each_prime_once(monkeypatch, capsys, lemma):
 IDENTITIES = (
     lambda p: count_affine_points(Curve(-1, 0), p),
     count_lemma2,
-    lambda p: count_quartic(p, -1),
+    lambda p: census(p).n1,
     lambda p: lemma4_check(p, 2),
     lemma5_hit,
     lemma6_check,

@@ -6,6 +6,7 @@ from math import gcd
 
 import pytest
 
+from curvecount import rational_points
 from curvecount.errors import TangentUndefinedError
 from curvecount.modmath import QNR, prime_profile, sieve_primes
 from curvecount.collisions import CollisionGroup, collision_search
@@ -176,11 +177,28 @@ def test_find_points_square_d_empty():
     assert find_points_for_d(4, 100) == []
 
 
+def test_find_points_reads_lemma11_search(monkeypatch):
+    # One search walks the (m, e) pairs: find_points_for_d reads
+    # lemma11_exhaustive's quadruples and runs no pair loop of its own.
+    calls = []
+    for name in ("lemma11_exhaustive", "_qualifying_pairs"):
+        inner = getattr(rational_points, name)
+        monkeypatch.setattr(rational_points, name,
+                            lambda *args, name=name, inner=inner: calls.append(name) or inner(*args))
+    points = find_points_for_d(6, 16)
+    assert calls == ["lemma11_exhaustive", "_qualifying_pairs"]
+    assert [(p.x, p.y) for p in points] == [
+        (-3, -9), (-3, 9), (-2, -8), (-2, 8), (12, -36), (12, 36), (18, -72), (18, 72),
+    ]
+
+
 def test_find_points_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="d must be >= 1, got 0"):
         find_points_for_d(0, 10)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="bound must be >= 2, got 1"):
         find_points_for_d(6, 1)
+    with pytest.raises(ValueError, match="bound must be >= 2, got 1"):  # the bound is checked first
+        find_points_for_d(0, 1)
 
 
 def test_lemma11_applicable():

@@ -17,7 +17,6 @@ from curvecount.residue_lemmas import (
     _lemma5_hit,
     census,
     count_lemma2,
-    count_quartic,
     lemma4_check,
     lemma5_scan,
     lemma6_check,
@@ -50,16 +49,9 @@ def test_count_lemma2_against_enumeration_and_formula():
 
 
 def test_count_quartic_examples():
-    assert count_quartic(13, -1) == 0
-    assert count_quartic(13, 1) == 2
-    assert count_quartic(17, -1) == 1
-
-
-def test_count_quartic_rejects_other_shifts():
-    with pytest.raises(ValueError):
-        count_quartic(13, 2)
-    with pytest.raises(ValueError):
-        count_quartic(13, 0)
+    assert census(13).n1 == 0
+    assert census(13).n2 == 2
+    assert census(17).n1 == 1
 
 
 def test_count_quartic_against_enumeration():
@@ -69,15 +61,14 @@ def test_count_quartic_against_enumeration():
             continue
         if p % 4 == 3:
             with pytest.raises(HypothesisError):
-                count_quartic(p, -1)
+                census(p)
             continue
         _, n1, n2 = census_by_enumeration(p)
-        assert (count_quartic(p, -1), count_quartic(p, 1)) == (n1, n2), p
+        assert census(p)[2:] == (n1, n2), p
 
 
 # Each reads a per-prime table that proves the prime, then its class.
 CLASS_CHECKED = (
-    lambda p: count_quartic(p, 1),
     census,
     lambda p: np_lemma3(TwistSpec(1, MINUS), p),
     lambda p: lemma4_check(p, 2),
@@ -87,7 +78,7 @@ CLASS_CHECKED = (
 
 
 @pytest.mark.parametrize("identity", CLASS_CHECKED,
-                         ids=["count_quartic", "census", "np_lemma3", "lemma4_check", "lemma6_check", "lemma7_check"])
+                         ids=["census", "np_lemma3", "lemma4_check", "lemma6_check", "lemma7_check"])
 @pytest.mark.parametrize("warm", [False, True])
 def test_class_is_checked_once_the_prime_is(identity, warm):
     tables = (residue_lemmas._quartic_census, _lemma4_sides)
@@ -289,8 +280,8 @@ def test_lemma6_negative_control_at_17():
     # accept such p silently.
     with pytest.raises(HypothesisError):
         lemma6_check(17)
-    n1 = count_quartic(17, -1)
-    n2 = count_quartic(17, 1)
+    n1 = census(17).n1
+    n2 = census(17).n2
     assert n1 + n2 == 2
     assert n1 + n2 != (17 - 5) // 4
 

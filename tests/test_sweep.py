@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from curvecount import sweep
+from curvecount import cli, collisions, residue_lemmas, sweep
 from curvecount.sweep import map_chunks
 
 
@@ -23,9 +23,10 @@ def test_map_chunks_keeps_chunk_order(fan_outs_forced):
 
 
 def test_map_chunks_runs_in_process_below_the_gate(fan_outs):
-    # One worker, or one item, is one batch; a sweep whose rest never
-    # projects past BREAK_EVEN forks nothing.
-    assert map_chunks(lambda chunk: chunk, range(5), 1) == [[0, 1, 2, 3, 4]]
+    # Every worker count cuts up to 8 batches a worker, one worker too;
+    # one item is one batch; a sweep whose rest never projects past
+    # BREAK_EVEN forks nothing.
+    assert map_chunks(lambda chunk: chunk, range(5), 1) == [[0], [1], [2], [3], [4]]
     assert map_chunks(lambda chunk: chunk, [7], 4) == [[7]]
     assert map_chunks(lambda chunk: chunk, [], 4) == []
     assert map_chunks(lambda chunk: (os.getpid(), chunk), [1, 2, 3, 4, 5], 3) == [(os.getpid(), [i]) for i in range(1, 6)]
@@ -70,9 +71,32 @@ def test_map_chunks_forks_once_growing_batches_pay(fan_outs, clock):
     assert fan_outs == [2]
 
 
+def test_map_chunks_never_forks_at_one_worker(fan_outs_forced):
+    # Even a gate every batch passes leaves one worker's batches here.
+    batches = map_chunks(lambda chunk: (os.getpid(), chunk), range(20), 1)
+    assert len(batches) == 8
+    assert [i for _, chunk in batches for i in chunk] == list(range(20))
+    assert {pid for pid, _ in batches} == {os.getpid()}
+    assert fan_outs_forced == []
+
+
+@pytest.mark.parametrize("module, call", [
+    (sweep, lambda: cli.main(["ap-table", "--a", "3", "--b", "5", "--limit", "500"])),
+    (residue_lemmas, lambda: residue_lemmas.verify_lemma(4, 500)),
+    (collisions, lambda: collisions.collision_search(500)),
+], ids=["ap-table", "verify_lemma", "collision_search"])
+def test_sweeps_merge_batches_to_the_one_batch_answer(monkeypatch, capsys, module, call):
+    # One worker still cuts 8 batches; each caller's merge of their
+    # results gives what the items give as one batch.
+    batched = call(), capsys.readouterr().out
+    monkeypatch.setattr(module, "map_chunks", lambda fn, items, workers: [fn(list(items))])
+    assert (call(), capsys.readouterr().out) == batched
+
+
 def test_map_chunks_runs_in_process_without_fork(monkeypatch, fan_outs_forced):
+    # The batches are cut as with fork, and all run here.
     monkeypatch.delattr(os, "fork")
-    assert map_chunks(lambda chunk: (os.getpid(), chunk), range(4), 2) == [(os.getpid(), [0, 1, 2, 3])]
+    assert map_chunks(lambda chunk: (os.getpid(), chunk), range(4), 2) == [(os.getpid(), [i]) for i in range(4)]
     assert fan_outs_forced == []
 
 
