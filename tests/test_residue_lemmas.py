@@ -69,6 +69,7 @@ def test_count_quartic_against_enumeration():
 
 # Each reads a per-prime table that proves the prime, then its class.
 CLASS_CHECKED = (
+    lambda p: residue_lemmas._quartic_census(p)[1],  # the (+1)-shift quartic count n2, read bare
     census,
     lambda p: np_lemma3(TwistSpec(1, MINUS), p),
     lambda p: lemma4_check(p, 2),
@@ -78,7 +79,7 @@ CLASS_CHECKED = (
 
 
 @pytest.mark.parametrize("identity", CLASS_CHECKED,
-                         ids=["census", "np_lemma3", "lemma4_check", "lemma6_check", "lemma7_check"])
+                         ids=["count_quartic", "census", "np_lemma3", "lemma4_check", "lemma6_check", "lemma7_check"])
 @pytest.mark.parametrize("warm", [False, True])
 def test_class_is_checked_once_the_prime_is(identity, warm):
     tables = (residue_lemmas._quartic_census, _lemma4_sides)
