@@ -4,22 +4,21 @@ All residues are normalized to {0, ..., p-1}.  Public functions that
 take a prime validate it (deterministic Miller-Rabin), so a bad p fails
 loudly instead of producing garbage counts downstream.
 
-Every per-prime table is one `bytes` object of p entries:
+The per-prime table is one bytearray of p entries, the caller's own:
 root_counts(p)[t] is the number of y mod p with y^2 = t, so 1 at t = 0,
-2 on QR_p and 0 elsewhere.  It is lru-cached and proves its prime when
-the table is built; lru_cache never stores a call that raised, so
-reading the table is itself the check, and the identity functions built
-on it run Miller-Rabin once per prime.  A single symbol is decided by
-_is_qr, the one Euler criterion; bulk questions read root_counts.  The
-private kernels behind some functions (_is_qr and _root_counts among
-them) skip the check; sweeps call them on primes that came from the
-sieve, and a public function proves its prime once before it calls them.
+2 on QR_p and 0 elsewhere.  It proves its prime on every call, so
+reading the table is itself the check; nothing here is cached, and the
+identity tables built on it (residue_lemmas) read it once per prime.
+A single symbol is decided by _is_qr, the one Euler criterion; bulk
+questions read root_counts.  The private kernels behind some functions
+(_is_qr and _root_counts among them) skip the check; sweeps call them
+on primes that came from the sieve, and a public function proves its
+prime once before it calls them.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
 from itertools import compress
 
 from .errors import HypothesisError
@@ -114,19 +113,18 @@ def _sqrt_of_minus_one(p: int) -> int:
     return min(eps, p - eps)
 
 
-@lru_cache(maxsize=8)
-def root_counts(p: int) -> bytes:
+def root_counts(p: int) -> bytearray:
     """The table r of p bytes with r[t] = #{y mod p : y^2 = t}.
 
     r[0] = 1, r[t] = 2 for t in QR_p and 0 for the nonresidues, so a
     brute-force count sums r[f(x)] over x.
     """
     require_odd_prime(p)
-    return bytes(_root_counts(p))  # cached and shared, so immutable
+    return _root_counts(p)
 
 
 def _root_counts(p: int) -> bytearray:
-    """root_counts without its check or cache: p must be an odd prime."""
+    """root_counts without its check: p must be an odd prime."""
     r = bytearray(p)
     r[0] = 1
     for y in range(1, (p + 1) // 2):
@@ -134,7 +132,7 @@ def _root_counts(p: int) -> bytearray:
     return r  # the caller's own table, so not copied into bytes
 
 
-# A namedtuple, not a dataclass: functools already loads collections,
+# A namedtuple, not a dataclass: the interpreter already loads collections,
 # while dataclasses pulls in inspect and ast, and the CLI parser imports
 # this module.  This is the package's one record idiom: every record is
 # a namedtuple subclass with __slots__ = (), and a record that checks

@@ -8,8 +8,9 @@ x, -x has c[f(x)] = r[f(x)] + r[2b - f(x)] roots together, so one pass
 over x = 1 .. (p-1)/2 with the pair table c (_pair_table), plus the
 roots at x = 0, counts every x; nothing about QR_p is assumed.  Every
 brute count goes through _brute_counts, the oracle for the paper's
-identities, which builds both tables itself and caches neither, so it
-shares none with the claims that read modmath.root_counts.  Every curve
+identities, which builds both tables itself from the unchecked
+_root_counts: it never calls modmath.root_counts, which the claims
+read, and shares none of the tables residue_lemmas caches.  Every curve
 y^2 = x^3 + ax is counted in O(log p) instead: N_p = p at p = 3 (mod 4)
 (identity 1), and at p = 1 (mod 4) the trace comes from p = u^2 + v^2
 and one quartic residue symbol (Gauss).  `cross_validate` re-derives

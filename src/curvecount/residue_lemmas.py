@@ -11,18 +11,20 @@ A census counts *distinct* square (or fourth-power) values t in Z_p^*,
 not the y producing them, at p = 1 (mod 4) only; shifted values that
 land on 0 are excluded, since 0 is neither a residue nor a nonresidue.
 
-The censuses read modmath.root_counts(p), the one per-prime table, as
-byte lanes of a big integer: with QR the integer whose byte t is 1 for
-t in QR_p and 0 elsewhere, and Q4 the same for the fourth powers, a
-shift by 8 bits moves every t by one, so the count of t in Q4 with
-t - 1 in QR_p is (Q4 & (QR << 8)).bit_count().  Identity 4's two sides
-are one bytes table too, read by lemma4_check and by its sweep.
+The censuses read modmath.root_counts(p), the root table that proves
+its prime on every call, as byte lanes of a big integer: with QR the
+integer whose byte t is 1 for t in QR_p and 0 elsewhere, and Q4 the same
+for the fourth powers, a shift by 8 bits moves every t by one, so the
+count of t in Q4 with t - 1 in QR_p is (Q4 & (QR << 8)).bit_count().
+Identity 4's two sides are one bytes table too, read by lemma4_check and
+by its sweep.
 
-Each identity proves its prime by first reading a per-prime lru table
-(root_counts, or the census or identity 4's table built on it, which
-also refuse p = 3 (mod 4)) and makes no Miller-Rabin call of its own.
-A table is only stored once its prime has passed, so a sweep proves each
-prime once.  The oracle trusts the sweep's sieve.
+Each identity proves its prime by reading root_counts once: count_lemma2
+reads it itself, and the rest read one of the two per-prime lru tables
+built on it, the census and identity 4's sides, which also refuse
+p = 3 (mod 4).  They make no Miller-Rabin call of their own.  lru_cache
+stores no call that raised, so a sweep proves each prime once.  The
+oracle trusts the sweep's sieve and shares no cached table with these.
 """
 
 from __future__ import annotations
@@ -96,9 +98,10 @@ def count_lemma2(p: int) -> int:
 
 
 @lru_cache(maxsize=8)
-def _quartic_census(p: int) -> tuple[int, int]:
-    """(n1, n2): distinct fourth powers t with t - 1 resp. t + 1 in QR_p.
+def census(p: int) -> ResidueCounts:
+    """All three counts at one p = 1 (mod 4): count_lemma2's, then the quartic census n1, n2.
 
+    n1 and n2 count the distinct fourth powers t with t - 1 resp. t + 1 in QR_p.
     ValueError (from root_counts) unless p is an odd prime, then HypothesisError
     unless p = 1 (mod 4), where the t <= (p-1)/2 in QR_p square onto Q4 once each.
     """
@@ -110,12 +113,7 @@ def _quartic_census(p: int) -> tuple[int, int]:
         q4_flags[t * t % p] = 1
     qr = int.from_bytes(qr_flags, "little")
     q4 = int.from_bytes(q4_flags, "little")
-    return (q4 & (qr << 8)).bit_count(), (q4 & (qr >> 8)).bit_count()
-
-
-def census(p: int) -> ResidueCounts:
-    """All three counts at one p = 1 (mod 4): count_lemma2, then the quartic census n1, n2."""
-    return ResidueCounts(p, count_lemma2(p), *_quartic_census(p))
+    return ResidueCounts(p, (qr & (qr << 8)).bit_count(), (q4 & (qr << 8)).bit_count(), (q4 & (qr >> 8)).bit_count())
 
 
 def np_lemma3(spec: TwistSpec, p: int) -> int:
@@ -130,7 +128,7 @@ def np_lemma3(spec: TwistSpec, p: int) -> int:
     d's, so the plus count there IS the minus count.  (At p = 5 (mod 8)
     the two routes agree exactly because n1 + n2 = (p-5)/4.)
     """
-    n1, n2 = _quartic_census(p)  # reading the census checks the prime and its class
+    _, _, n1, n2 = census(p)  # reading the census checks the prime and its class
     if spec.d % p == 0:
         raise HypothesisError(f"np_lemma3 needs d nonzero mod p, got d = {spec.d}, p = {p}")
     n_used, shift = (n1, 7) if spec.sign == MINUS or p % 8 == 1 else (n2, 3)
@@ -214,7 +212,7 @@ def lemma6_check(p: int) -> tuple[int, int, bool]:
     The identity is specific to -1 in QR_p with eps in QNR_p; at
     p = 1 (mod 8) it genuinely fails (p = 17 gives 1 + 1 = 2, not 3).
     """
-    n1, n2 = _quartic_census(p)  # reading the census checks the prime and p = 1 (mod 4)
+    _, _, n1, n2 = census(p)  # reading the census checks the prime and p = 1 (mod 4)
     if p % 8 != 5:
         raise HypothesisError(f"lemma6_check needs p = 5 (mod 8), got {p}")
     return n1, n2, n1 + n2 == (p - 5) // 4

@@ -968,8 +968,8 @@ def test_lemma_verify_reports_findings(capsys, monkeypatch):
 
 
 def test_lemma3_oracle_builds_its_own_table(capsys, monkeypatch):
-    # np_lemma3's census reads root_counts' cached table.  An oracle that
-    # read it too could not see that table go wrong; this one builds its own.
+    # np_lemma3 reads the cached census, built on root_counts.  An oracle
+    # that read that table too could not see it go wrong; this one builds its own.
     def wrong_table(p):
         r = modmath._root_counts(p)
         r[1] = 0  # 1 is a square at every p

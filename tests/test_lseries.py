@@ -26,13 +26,13 @@ def test_discriminant_always_even():
             assert Curve(a, b).discriminant() % 2 == 0
 
 
-def test_good_primes_examples():
+def test_good_odd_primes_examples():
     assert good_odd_primes(MINUS_ONE, 13) == [3, 5, 7, 11, 13]
     assert good_odd_primes(Curve(-9, 0), 13) == [5, 7, 11, 13]
     assert good_odd_primes(MINUS_ONE, 2) == []
 
 
-def test_good_primes_singular():
+def test_good_odd_primes_singular():
     with pytest.raises(SingularCurveError):
         good_odd_primes(Curve(0, 0), 100)
 

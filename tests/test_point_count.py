@@ -87,11 +87,15 @@ def test_brute_counts_every_a_from_one_table():
             assert _brute_counts(p, b, a_values) == [count_points_double_loop(a, b, p) for a in a_values], (p, b)
 
 
-def test_count_affine_points_leaves_the_cached_tables_alone():
-    # The oracle builds its own tables; only the claims fill root_counts' cache.
-    modmath.root_counts.cache_clear()
-    count_affine_points(Curve(3, 5), 100003)
-    assert modmath.root_counts.cache_info().currsize == 0
+def test_count_affine_points_leaves_the_cached_tables_alone(monkeypatch):
+    # The oracle builds its own tables and never reads the claims' root_counts.
+    def claims_table(p):
+        raise AssertionError(f"the oracle read root_counts({p})")
+
+    expected = count_affine_points(Curve(3, 5), 100003)
+    monkeypatch.setattr(modmath, "root_counts", claims_table)
+    monkeypatch.setattr(residue_lemmas, "root_counts", claims_table)
+    assert count_affine_points(Curve(3, 5), 100003) == expected
     with pytest.raises(ValueError):
         count_affine_points(Curve(3, 5), 100001)
 
@@ -243,7 +247,7 @@ def test_sweeps_run_no_miller_rabin(monkeypatch):
 
 
 def _clear_prime_tables():
-    for table in (modmath.root_counts, residue_lemmas._quartic_census, residue_lemmas._lemma4_sides):
+    for table in (census, residue_lemmas._lemma4_sides):
         table.cache_clear()
 
 

@@ -48,13 +48,13 @@ def test_count_lemma2_against_enumeration_and_formula():
         assert got == (p - 5) // 4, p
 
 
-def test_count_quartic_examples():
+def test_census_examples():
     assert census(13).n1 == 0
     assert census(13).n2 == 2
     assert census(17).n1 == 1
 
 
-def test_count_quartic_against_enumeration():
+def test_census_against_enumeration():
     # The censuses are defined at p = 1 (mod 4) only, and refused elsewhere.
     for p in sieve_primes(2000):
         if p == 2:
@@ -63,13 +63,20 @@ def test_count_quartic_against_enumeration():
             with pytest.raises(HypothesisError):
                 census(p)
             continue
-        _, n1, n2 = census_by_enumeration(p)
-        assert census(p)[2:] == (n1, n2), p
+        assert census(p)[1:] == census_by_enumeration(p), p
+
+
+def test_census_reads_its_root_table_once(monkeypatch):
+    reads = []
+    real = residue_lemmas.root_counts
+    monkeypatch.setattr(residue_lemmas, "root_counts", lambda p: reads.append(p) or real(p))
+    census.cache_clear()
+    census(13)
+    assert reads == [13]
 
 
 # Each reads a per-prime table that proves the prime, then its class.
 CLASS_CHECKED = (
-    lambda p: residue_lemmas._quartic_census(p)[1],  # the (+1)-shift quartic count n2, read bare
     census,
     lambda p: np_lemma3(TwistSpec(1, MINUS), p),
     lambda p: lemma4_check(p, 2),
@@ -79,10 +86,10 @@ CLASS_CHECKED = (
 
 
 @pytest.mark.parametrize("identity", CLASS_CHECKED,
-                         ids=["count_quartic", "census", "np_lemma3", "lemma4_check", "lemma6_check", "lemma7_check"])
+                         ids=["census", "np_lemma3", "lemma4_check", "lemma6_check", "lemma7_check"])
 @pytest.mark.parametrize("warm", [False, True])
 def test_class_is_checked_once_the_prime_is(identity, warm):
-    tables = (residue_lemmas._quartic_census, _lemma4_sides)
+    tables = (census, _lemma4_sides)
     for table in tables:
         table.cache_clear()
     if warm:
