@@ -2,15 +2,16 @@
 
 A right triangle with legs hem, h(m^2 - e^2)/2 and hypotenuse
 h(m^2 + e^2)/2 feeds the parametrization d = (k/2j)^2 (m^2 - e^2)/(em),
-which in turn pins two rational points with y = (k/j) x.  Everything in
-this module is Fraction arithmetic; there is no tolerance anywhere, a
-point is either on its curve or the construction is rejected.
+which in turn pins two rational points with y = (k/j) x.  The points
+are Fraction arithmetic; there is no tolerance anywhere, a point is
+either on its curve or the construction is rejected.  The pair search
+behind find_points_for_d and lemma11_exhaustive is integer arithmetic,
+so fractions loads only once a point or a twist is built.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from math import gcd, isqrt
 
 from .errors import TangentUndefinedError
@@ -23,6 +24,8 @@ class RationalPoint(namedtuple("RationalPoint", "x y")):
     __slots__ = ()
 
     def __new__(cls, x, y):
+        from fractions import Fraction
+
         return super().__new__(cls, Fraction(x), Fraction(y))
 
     def on_curve(self, a, b=0) -> bool:
@@ -66,6 +69,8 @@ def pythagorean_from_param(h: int, m: int, e: int) -> tuple[int, int, int]:
 
 def d_from_param(q: ParamQuadruple) -> Fraction:
     """d = (k/2j)^2 (m^2 - e^2)/(em), the twist the quadruple lands on."""
+    from fractions import Fraction
+
     return Fraction(q.k, 2 * q.j) ** 2 * Fraction(q.m * q.m - q.e * q.e, q.e * q.m)
 
 
@@ -78,6 +83,8 @@ def points_from_param(q: ParamQuadruple) -> tuple[Fraction, RationalPoint, Ratio
     Both memberships are algebraic identities in (k, j, m, e), so the
     asserts can only fire on an implementation bug.
     """
+    from fractions import Fraction
+
     d = d_from_param(q)
     beta = Fraction(q.k, q.j)
     x1 = d * (q.m + q.e) / (q.m - q.e)
@@ -112,12 +119,12 @@ def double_point_rational(curve: "Curve", point: RationalPoint) -> RationalPoint
 
 
 def _qualifying_pairs(d: int, bound: int):
-    """(m, e, beta) for coprime m > e >= 1, m <= bound, beta^2 = 4d em/(m^2 - e^2).
+    """(m, e, k, j) for coprime m > e >= 1, m <= bound, beta^2 = 4d em/(m^2 - e^2).
 
     beta^2 (m^2 - e^2)^2 is the integer t = 4d em(m^2 - e^2), d times the
     triangle's area up to a square factor (the congruent-number
     condition).  So beta is rational exactly when t is a perfect square,
-    and then beta = isqrt(t)/(m^2 - e^2).
+    and then beta = isqrt(t)/(m^2 - e^2), which is k/j in lowest terms.
 
     Few pairs can pass.  For coprime m > e, any two of e, m, m - e and
     m + e have a gcd dividing 2, so an odd prime q not dividing d
@@ -143,7 +150,8 @@ def _qualifying_pairs(d: int, bound: int):
                 t = 4 * d * e * m * leg
                 root = isqrt(t)
                 if root * root == t:
-                    yield m, e, Fraction(root, leg)
+                    g = gcd(root, leg)
+                    yield m, e, root // g, leg // g
 
 
 def find_points_for_d(d: int, bound: int) -> list[RationalPoint]:
@@ -189,6 +197,4 @@ def lemma11_exhaustive(d: int, bound: int) -> list[ParamQuadruple]:
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
-    return [
-        ParamQuadruple(beta.numerator, beta.denominator, m, e) for m, e, beta in _qualifying_pairs(d, bound)
-    ]
+    return [ParamQuadruple(k, j, m, e) for m, e, k, j in _qualifying_pairs(d, bound)]

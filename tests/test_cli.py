@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from curvecount import cache, cli, collisions, modmath, point_count, rational_points, residue_lemmas, sweep
+from curvecount import cache, cli, collisions, commands, modmath, point_count, rational_points, residue_lemmas, sweep
 from curvecount.errors import CacheInvalidError
 from curvecount.lseries import partial_L_exact
 from curvecount.point_count import Curve, ap_table
@@ -122,7 +122,7 @@ ONE_WRITER_CASES = [
 @pytest.mark.parametrize("command, status", ONE_WRITER_CASES, ids=[c for c, _ in ONE_WRITER_CASES])
 def test_main_is_the_one_writer_of_stdout(tmp_path, capsys, monkeypatch, command, status):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(cli, "BRUTE_LIMIT_CEILING", 30)
+    monkeypatch.setattr(commands, "BRUTE_LIMIT_CEILING", 30)
     emit, written = cli._emit, []
 
     def one_emit(rows, fmt):
@@ -169,10 +169,40 @@ def _modules_loaded_after(code, names):
     return json.loads(done.stdout.splitlines()[-1])
 
 
+# Each subcommand's handler module, and a call of it that exits with the given status.
+_COMMAND_CALLS = {
+    "profile": (["profile", "13"], 0),
+    "count": (["count", "--a", "3", "--b", "5", "--p", "101"], 0),
+    "ap_table": (["ap-table", "--a", "-1", "--b", "0", "--limit", "200", "--workers", "1"], 0),
+    "lemma_verify": (["lemma-verify", "--lemma", "3", "--limit", "50", "--workers", "1"], 0),
+    "lseries": (["lseries", "--a", "3", "--b", "5", "--s", "1", "--limit", "200000"], 2),
+    "ratio": (["ratio", "--a1", "-1", "--b1", "0", "--a2", "1", "--b2", "0", "--s", "1", "--limit", "200"], 0),
+    "find_points": (["find-points", "--d", "6", "--bound", "30"], 0),
+    "lemma11": (["lemma11", "--d", "3", "--bound", "30"], 0),
+    "collisions": (["collisions", "--bound", "30", "--workers", "1"], 0),
+    "lemma8": (["lemma8", "--limit", "50"], 0),
+}
+_COMMAND_MODULES = [f"curvecount.commands.{name}" for name in _COMMAND_CALLS]
+
+
 def test_parser_loads_no_library_module():
     heavy = ["curvecount.cache", "curvecount.collisions", "curvecount.lseries", "curvecount.rational_points",
-             "curvecount.residue_lemmas", "concurrent.futures", "fractions", "dataclasses"]
+             "curvecount.residue_lemmas", "concurrent.futures", "fractions", "dataclasses", *_COMMAND_MODULES]
     assert _modules_loaded_after("import curvecount.cli as cli\ncli.build_parser()", heavy) == []
+
+
+@pytest.mark.parametrize("name", _COMMAND_CALLS)
+def test_module_entry_loads_only_its_own_handler(name):
+    # Run as `python -m curvecount.cli` runs it, as __main__: a handler
+    # module that imported curvecount.cli would compile it a second time.
+    argv, status = _COMMAND_CALLS[name]
+    code = ("import runpy, sys\n"
+            f"sys.argv = ['curvecount', *{argv!r}]\n"
+            "try:\n    runpy.run_module('curvecount.cli', run_name='__main__')\n"
+            f"except SystemExit as exc:\n    assert exc.code == {status}, exc.code\n"
+            "else:\n    raise AssertionError('no exit status')")
+    loaded = _modules_loaded_after(code, ["curvecount.cli", *_COMMAND_MODULES])
+    assert loaded == [f"curvecount.commands.{name}"]
 
 
 def test_sweeps_fork_only_when_the_rest_pays():
@@ -251,18 +281,24 @@ def test_lemma_choices_are_the_identities_residue_lemmas_sweeps(capsys):
     "argv",
     [
         ["find-points", "--d", "6", "--bound", "30"],
+        ["find-points", "--d", "3", "--bound", "30"],
         ["lemma11", "--d", "3", "--bound", "30"],
         ["collisions", "--bound", "30", "--workers", "1"],
     ],
-    ids=lambda argv: argv[0],
+    ids=["find-points", "find-points-no-pair", "lemma11", "collisions"],
 )
 def test_rational_point_commands_load_no_counting_module(argv):
     # The collision search is integer arithmetic in its own module, and of
     # the three searches only it fans out, so the Fraction ones load no sweep.
+    # Their pair search is integer arithmetic too, so fractions and decimal
+    # load only once a point is built: lemma11 and a search that finds no
+    # pair (d = 3) load neither.
     code = f"import curvecount.cli as cli\nassert cli.main({argv!r}) == 0"
     counting = ["curvecount.point_count", "curvecount.residue_lemmas"]
     if argv[0] == "collisions":
         home, others = "curvecount.collisions", ["fractions", "decimal", "curvecount.rational_points"]
+    elif argv[0] == "lemma11" or argv[2] == "3":
+        home, others = "curvecount.rational_points", ["curvecount.sweep", "fractions", "decimal"]
     else:
         home, others = "curvecount.rational_points", ["curvecount.sweep"]
     assert _modules_loaded_after(code, counting + others + [home]) == [home]
@@ -365,8 +401,8 @@ def test_count_refuses_a_brute_count_above_its_ceiling(capsys, monkeypatch):
         assert rc == 2 and captured.out == ""
         assert captured.err == "curvecount: error: a brute-force count needs p <= 10000000, got 1000000007\n"
     monkeypatch.undo()
-    assert cli.BRUTE_P_CEILING == 10**7
-    monkeypatch.setattr(cli, "BRUTE_P_CEILING", 101)
+    assert commands.BRUTE_P_CEILING == 10**7
+    monkeypatch.setattr(commands, "BRUTE_P_CEILING", 101)
     assert run(capsys, ["count", "--a", "3", "--b", "5", "--p", "101"])[0] == 0
     assert run(capsys, ["count", "--a", "3", "--b", "5", "--p", "103"]) == (2, "")
     assert run(capsys, ["count", "--a", "-1", "--b", "0", "--p", "101", "--method", "brute"])[0] == 0
@@ -400,15 +436,15 @@ def test_brute_sweep_refuses_a_limit_above_its_ceiling(capsys, monkeypatch, argv
     assert captured.err == ("curvecount: error: a sweep that brute-counts every prime needs "
                             "--limit <= 100000, got 100000000\n")
     monkeypatch.undo()
-    assert cli.BRUTE_LIMIT_CEILING == 10**5
-    monkeypatch.setattr(cli, "BRUTE_LIMIT_CEILING", 30)
+    assert commands.BRUTE_LIMIT_CEILING == 10**5
+    monkeypatch.setattr(commands, "BRUTE_LIMIT_CEILING", 30)
     assert run(capsys, argv + ["--limit", "30"])[0] == 0
     assert run(capsys, argv + ["--limit", "31"]) == (2, "")
 
 
 def test_closed_form_sweeps_are_not_held_to_the_brute_ceiling(capsys, monkeypatch):
     # Only a sweep that brute-counts is held to BRUTE_LIMIT_CEILING.
-    monkeypatch.setattr(cli, "BRUTE_LIMIT_CEILING", 30)
+    monkeypatch.setattr(commands, "BRUTE_LIMIT_CEILING", 30)
     for argv in (["ap-table", "--a", "-1", "--b", "0"], ["lseries", "--a", "-1", "--b", "0", "--s", "1"],
                  ["ratio", "--a1", "-1", "--b1", "0", "--a2", "1", "--b2", "0", "--s", "1"],
                  ["lemma-verify", "--lemma", "5", "--workers", "1"]):
@@ -430,7 +466,7 @@ def test_lemma_sweep_refuses_a_limit_above_the_brute_ceiling(capsys, monkeypatch
     assert captured.err == ("curvecount: error: a sweep that brute-counts every prime needs "
                             "--limit <= 100000, got 100000000\n")
     monkeypatch.undo()
-    monkeypatch.setattr(cli, "BRUTE_LIMIT_CEILING", 30)
+    monkeypatch.setattr(commands, "BRUTE_LIMIT_CEILING", 30)
     assert run(capsys, argv + ["--limit", "30"])[0] == 0
     assert run(capsys, argv + ["--limit", "31"]) == (2, "")
 
@@ -1038,7 +1074,7 @@ def test_lseries_exact_digit_ceiling(capsys, monkeypatch):
     monkeypatch.undo()
     rc, out = run(capsys, ["lseries", "--a", "-1", "--b", "0", "--s", "3", "--limit", "3000", "--exact"])
     assert rc == 0 and jsonl(out)[0]["factor_count"] == 429
-    assert cli.EXACT_DIGITS_CEILING == 10**6
+    assert commands.EXACT_DIGITS_CEILING == 10**6
 
 
 def test_lseries_exact_sieves_once(capsys, monkeypatch):
@@ -1067,7 +1103,7 @@ def test_lseries_exact_refuses_s_a_float_may_have_rounded(capsys):
         {"a": -1, "b": 0, "s": 9007199254740991, "prime_bound": 0, "value": "1/1",
          "factor_count": 0, "skipped_primes": []}
     ]
-    assert cli.EXACT_S_CEILING == 2**53
+    assert commands.EXACT_S_CEILING == 2**53
 
 
 def test_lseries_float_mode(capsys):
