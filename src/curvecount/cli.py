@@ -33,37 +33,32 @@ from .errors import BadReductionError, SingularCurveError
 from .modmath import _MR_CEILING, require_odd_prime
 
 
-def _emit(records, fmt: str) -> None:
+def _emit(rows, fmt: str) -> None:
+    # One stdlib writer call a format; sys.stdout's own buffer batches the writes.
     if fmt == "csv":
         import csv
 
-        records = list(records)  # the header is the union of every row's keys
-        fieldnames = list(dict.fromkeys(key for record in records for key in record))
-        if not fieldnames:
-            return
-        writer = csv.DictWriter(sys.stdout, fieldnames=fieldnames, restval="")
-        writer.writeheader()
-        for record in records:
-            writer.writerow({k: _csv_cell(v) for k, v in record.items()})
+        rows = list(rows)  # the header is the union of every row's keys
+        fieldnames = list(dict.fromkeys(key for row in rows for key in row))
+        if fieldnames:
+            writer = csv.writer(sys.stdout)
+            writer.writerow(fieldnames)
+            writer.writerows([_csv_cell(row.get(k)) for k in fieldnames] for row in rows)
     else:
-        for record in records:
-            print(json.dumps(record))
+        sys.stdout.writelines(json.dumps(row) + "\n" for row in rows)
 
 
-def _csv_cell(value):
-    if value is None:
-        return ""
-    if isinstance(value, (list, tuple)):
-        return json.dumps(value)
-    return value
+def _csv_cell(value):  # csv writes None, and so a key a row lacks, as an empty cell
+    return json.dumps(value) if isinstance(value, (list, tuple)) else value
 
 
 # A sieve to --limit allocates about limit bytes plus the prime list, and
 # ap-table holds every record; csv also holds every row, for its header.
-# `ap-table --a -1 --b 0` peaked at 29 MB RSS at limit 10^6 and 137 MB at
-# 10^7 in jsonl (about 0.2 KB a prime, so 1.2 GB at 10^8), and 46 and 280
-# MB in csv (0.4 KB a prime, 2.4 GB at 10^8).  find-points and lemma11
-# mark 2 bound + 1 bytes.  Larger values are refused before any work.
+# `ap-table --a -1 --b 0 --workers 1` peaked at 28 MB RSS at limit 10^6
+# and 132 MB at 10^7 in jsonl (about 0.2 KB a prime, so 1.1 GB at 10^8),
+# and 46 and 275 MB in csv (0.4 KB a prime, 2.4 GB at 10^8); medians of 9
+# and 3 fresh runs, Python 3.11.7.  find-points and lemma11 mark
+# 2 bound + 1 bytes.  Larger values are refused before any work.
 LIMIT_CEILING = 10**8
 BOUND_CEILING = 10**6
 # A collision search checks the tenth or so of the pairs e < m <= --bound

@@ -1,3 +1,6 @@
+import contextlib
+import csv
+import io
 import json
 import os
 import signal
@@ -74,25 +77,41 @@ def test_module_entry_point():
     assert "expected an odd prime" in done.stderr
 
 
-@pytest.mark.parametrize("argv", [
-    ["profile", "13"],
-    ["ap-table", "--a", "-1", "--b", "0", "--limit", "100"],
-    ["lseries", "--a", "-1", "--b", "0", "--s", "1", "--limit", "100", "--format", "csv"],
-], ids=["profile", "ap-table", "lseries-csv"])
-def test_closed_stdout_ends_quietly(argv):
+_AP_TABLE_100K = ["ap-table", "--a", "-1", "--b", "0", "--limit", "100000", "--workers", "1"]
+
+
+@pytest.mark.parametrize("argv, taken", [
+    (["profile", "13"], 0),
+    (["ap-table", "--a", "-1", "--b", "0", "--limit", "100"], 0),
+    (["lseries", "--a", "-1", "--b", "0", "--s", "1", "--limit", "100", "--format", "csv"], 0),
+    (_AP_TABLE_100K, 1 << 16),
+    (_AP_TABLE_100K + ["--format", "csv"], 1 << 14),
+], ids=["profile", "ap-table", "lseries-csv", "ap-table-100000", "ap-table-100000-csv"])
+def test_closed_stdout_ends_quietly(argv, taken):
     # A reader that has gone (`curvecount ... | head -0`) ends the run as
     # SIGPIPE ends a filter, 128 + 13, not as a mismatch, with no traceback.
+    # With taken = 0 the reader closes before the run starts; otherwise it
+    # reads that many bytes first.  The 9,591 rows of an ap-table to 10^5
+    # (550 KB in jsonl, 214 KB in csv) outrun those bytes plus a Linux
+    # pipe's 64 KB and stdout's 8 KB buffer, so the reader leaves while
+    # _emit's one writelines or writerows call is still writing, after
+    # many flushes.
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     read_end, write_end = os.pipe()
-    os.close(read_end)
+    if not taken:
+        os.close(read_end)
     try:
-        done = subprocess.run([sys.executable, "-m", "curvecount.cli", *argv], env=env, stdout=write_end,
-                              stderr=subprocess.PIPE, text=True)
+        proc = subprocess.Popen([sys.executable, "-m", "curvecount.cli", *argv], env=env, stdout=write_end,
+                                stderr=subprocess.PIPE, text=True)
     finally:
         os.close(write_end)
-    assert done.returncode in (141, -signal.SIGPIPE)
-    assert done.stderr == ""
+    if taken:
+        with os.fdopen(read_end, "rb") as reader:
+            assert len(reader.read(taken)) == taken
+    stderr = proc.communicate()[1]
+    assert proc.returncode in (141, -signal.SIGPIPE)
+    assert stderr == ""
 
 
 # Every subcommand, with BRUTE_LIMIT_CEILING at 30; the last five exit 2
@@ -136,12 +155,108 @@ def test_main_is_the_one_writer_of_stdout(tmp_path, capsys, monkeypatch, command
     assert (written[0] == "") == (status == 2)
 
 
+def _emit_oracle(rows, fmt):
+    """The row-at-a-time writer _emit replaced: a print a jsonl row, and a
+    DictWriter over a dict of cells a csv row, None as "" and lists and
+    tuples as JSON."""
+
+    def cell(value):
+        if value is None:
+            return ""
+        if isinstance(value, (list, tuple)):
+            return json.dumps(value)
+        return value
+
+    if fmt == "csv":
+        rows = list(rows)
+        fieldnames = list(dict.fromkeys(key for row in rows for key in row))
+        if not fieldnames:
+            return
+        writer = csv.DictWriter(sys.stdout, fieldnames=fieldnames, restval="")
+        writer.writeheader()
+        for row in rows:
+            writer.writerow({k: cell(v) for k, v in row.items()})
+    else:
+        for row in rows:
+            print(json.dumps(row))
+
+
+def _assert_writes_as_oracle(emit, rows):
+    for fmt in ("jsonl", "csv"):
+        written = []
+        for writer in (emit, _emit_oracle):
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                writer((row for row in rows), fmt)  # one pass, as over a handler's generator
+            written.append(out.getvalue())
+        assert written[0] == written[1], fmt
+
+
+# The row shapes the subcommands emit: uniform rows with a None cell;
+# tuple and nested-tuple cells; rows of mixed keys that end in a summary
+# row (lemma-verify's mismatches, with its oracle broken below); bools;
+# floats.
+EMIT_CASES = [
+    "ap-table --a 3 --b 5 --cross-validate --limit 60",  # brute_np is None
+    "ap-table --a -1 --b 0 --cross-validate --plus-one --limit 60",
+    "profile 7",  # a None cell at the end of the row
+    "count --a 3 --b 5 --p 101",
+    "lseries --a -1 --b 0 --s 1 --limit 60 --exact",  # skipped_primes, a tuple
+    "lseries --a 3 --b 5 --s 0.5 --limit 60",
+    "collisions --bound 60 --allow-non-coprime --workers 1",  # members, a tuple of tuples
+    "lemma-verify --lemma 1 --limit 30 --workers 1",
+    "lemma11 --d 6 --bound 50",  # hits, then a summary with bools
+    "ratio --a1 -1 --b1 0 --a2 1 --b2 0 --s 1 --limit 60",  # float factors, then a summary
+    "find-points --d 6 --bound 20",
+    "lemma8 --limit 50",
+]
+
+
+@pytest.mark.parametrize("command", EMIT_CASES)
+def test_emit_writes_the_bytes_of_the_row_at_a_time_writer(monkeypatch, command):
+    monkeypatch.setattr(commands, "BRUTE_LIMIT_CEILING", 100)
+    monkeypatch.setattr(residue_lemmas, "_brute_counts", lambda p, b, a_values: [p + 2 for _ in a_values])
+    emit, emitted = cli._emit, []
+    monkeypatch.setattr(cli, "_emit", lambda rows, fmt: emitted.append(list(rows)))
+    cli.main(command.split())
+    (rows,) = emitted
+    assert rows
+    _assert_writes_as_oracle(emit, rows)
+
+
+@pytest.mark.parametrize("rows", [
+    [],
+    [{}],
+    [{"only": None}],  # a lone empty cell: csv quotes it, so the line is not blank
+    [{"a": 1, "b": None}, {"b": (2, (3, 4)), "c": [True, 0.1]}, {"c": "x,y", "a": 1e300}],
+    [{"flag": False, "x": float("nan"), "y": -0.0}, {"text": 'a "quoted"\nline', "unicode": "π"}],
+], ids=["empty", "empty-row", "lone-none", "mixed-keys", "bools-floats-text"])
+def test_emit_writes_the_bytes_of_the_row_at_a_time_writer_at_the_edges(rows):
+    _assert_writes_as_oracle(cli._emit, rows)
+
+
+@pytest.mark.parametrize("flags", [[], ["--cross-validate"], ["--plus-one"], ["--cross-validate", "--plus-one"]],
+                         ids=["plain", "cross-validate", "plus-one", "both"])
+@pytest.mark.parametrize("curve", [["--a", "-1", "--b", "0"], ["--a", "3", "--b", "5"]], ids=["b0", "b5"])
+def test_ap_table_rows_share_one_key_order(tmp_path, capsys, curve, flags):
+    # The csv header is the union of every row's keys, so a writer that
+    # streamed rows could take it from the first row only if every row of
+    # one call has that row's keys in its order.  On (-1, 0) the rows mix
+    # lemma 1 and Gauss traces; on (3, 5), bar --cross-validate, which
+    # reads no cache, they mix cached brute counts with fresh ones.
+    argv = ["ap-table", *curve, *flags, "--workers", "1", "--cache", str(tmp_path / "c.cache"), "--limit"]
+    run(capsys, argv + ["200"])
+    rc, out = run(capsys, argv + ["400"])
+    rows = jsonl(out)
+    assert rc == 0 and len(rows) > 70
+    assert {tuple(row) for row in rows} == {tuple(rows[0])}
+
+
 def test_jsonl_ap_table_holds_one_row_at_a_time(monkeypatch):
     # Both formats hold the records; csv also holds every row, for the
     # union of their keys in its header, while jsonl writes each row as it
-    # is built.  At this limit (17,983 primes) jsonl peaked at 3.3 MB
+    # is built.  At this limit (17,983 primes) jsonl peaked at 3.2 MB
     # under tracemalloc and csv at 6.9 MB; with every row held, jsonl
-    # peaked at 7.4 MB.
+    # peaked at 6.9 MB too.
     import tracemalloc
 
     argv = ["ap-table", "--a", "-1", "--b", "0", "--workers", "1", "--limit"]
