@@ -21,7 +21,7 @@ import os
 from itertools import zip_longest
 
 from .errors import CacheInvalidError
-from .point_count import BRUTE, Curve, PointCountRecord, _nonsingular_discriminant, good_odd_primes
+from .point_count import BRUTE, Curve, PointCountRecord, _nonsingular_discriminant, prime_split
 
 ENV_CACHE_DIR = "CURVECOUNT_CACHE_DIR"
 
@@ -93,7 +93,7 @@ def read_cache(path: str, curve: Curve) -> tuple[int, list[PointCountRecord]]:
     # bit_length(|disc|) records.  Fewer are refused before the sieve to pmax.
     if pmax >= 17 and (len(records) + 1 + abs(delta).bit_length()) * math.log(pmax) < pmax:
         raise CacheInvalidError(f"pmax={pmax}: {len(records)} records are too few to be every good odd prime <= {pmax}")
-    for p, line, record in zip_longest(good_odd_primes(curve, pmax), lines, records):
+    for p, line, record in zip_longest(prime_split(curve, pmax)[0], lines, records):
         if record is None:
             raise CacheInvalidError(f"no record for p = {p}")
         if p is None:

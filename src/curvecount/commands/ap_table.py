@@ -2,15 +2,13 @@
 
 import os
 import sys
-from functools import partial
 
 from ..errors import CacheInvalidError
 
 
 def run(args) -> tuple:
     from ..cache import read_cache, resolve_cache_path, write_cache
-    from ..point_count import Curve, good_odd_primes, records_for_primes
-    from ..sweep import map_chunks
+    from ..point_count import Curve, ap_table
     from . import BRUTE_LIMIT_CEILING, _fail, _fail_brute_sweep
 
     if (args.b or args.cross_validate) and args.limit > BRUTE_LIMIT_CEILING:
@@ -30,13 +28,10 @@ def run(args) -> tuple:
                 return _fail(f"cache {cache_path}: no such directory")
         except OSError as exc:
             return _fail(f"cache {cache_path}: {exc.strerror or exc}")
-    chunk = partial(records_for_primes, curve, cross_validate=args.cross_validate)
-    parts = map_chunks(chunk, [p for p in good_odd_primes(curve, args.limit) if p > pmax_seen], args.workers)
-    fresh = [r for part in parts for r in part]
-    records = [r for r in cached if r.p <= args.limit] + fresh
+    records = ap_table(curve, args.limit, args.cross_validate, args.workers, cached)
     if cache_path and args.limit > pmax_seen:  # a valid cache is rewritten only past its pmax
         try:
-            write_cache(cache_path, curve, args.limit, cached + fresh)
+            write_cache(cache_path, curve, args.limit, records)
         except OSError as exc:
             return _fail(f"cache {cache_path}: {exc.strerror or exc}")
     shift = 1 if args.plus_one else 0

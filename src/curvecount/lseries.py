@@ -90,8 +90,9 @@ class ExactEulerEvaluation(namedtuple("ExactEulerEvaluation", "s prime_bound val
 def partial_L_exact(curve: Curve, s: int, limit: int) -> ExactEulerEvaluation:
     """Exact truncated product for integer s >= 1, from one sieve.
 
-    Each factor is p^(2s-1) / (p^(2s-1) - a_p p^(s-1) + 1).  Numerators
-    and denominators multiply as integers and reduce once, at the end.
+    Each factor is p^(2s-1) / (p^(2s-1) - a_p p^(s-1) + 1).  The
+    numerators multiply to one power, (prod p)^(2s-1); the denominators
+    multiply as integers, and the quotient reduces once, at the end.
     The denominator needs no guard: |a_p| < 2 sqrt(p) keeps it above
     (p^(s-1/2) - 1)^2, which is positive.  The d = 1 minus twist at
     s = 1 up to limit 7 comes out to (3/4)(5/8)(7/8) = 105/256.
@@ -101,13 +102,11 @@ def partial_L_exact(curve: Curve, s: int, limit: int) -> ExactEulerEvaluation:
     from fractions import Fraction  # kept off the import path of the float products
 
     primes, skipped = prime_split(curve, limit)
-    numerator = denominator = 1
+    denominator = 1
     for p in primes:
         q = p ** (s - 1)
-        top = q * q * p
-        numerator *= top
-        denominator *= top - _trace_ap(curve, p).a_p * q + 1
-    return ExactEulerEvaluation(s, limit, Fraction(numerator, denominator), len(primes), skipped)
+        denominator *= q * q * p - _trace_ap(curve, p).a_p * q + 1
+    return ExactEulerEvaluation(s, limit, Fraction(math.prod(primes) ** (2 * s - 1), denominator), len(primes), skipped)
 
 
 class RatioEvaluation(namedtuple("RatioEvaluation", "s prime_bound primes factors ratio")):

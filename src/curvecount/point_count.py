@@ -201,26 +201,27 @@ def prime_split(curve: Curve, limit: int) -> tuple[list[int], tuple[int, ...]]:
     return good, tuple(skipped)
 
 
-def good_odd_primes(curve: Curve, limit: int) -> list[int]:
-    """Odd primes <= limit not dividing the discriminant, ascending."""
-    return prime_split(curve, limit)[0]
+def ap_table(curve: Curve, limit: int, cross_validate: bool = False, workers: int = 1,
+             cached=()) -> list[PointCountRecord]:
+    """One record per good odd prime <= limit, ascending in p.
 
-
-def records_for_primes(curve: Curve, primes: list[int], cross_validate: bool = False) -> list[PointCountRecord]:
-    """trace_ap over a prime list; the unit of work handed to sweep workers.
-
-    The primes must be good odd primes of curve, as good_odd_primes
-    gives them; they are not checked again.
+    cached holds records already counted, ascending and complete up to
+    its last prime, as cache.read_cache returns them: those <= limit are
+    kept, and only the good odd primes past the last are traced, in
+    batches that sweep.map_chunks may fan out to `workers` processes.
+    The table is the same for every worker count.
     """
-    out = []
-    for p in primes:
-        rec = _trace_ap(curve, p)
-        if cross_validate and rec.method != BRUTE:
-            rec = rec._replace(brute_np=_brute_record(curve, p).n_p)
-        out.append(rec)
-    return out
+    from .sweep import map_chunks
 
+    def records(primes):
+        out = []
+        for p in primes:
+            rec = _trace_ap(curve, p)
+            if cross_validate and rec.method != BRUTE:
+                rec = rec._replace(brute_np=_brute_record(curve, p).n_p)
+            out.append(rec)
+        return out
 
-def ap_table(curve: Curve, limit: int, cross_validate: bool = False) -> list[PointCountRecord]:
-    """One record per good odd prime <= limit, ascending in p."""
-    return records_for_primes(curve, good_odd_primes(curve, limit), cross_validate)
+    last = cached[-1].p if cached else -1
+    parts = map_chunks(records, [p for p in prime_split(curve, limit)[0] if p > last], workers)
+    return [r for r in cached if r.p <= limit] + [r for part in parts for r in part]

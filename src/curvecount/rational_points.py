@@ -67,14 +67,14 @@ def pythagorean_from_param(h: int, m: int, e: int) -> tuple[int, int, int]:
     return a, b, c
 
 
-def d_from_param(q: ParamQuadruple) -> Fraction:
+def d_from_param(q: ParamQuadruple) -> __import__("fractions").Fraction:
     """d = (k/2j)^2 (m^2 - e^2)/(em), the twist the quadruple lands on."""
     from fractions import Fraction
 
     return Fraction(q.k, 2 * q.j) ** 2 * Fraction(q.m * q.m - q.e * q.e, q.e * q.m)
 
 
-def points_from_param(q: ParamQuadruple) -> tuple[Fraction, RationalPoint, RationalPoint]:
+def points_from_param(q: ParamQuadruple) -> tuple[__import__("fractions").Fraction, RationalPoint, RationalPoint]:
     """(d, p1, p2) with p_i on y^2 = x^3 - d^2 x exactly.
 
     x1 = d(m+e)/(m-e), x2 = -d(m-e)/(m+e), y = (k/j) x for both.  The
@@ -96,12 +96,14 @@ def points_from_param(q: ParamQuadruple) -> tuple[Fraction, RationalPoint, Ratio
     return d, p1, p2
 
 
-def double_point_rational(curve: "Curve", point: RationalPoint) -> RationalPoint:
+def double_point_rational(
+    curve: __import__("curvecount.point_count").point_count.Curve, point: RationalPoint
+) -> RationalPoint:
     """Tangent-line duplication: S = (a + 3x^2)/(2y), x' = S^2 - 2x.
 
     curve is a point_count.Curve, or anything with its a and b; the
-    annotation is a string so that importing this module does not load
-    point_count.
+    annotation loads point_count only when it is evaluated, so importing
+    this module does not.
 
     y' = y + S(x' - x) is the tangent's third intersection with the
     curve, not its mirror; doubling twice therefore alternates the sign

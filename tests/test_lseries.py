@@ -5,7 +5,7 @@ import pytest
 
 from curvecount.errors import SingularCurveError
 from curvecount.lseries import _denominator, euler_factor, partial_L, partial_L_exact, ratio_partial
-from curvecount.point_count import Curve, good_odd_primes, trace_ap
+from curvecount.point_count import Curve, prime_split, trace_ap
 
 from oracles import exact_euler_product, primes_by_trial_division
 
@@ -27,14 +27,14 @@ def test_discriminant_always_even():
 
 
 def test_good_odd_primes_examples():
-    assert good_odd_primes(MINUS_ONE, 13) == [3, 5, 7, 11, 13]
-    assert good_odd_primes(Curve(-9, 0), 13) == [5, 7, 11, 13]
-    assert good_odd_primes(MINUS_ONE, 2) == []
+    assert prime_split(MINUS_ONE, 13)[0] == [3, 5, 7, 11, 13]
+    assert prime_split(Curve(-9, 0), 13)[0] == [5, 7, 11, 13]
+    assert prime_split(MINUS_ONE, 2)[0] == []
 
 
 def test_good_odd_primes_singular():
     with pytest.raises(SingularCurveError):
-        good_odd_primes(Curve(0, 0), 100)
+        prime_split(Curve(0, 0), 100)
 
 
 def test_euler_factor_examples():
@@ -211,7 +211,7 @@ def test_partial_l_extends_incrementally():
     lo = partial_L(MINUS_ONE, 1.5, 100)
     hi = partial_L(MINUS_ONE, 1.5, 200)
     tail = 0.0
-    for p in good_odd_primes(MINUS_ONE, 200):
+    for p in prime_split(MINUS_ONE, 200)[0]:
         if p > 100:
             tail += math.log(euler_factor(p, trace_ap(MINUS_ONE, p).a_p, 1.5))
     assert lo.log_value + tail == pytest.approx(hi.log_value, abs=1e-12)

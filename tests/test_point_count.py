@@ -16,7 +16,6 @@ from curvecount.point_count import (
     ap_table,
     count_affine_points,
     double_point_mod,
-    good_odd_primes,
     prime_split,
     trace_ap,
 )
@@ -396,14 +395,12 @@ def test_double_point_mod_random_points_stay_on_curve():
 
 
 def test_good_odd_primes():
-    assert good_odd_primes(Curve(-1, 0), 13) == [3, 5, 7, 11, 13]
-    assert good_odd_primes(Curve(-9, 0), 13) == [5, 7, 11, 13]
-    assert good_odd_primes(Curve(-1, 0), 2) == []
+    assert prime_split(Curve(-1, 0), 13) == ([3, 5, 7, 11, 13], (2,))
     assert prime_split(Curve(-9, 0), 13) == ([5, 7, 11, 13], (2, 3))
+    assert prime_split(Curve(-1, 0), 2) == ([], (2,))
     assert prime_split(Curve(-1, 0), 1) == ([], ())
-    for find in (good_odd_primes, prime_split):
-        with pytest.raises(SingularCurveError):
-            find(Curve(0, 0), 13)
+    with pytest.raises(SingularCurveError):
+        prime_split(Curve(0, 0), 13)
 
 
 def test_ap_table_example():
@@ -414,6 +411,37 @@ def test_ap_table_example():
     assert [p - np_lemma3(TwistSpec(1, MINUS), p) for p in (5, 13)] == [-2, 6]
     assert all(r.a_p == r.p - r.n_p for r in records)
     assert ap_table(Curve(-1, 0), 2) == []
+
+
+def test_ap_table_worker_invariance(fan_outs_forced):
+    curve = Curve(3, 5)
+    cold = [trace_ap(curve, p) for p in prime_split(curve, 300)[0]]
+    for workers in (1, 2, 3):
+        assert ap_table(curve, 300, workers=workers) == cold
+    assert fan_outs_forced == [2, 3]
+
+
+def test_ap_table_keeps_cached_records():
+    curve = Curve(3, 5)
+    cold = ap_table(curve, 200)
+    for m in (100, 200, 300):
+        cached = ap_table(curve, m)
+        table = ap_table(curve, 200, cached=cached)
+        assert table == cold
+        assert all(kept is record for kept, record in zip(table, cached))  # served, not traced again
+    assert ap_table(curve, 200, cached=()) == cold
+    # The last record lies below the bad prime 29, and the cache stops there.
+    cached = ap_table(curve, 29)
+    assert cached[-1].p == 23
+    assert ap_table(curve, 60, cached=cached) == ap_table(curve, 60)
+
+
+def test_ap_table_cross_validates_in_workers(fan_outs_forced):
+    curve = Curve(-4, 0)
+    table = ap_table(curve, 400, cross_validate=True, workers=2)
+    assert fan_outs_forced == [2]
+    assert table == ap_table(curve, 400, cross_validate=True)
+    assert all(r.brute_np == r.n_p for r in table)
 
 
 def test_ap_table_cross_validate_no_mismatches():

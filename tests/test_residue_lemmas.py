@@ -1,13 +1,17 @@
+import importlib
+import inspect
+import pkgutil
 import typing
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
+import curvecount
 from curvecount import residue_lemmas
 from curvecount.errors import HypothesisError
 from curvecount.modmath import QNR, QR, legendre_symbol, prime_profile, sieve_primes, sqrt_of_minus_one
-from curvecount.point_count import _brute_counts
+from curvecount.point_count import Curve, _brute_counts
 from curvecount.residue_lemmas import (
     MINUS,
     PLUS,
@@ -301,5 +305,33 @@ def test_lemma8_examples():
         lemma8_fraction(2)
 
 
-def test_lemma8_annotations_resolve():
-    assert typing.get_type_hints(lemma8_fraction) == {"limit": int, "return": tuple[int, int, Fraction]}
+def _public_functions():
+    """{qualified name: function} for every public function and method in the curvecount package."""
+    found = {}
+    for info in pkgutil.walk_packages(curvecount.__path__, "curvecount."):
+        module = importlib.import_module(info.name)
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = {name: obj}
+            if inspect.isclass(obj):
+                members = {f"{name}.{attr}": getattr(f, "fget", f) for attr, f in vars(obj).items()
+                           if not attr.startswith("_") or attr.endswith("__")}
+            for qualname, f in members.items():
+                if inspect.isfunction(inspect.unwrap(f)):
+                    found[f"{module.__name__}.{qualname}"] = inspect.unwrap(f)
+    return found
+
+
+def test_public_annotations_resolve():
+    hints = {}
+    for qualname, f in _public_functions().items():
+        try:
+            hints[qualname] = typing.get_type_hints(f)
+        except NameError as exc:
+            pytest.fail(f"{qualname}: {exc}")
+    assert len(hints) > 50
+    assert hints["curvecount.residue_lemmas.lemma8_fraction"] == {"limit": int, "return": tuple[int, int, Fraction]}
+    assert hints["curvecount.rational_points.d_from_param"]["return"] is Fraction
+    assert hints["curvecount.rational_points.points_from_param"]["return"].__args__[0] is Fraction
+    assert hints["curvecount.rational_points.double_point_rational"]["curve"] is Curve
