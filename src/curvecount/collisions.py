@@ -112,9 +112,10 @@ def collision_search(bound: int, workers: int = 1, coprime_only: bool = True) ->
     coprime_only keeps the gcd(e, m) = 1 normalization; pass False to
     search the unrestricted lattice, whose pairs are g (e, m) for every
     scale g and coprime (e, m) <= bound // g.  The items are the scales
-    and class pairs (g, sq(e), sq(m)); workers take contiguous batches of
-    them off one queue, and the groups they report are merged by V, so
-    the output is sorted by V, members in (e, m) order, for any workers.
+    and class pairs (g, sq(e), sq(m)); map_chunks cuts them into batches
+    and gives each worker a fixed share, and the groups the batches
+    report are merged by V, so the output is sorted by V, members in
+    (e, m) order, for any workers.
     """
     if bound < 2:
         raise ValueError(f"bound must be >= 2, got {bound}")

@@ -11,13 +11,16 @@ from time import perf_counter
 # 0.485 s at 2 workers at 0.2 s, 0.411 s at 0.05 s (BENCH_fork_gate.json).
 BREAK_EVEN = 0.05
 
-# Batches per worker: each process takes the next batch when it is free,
-# so more batches even out items of unequal cost.  At 2 workers
-# `collisions --bound 2000` (1,207 class pairs) took 314, 323, 328, 324
-# and 323 ms end to end at 1, 2, 4, 8 and 16 batches a worker (medians of
-# 12 fresh runs, Python 3.11.7, 2 vCPUs, while two busy loops ran no
-# faster than one), all within the runs' spread; at 1 the second batch
-# runs in process, so extra batches cost nothing measurable.
+# Batches per worker.  Process k of P runs every Pth batch from the kth,
+# so where batch costs grow with the index the shares differ by at most
+# one batch's cost, and more batches make one batch a smaller part of a
+# share.  At 2 workers,
+# 4, 8 and 16 batches a worker took 234, 225 and 213 ms, then 222, 199
+# and 203 ms, on `collisions --bound 2000`, and 564, 553 and 571 ms, then
+# 655, 622 and 592 ms, on `lemma-verify --lemma 3 --limit 8000` (medians
+# of two sets of 15 and 20 alternating fresh runs, Python 3.11.7, 2 vCPUs,
+# while two busy loops ran 0.79 to 2.42 times one loop's throughput),
+# each within the runs' spread.
 BATCHES_PER_WORKER = 8
 
 
@@ -30,13 +33,14 @@ def map_chunks(fn, items, workers: int) -> list:
     go to min(workers, left) processes: this happens once that count is
     above 1 and the last batch's time times the number left exceeds
     BREAK_EVEN.  So one worker, or a platform without os.fork, never
-    forks.  The processes, this one and forked children, each take the
-    next batch off one shared queue until it is empty, so fn need not
-    pickle but its results must.  An exception raised by fn in a child
-    is raised here; a child that dies without a result raises
-    ChildProcessError.  Either way, and on success, every child has
-    ended and been reaped on return.  Merging the results in list order
-    gives the same answer for every worker count.
+    forks.  Of those P processes, this one is k = 0 and the forked
+    children are k = 1 .. P - 1, and process k runs batches k, k + P,
+    k + 2P, ... of those left, so fn need not pickle but its results
+    must.  An exception raised by fn in a child is raised here; a child
+    that dies without a result raises ChildProcessError.  Either way,
+    and on success, every child has ended and been reaped on return.
+    Merging the results in list order gives the same answer for every
+    worker count.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -57,21 +61,17 @@ def map_chunks(fn, items, workers: int) -> list:
 def _fan_out(fn, batches: list[list], processes: int) -> list:
     """[fn(batch) for batch in batches], run by this process and processes - 1 forked children.
 
-    Every process takes batch indices off one queue pipe until it is
-    empty.  The indices, 2 bytes each, are written in one write before
-    the first fork and the write end is closed, so the write never
-    blocks (1 KiB at 64 workers, far below a pipe's buffer), each
-    2-byte read takes one whole index, and every process reads EOF once
-    the queue is empty.
+    Process k runs batches[k::processes]: this process is k = 0 and the
+    children are k = 1 .. processes - 1.  Where batch costs grow with
+    the index, as brute counts grow with p, these interleaved shares
+    differ by at most one batch's cost.
     """
     import pickle  # here, before the first fork, so that no child spends its time loading it
 
-    queue, write_end = os.pipe()
-    with open(write_end, "wb") as pipe:
-        pipe.write(b"".join(i.to_bytes(2, "little") for i in range(len(batches))))
-    children = []  # (pid, read end of the pipe the child's results come back on)
+    results = [None] * len(batches)
+    children = []  # (k, pid, read end of the pipe the child's results come back on)
     try:
-        for _ in range(processes - 1):
+        for k in range(1, processes):
             read_end, write_end = os.pipe()
             try:
                 pid = os.fork()
@@ -80,23 +80,22 @@ def _fan_out(fn, batches: list[list], processes: int) -> list:
                 os.close(write_end)
                 raise
             if pid == 0:
-                _run_child(fn, batches, queue, write_end)
+                _run_child(fn, batches[k::processes], write_end)
             os.close(write_end)
-            children.append((pid, read_end))
-        results = _take_batches(fn, batches, queue)
+            children.append((k, pid, read_end))
+        results[::processes] = [fn(batch) for batch in batches[::processes]]
         while children:
-            pid, read_end = children.pop(0)
+            k, pid, read_end = children.pop(0)
             try:
                 with open(read_end, "rb") as pipe:
                     payload = pipe.read()
             finally:
                 status = os.waitpid(pid, 0)[1]
-            results.update(_child_result(pid, status, payload))
-        return [results[i] for i in range(len(batches))]
+            results[k::processes] = _child_result(pid, status, payload)
+        return results
     finally:
-        os.close(queue)
         # Left only when fn or a child failed, so the other results are not wanted.
-        for pid, read_end in children:
+        for _, pid, read_end in children:
             import signal
 
             os.close(read_end)
@@ -104,17 +103,8 @@ def _fan_out(fn, batches: list[list], processes: int) -> list:
             os.waitpid(pid, 0)
 
 
-def _take_batches(fn, batches: list[list], queue: int) -> dict:
-    """{index: fn(batches[index])} for each index this process reads off the queue pipe."""
-    results = {}
-    while index := os.read(queue, 2):
-        i = int.from_bytes(index, "little")
-        results[i] = fn(batches[i])
-    return results
-
-
-def _run_child(fn, batches: list[list], queue: int, write_end: int):
-    """Send pickle.dumps((True, _take_batches(...))), or (False, the exception), and end the process.
+def _run_child(fn, batches: list[list], write_end: int):
+    """Send pickle.dumps((True, [fn(batch) for batch in batches])), or (False, the exception), and end the process.
 
     The child leaves by os._exit, so it runs no exit handler and never
     flushes the stdio buffers it inherited from the parent.
@@ -124,7 +114,7 @@ def _run_child(fn, batches: list[list], queue: int, write_end: int):
         import pickle
 
         try:
-            payload = pickle.dumps((True, _take_batches(fn, batches, queue)))
+            payload = pickle.dumps((True, [fn(batch) for batch in batches]))
         except BaseException as exc:  # the parent raises it
             payload = pickle.dumps((False, exc))
         with open(write_end, "wb") as pipe:

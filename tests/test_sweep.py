@@ -58,11 +58,9 @@ def test_map_chunks_forks_once_growing_batches_pay(fan_outs, clock):
     # Batch i takes i tenths of BREAK_EVEN on the test's clock.  Batch 0
     # projects the rest at 0 and runs here; after batch 1 the rest projects
     # to 1.4 BREAK_EVEN, so it fans out once, to both workers, and the
-    # results still come back in batch order.  The real sleep only lets
-    # both processes take batches off the queue.
+    # results still come back in batch order.
     def fn(batch):
         clock[0] += sweep.BREAK_EVEN / 10 * batch[0]
-        time.sleep(0.02)
         return os.getpid(), batch
 
     results = map_chunks(fn, range(16), 2)
@@ -107,25 +105,55 @@ def assert_no_child_left():
 
 
 def test_fan_out_runs_chunks_in_children_and_reaps_them(fan_outs_forced):
-    # fn need not pickle: a lambda reaches each child by fork.  Each batch
-    # takes long enough that every process takes one off the queue.
-    pids = map_chunks(lambda batch: time.sleep(0.1) or os.getpid(), range(12), 3)
+    # fn need not pickle: a lambda reaches each child by fork.  Batch 0
+    # runs here, and each of the three processes runs a share of the rest.
+    pids = map_chunks(lambda batch: os.getpid(), range(12), 3)
     assert len(pids) == 12 and os.getpid() in pids and len(set(pids)) == 3
     assert fan_outs_forced == [3]
     assert_no_child_left()
 
 
 def test_fan_out_returns_batches_in_order_when_later_ones_finish_first(fan_outs_forced):
-    # Batch 0 runs here; of the three fanned out, batch 1 takes longest.
+    # Batch 0 runs here; of the three fanned out, batches 1 and 3 are this
+    # process's share and batch 2 the child's, and batch 1 takes longest.
     def fn(batch):
         time.sleep(0.3 if batch == [1] else 0)
-        return batch, time.monotonic()
+        return batch, os.getpid(), time.monotonic()
 
     results = map_chunks(fn, range(4), 2)
-    assert [batch for batch, _ in results] == [[0], [1], [2], [3]]
-    assert results[1][1] > results[3][1]
+    assert [batch for batch, _, _ in results] == [[0], [1], [2], [3]]
+    assert results[1][1] == results[3][1] == os.getpid() != results[2][1]
+    assert results[1][2] > results[2][2]
     assert fan_outs_forced == [2]
     assert_no_child_left()
+
+
+def test_fan_out_gives_process_k_every_processes_th_batch(fan_outs_forced, tmp_path):
+    # Batch 0 runs here, before the fan-out.  Of the rest, process k of
+    # `processes` runs rest[k::processes], this one being k = 0.  Each call
+    # of fn appends one line to one file, so a batch run twice or never shows.
+    log = tmp_path / "ran"
+    fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+    def fn(batch):
+        os.write(fd, b"%d %d\n" % (batch[0], os.getpid()))
+        return os.getpid(), batch
+
+    try:
+        for items, workers, processes in ((range(40), 2, 2), (range(40), 3, 3), (range(40), 5, 5), (range(3), 4, 2)):
+            log.write_bytes(b"")
+            results = map_chunks(fn, items, workers)
+            assert [i for _, batch in results for i in batch] == list(items)
+            ran = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+            assert sorted(ran) == [(batch[0], pid) for pid, batch in results]
+            rest = [pid for pid, _ in results[1:]]
+            shares = {pid: [j for j, ran_by in enumerate(rest) if ran_by == pid] for pid in rest}
+            assert results[0][0] == os.getpid() and len(shares) == processes
+            assert sorted(shares.values()) == [list(range(k, len(rest), processes)) for k in range(processes)]
+            assert shares[os.getpid()] == list(range(0, len(rest), processes))
+    finally:
+        os.close(fd)
+    assert fan_outs_forced == [2, 3, 5, 2]
 
 
 def test_fan_out_reraises_a_chunk_error(fan_outs_forced):
@@ -134,7 +162,6 @@ def test_fan_out_reraises_a_chunk_error(fan_outs_forced):
     def fail_in_child(batch):
         if os.getpid() != parent:
             raise KeyError("in a child")
-        time.sleep(0.1)  # so that the children take batches too
         return batch
 
     def fail_here(batch):
@@ -142,7 +169,7 @@ def test_fan_out_reraises_a_chunk_error(fan_outs_forced):
             return batch
         if os.getpid() == parent:
             raise KeyError("here")
-        time.sleep(1)  # so that this process takes a batch
+        time.sleep(1)  # so that the children still run when this process raises
         return batch
 
     with pytest.raises(KeyError) as raised:
@@ -161,7 +188,6 @@ def test_fan_out_names_the_signal_that_killed_a_child(fan_outs_forced):
     def fn(batch):
         if os.getpid() != parent:
             os.kill(os.getpid(), signal.SIGKILL)
-        time.sleep(0.1)
         return batch
 
     with pytest.raises(ChildProcessError, match="SIGKILL"):
@@ -175,7 +201,6 @@ def test_fan_out_child_that_exits_0_without_a_result_raises(fan_outs_forced):
     def fn(batch):
         if os.getpid() != parent:
             os._exit(0)  # a clean exit that never sends the results
-        time.sleep(0.1)
         return batch
 
     with pytest.raises(ChildProcessError, match="exited with status 0"):
@@ -186,7 +211,6 @@ def test_fan_out_child_that_exits_0_without_a_result_raises(fan_outs_forced):
 def test_fan_out_result_that_cannot_pickle_raises(fan_outs_forced):
     # Only results cross back from a child, so only they must pickle.
     def fn(batch):
-        time.sleep(0.1)
         return lambda: batch
 
     with pytest.raises(Exception, match="pickle") as raised:
@@ -228,20 +252,20 @@ def test_fan_out_children_never_flush_inherited_stdout():
 
 
 def test_fan_out_at_64_workers_runs_every_batch_once(tmp_path):
-    # 512 batches need both bytes of a queue index; each process appends
-    # one line a batch it runs to one file, so a batch run twice or never shows.
-    # Each batch sleeps 1 ms, so that children start before the queue is empty.
+    # 512 batches: the first runs here, and 64 processes share the other
+    # 511, 7 or 8 each.  Each process appends one line a batch it runs to
+    # one file, so a batch run twice or never shows.
     log = tmp_path / "ran"
-    done = _run("import os, time\nfrom curvecount import sweep\nsweep.BREAK_EVEN = -1\n"
+    done = _run("import os\nfrom curvecount import sweep\nsweep.BREAK_EVEN = -1\n"
                 f"fd = os.open({str(log)!r}, os.O_WRONLY | os.O_CREAT | os.O_APPEND)\n"
-                "fn = lambda batch: time.sleep(0.001) or os.write(fd, b'%d %d\\n' % (batch[0], os.getpid())) and batch\n"
+                "fn = lambda batch: os.write(fd, b'%d %d\\n' % (batch[0], os.getpid())) and batch\n"
                 "batches = sweep.map_chunks(fn, range(1000), 64)\n"
                 "print(len(batches), [i for batch in batches for i in batch] == list(range(1000)))")
     assert (done.returncode, done.stdout, done.stderr) == (0, "512 True\n", "")
     lines = log.read_text().split()
     firsts = sorted(int(first) for first in lines[::2])
     assert firsts == [1000 * j // 512 for j in range(512)]
-    assert len(set(lines[1::2])) > 1
+    assert len(set(lines[1::2])) == 64
 
 
 def test_map_chunks_rejects_workers_below_one():
